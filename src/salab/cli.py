@@ -374,6 +374,17 @@ def _cmd_figure(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    """argparse type of --threads: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="salab",
@@ -387,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument("--threads", type=_positive_int, default=1, help="worker threads")
         p.add_argument("--dry-run", action="store_true",
                        help="validate without side effects")
 

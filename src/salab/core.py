@@ -174,6 +174,25 @@ class ValidatedConfig:
     alpha_max: float
 
 
+#: integer fields of ExperimentConfig and their least allowed value
+_COUNT_KEYS = (
+    ("n_chains", 1),
+    ("burn_in", 0),
+    ("thin", 1),
+    ("samples_per_chain", 1),
+    ("seed", None),
+)
+
+
+def _as_int(value) -> int:
+    """An integer field's value; fractions, bools and text are errors, never truncated."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_)):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"not an integer: {value!r}")
+
+
 def validate_config(cfg: ExperimentConfig) -> ValidatedConfig:
     """Check every invariant and resolve drift/noise identifiers.
 
@@ -233,14 +252,19 @@ def validate_config(cfg: ExperimentConfig) -> ValidatedConfig:
         except (TypeError, ValueError, ConfigError) as exc:
             errors.append(f"scaling: {exc}")
 
-    if int(cfg.n_chains) < 1:
-        errors.append("n_chains must be >= 1")
-    if cfg.burn_in != "auto" and int(cfg.burn_in) < 0:
-        errors.append("burn_in must be >= 0")
-    if cfg.thin != "auto" and int(cfg.thin) < 1:
-        errors.append("thin must be >= 1")
-    if int(cfg.samples_per_chain) < 1:
-        errors.append("samples_per_chain must be >= 1")
+    counts = {}
+    for name, minimum in _COUNT_KEYS:
+        value = getattr(cfg, name)
+        if name in ("burn_in", "thin") and isinstance(value, str) and value == "auto":
+            counts[name] = value
+            continue
+        try:
+            counts[name] = _as_int(value)
+        except ValueError:
+            errors.append(f"{name} must be an integer, got {value!r}")
+            continue
+        if minimum is not None and counts[name] < minimum:
+            errors.append(f"{name} must be >= {minimum}")
 
     if errors:
         raise ConfigError(errors)
@@ -250,11 +274,7 @@ def validate_config(cfg: ExperimentConfig) -> ValidatedConfig:
         noise=nm,
         alphas=alphas,
         scaling=scaling,
-        n_chains=int(cfg.n_chains),
-        burn_in=cfg.burn_in if cfg.burn_in == "auto" else int(cfg.burn_in),
-        thin=cfg.thin if cfg.thin == "auto" else int(cfg.thin),
-        samples_per_chain=int(cfg.samples_per_chain),
-        seed=int(cfg.seed),
+        **counts,
         out_dir=str(cfg.out_dir),
         alpha_max=float(alpha_max),
     )
@@ -268,11 +288,11 @@ _SCALAR_KEYS = {
     "drift": str,
     "noise.shape": str,
     "scaling": None,
-    "n_chains": int,
+    "n_chains": None,
     "burn_in": None,
     "thin": None,
-    "samples_per_chain": int,
-    "seed": int,
+    "samples_per_chain": None,
+    "seed": None,
     "out_dir": str,
     "alpha_max": float,
 }

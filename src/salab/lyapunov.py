@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import NumericalError, as_square_matrix, require_spd
 from .drift import DriftOperator, check_hurwitz, derivative_at_root
@@ -120,7 +119,11 @@ def _make_expm(m: np.ndarray):
             return ((vectors * np.exp(eigvals * u)) @ inv).real
 
         return expm
-    return lambda u: scipy.linalg.expm(m * u)
+    # ill-conditioned eigenvectors: fall back to scaling and squaring, imported
+    # here so that importing salab never loads scipy
+    from scipy.linalg import expm as scipy_expm
+
+    return lambda u: scipy_expm(m * u)
 
 
 def predict_stationary(op: DriftOperator, nm) -> LyapunovSolution:

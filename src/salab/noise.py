@@ -51,6 +51,35 @@ def make_noise(shape: str, sigma) -> NoiseModel:
     return NoiseModel(shape=shape, sigma=sigma, cholesky=chol)
 
 
+def sign_words(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Raw 64-bit words for n sign draws: draw s is bit s % 64 of word s // 64.
+
+    One raw word feeds 64 sign draws, which is much cheaper than floats.
+    """
+    return rng.integers(0, 1 << 64, size=(n + 63) // 64, dtype=np.uint64)
+
+
+def sign_table(coeff: float) -> np.ndarray:
+    """(256, 8) lookup table: entry [v, j] maps bit j of byte v to +-coeff.
+
+    Values are computed as b * 2coeff - coeff; each operation rounds exactly,
+    so they equal an explicit +-1 times coeff bit for bit.
+    """
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    return bits.astype(np.float64) * (2.0 * coeff) - coeff
+
+
+def decode_signs(words: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """(m, 64) sign values of m words: entry [i, s] decodes bit s of words[i].
+
+    Each word is split into its 8 little-endian bytes and every byte is
+    looked up once, so a word costs one gather instead of a shift, mask and
+    scale per bit.
+    """
+    octets = words.astype("<u8", copy=False).view(np.uint8)
+    return np.take(table, octets, axis=0).reshape(-1, 64)
+
+
 def _unit_variance_block(shape: str, rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """(n, d) block of i.i.d. zero-mean unit-variance entries."""
     if shape == "gaussian":
@@ -58,12 +87,8 @@ def _unit_variance_block(shape: str, rng: np.random.Generator, n: int, d: int) -
     if shape == "uniform":
         return rng.uniform(-_SQRT3, _SQRT3, size=(n, d))
     if shape == "rademacher":
-        # one raw 64-bit word feeds 64 sign draws; much cheaper than floats
-        n_words = (n * d + 63) // 64
-        words = rng.integers(0, 1 << 64, size=n_words, dtype=np.uint64, endpoint=False)
-        bits = (words[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
-        flat = bits.astype(np.float64).ravel()[: n * d]
-        return (2.0 * flat - 1.0).reshape(n, d)
+        signs = decode_signs(sign_words(rng, n * d), sign_table(1.0))
+        return signs.ravel()[: n * d].reshape(n, d)
     if shape == "noiseless":
         return np.zeros((n, d))
     raise ConfigError(f"unknown noise shape {shape!r}")

@@ -17,7 +17,14 @@ import numpy as np
 
 from .core import NumericalError, PowerScaling, ValidatedConfig, seed_rng, stream_id
 from .drift import DriftOperator
-from .noise import NoiseModel, sample_block, sample_noise
+from .noise import (
+    NoiseModel,
+    decode_signs,
+    sample_block,
+    sample_noise,
+    sign_table,
+    sign_words,
+)
 
 #: chains simulated together in one vectorized group; grouping never affects
 #: results (chains own their streams and updates are elementwise), only speed
@@ -113,19 +120,29 @@ def moment_summary(ens: ChainEnsemble) -> MomentSummary:
     )
 
 
-def _packed_sign_block(gens, block: int) -> np.ndarray:
-    """(n_words, nc) uint64 matrix holding 64 sign draws per word, per chain.
+def _sign_chunks(gens, coeff: float, block: int):
+    """Pre-scaled sign-noise rows for one block, one 64-step word at a time.
 
-    Each chain contributes one raw-word vector from its own stream; the
-    matrix is transposed while still packed, so draw s of the group is bit
-    s % 64 of row s // 64.  Keeping the draws packed until the update step
-    avoids materializing a byte per draw.
+    Each chain draws its block's words from its own stream, so draw s of a
+    chain is bit s % 64 of its word s // 64.  A word row is decoded into 64
+    contiguous rows of +-coeff only when the update loop reaches it; the
+    buffer is reused, so it never holds more than 64 steps.
     """
-    n_words = (block + 63) // 64
-    words = np.empty((len(gens), n_words), dtype=np.uint64)
+    words = np.stack([sign_words(g, block) for g in gens], axis=1)
+    table = sign_table(coeff)
+    rows = np.empty((64, len(gens)))
+    for w, word_row in enumerate(words):
+        np.copyto(rows, decode_signs(word_row, table).T)
+        yield rows[: block - 64 * w]
+
+
+def _shaped_chunks(nm: NoiseModel, gens, coeff: float, block: int):
+    """The block's noise from each chain's stream, scaled by coeff once."""
+    noise = np.empty((block, len(gens), nm.dim))
     for i, g in enumerate(gens):
-        words[i] = g.integers(0, 1 << 64, size=n_words, dtype=np.uint64)
-    return np.ascontiguousarray(words.T)
+        noise[:, i, :] = sample_block(nm, g, block)
+    noise *= coeff
+    yield noise
 
 
 def _run_group(
@@ -146,7 +163,8 @@ def _run_group(
     Chains consume noise from their own streams in a fixed block order, so
     per-chain trajectories are independent of the grouping; the group width
     only controls vectorization.  Elementwise scalar drifts run on flat
-    (nc,) state arrays, everything else on (nc, d).
+    (nc,) state arrays, everything else on (nc, d).  Every noise shape feeds
+    the same update body with rows that already hold noise_coeff * w.
     """
     nc = chain_ids.size
     d = op.dim
@@ -161,47 +179,31 @@ def _run_group(
     else:
         x = np.tile(init, (nc, 1))
         record = out
-    tmp = np.empty_like(x)
 
-    # sign noise stays packed, one bit per draw; the update maps bit b to
-    # the exact +-coeff value via coeff * 2b - coeff (each product rounds
-    # once, so values match an explicit +-1 times coeff bitwise)
+    # scalar sign noise stays packed, one bit per draw, until decoded
     sign_path = nm.shape == "rademacher" and d == 1
     step_block = _SIGN_STEP_BLOCK if sign_path else _STEP_BLOCK
-    coeff = noise_coeff * float(nm.cholesky[0, 0]) if sign_path else noise_coeff
-    two_coeff = 2.0 * coeff
-    bit_buf = np.empty(nc, dtype=np.uint64) if sign_path else None
-    flat_tmp = tmp if flat else np.empty(nc)
+    sign_coeff = noise_coeff * float(nm.cholesky[0, 0])
 
-    done = 0
+    k = 0
+    next_record = burn_in + thin
     with np.errstate(over="ignore", invalid="ignore"):
-        while done < total:
-            block = min(step_block, total - done)
+        while k < total:
+            block = min(step_block, total - k)
             if sign_path:
-                packed = _packed_sign_block(gens, block)
+                chunks = _sign_chunks(gens, sign_coeff, block)
             else:
-                noise = np.empty((block, nc, d))
-                for i, g in enumerate(gens):
-                    noise[:, i, :] = sample_block(nm, g, block)
-                if flat:
-                    noise = noise[:, :, 0]
-            for s in range(block):
-                f = op.fn(x)
-                np.multiply(f, drift_coeff, out=f)
-                x += f
-                if sign_path:
-                    np.right_shift(packed[s >> 6], s & 63, out=bit_buf)
-                    np.bitwise_and(bit_buf, 1, out=bit_buf)
-                    np.multiply(bit_buf, two_coeff, out=flat_tmp)
-                    flat_tmp -= coeff
-                    x += flat_tmp if flat else flat_tmp[:, None]
-                else:
-                    np.multiply(noise[s], coeff, out=tmp)
-                    x += tmp
-                k = done + s + 1
-                if k > burn_in and (k - burn_in) % thin == 0:
-                    record[:, (k - burn_in) // thin - 1] = x
-            done += block
+                chunks = _shaped_chunks(nm, gens, noise_coeff, block)
+            for rows in chunks:
+                for row in rows.reshape(-1, *x.shape):
+                    f = op.fn(x)
+                    f *= drift_coeff
+                    x += f
+                    x += row
+                    k += 1
+                    if k == next_record:
+                        record[:, (k - burn_in) // thin - 1] = x
+                        next_record += thin
     states = x[:, None] if flat else x
     alive = np.isfinite(out).all(axis=(1, 2)) & np.isfinite(states).all(axis=1)
     return out, states, alive

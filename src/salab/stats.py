@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from .core import NumericalError, require_spd, seed_rng, stream_id
 
@@ -231,9 +230,12 @@ def gaussian_gof(samples, sigma_y) -> GofReport:
     )
 
     if d == 1:
+        # imported here so that importing salab never loads scipy
+        from scipy.special import ndtr
+
         scale = np.sqrt(sigma_y[0, 0])
         sorted_samples = np.sort(samples[:, 0])
-        cdf = scipy.stats.norm.cdf(sorted_samples, scale=scale)
+        cdf = ndtr(sorted_samples / scale)
         hi = np.max(np.arange(1, n + 1) / n - cdf)
         lo = np.max(cdf - np.arange(0, n) / n)
         ks = float(max(hi, lo))

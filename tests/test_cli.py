@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +61,23 @@ class TestSimulateCommand:
         cfg = write_cfg(tmp_path, "drift = warp\n")
         assert main(["simulate", "--config", cfg]) == 2
         assert "unknown drift id" in capsys.readouterr().err
+
+    def test_non_integer_burn_in_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, QUAD_CFG + "burn_in = abc\n")
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "burn_in must be an integer" in capsys.readouterr().err
+
+    def test_fractional_n_chains_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, QUAD_CFG.replace("n_chains = 8", "n_chains = 2.7"))
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "n_chains must be an integer, got 2.7" in capsys.readouterr().err
+
+    def test_zero_threads_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, QUAD_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", cfg, "--threads", "0", "--dry-run"])
+        assert exc.value.code == 2
+        assert "--threads: expected an integer >= 1" in capsys.readouterr().err
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         body = """
@@ -207,3 +227,14 @@ class TestEmCompareCommand:
         assert main(["em-compare", "--config", cfg, "--out", str(out)]) == 0
         text = (out / "em_compare.csv").read_text()
         assert "rel_err" in text and "sa_cov_1_1" in text
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy costs more than a second of start-up; only the statistics load it
+    code = "import sys, salab.cli; print(any(m.startswith('scipy') for m in sys.modules))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert out.stdout.strip() == "False"

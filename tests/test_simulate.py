@@ -1,3 +1,5 @@
+from math import ceil
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from salab.core import (
     NumericalError,
     PowerScaling,
     seed_rng,
+    stream_id,
     validate_config,
 )
 from salab.drift import grad_quadratic, linear, quartic
@@ -207,3 +210,73 @@ class TestDivergenceHandling:
         )
         assert raw.n_diverged == 8
         assert raw.samples.shape[0] == 0
+
+
+def reference_noise(nm, rng, n):
+    """n noise vectors drawn the way the engine's stream contract says.
+
+    Sign draw i of a block is bit i % 64 of raw word i // 64, mapped bit by
+    bit; gaussian and uniform draws are the generator's own (n, d) blocks.
+    """
+    d = nm.dim
+    if nm.shape == "rademacher":
+        words = rng.integers(0, 1 << 64, size=ceil(n * d / 64), dtype=np.uint64)
+        z = np.empty((n, d))
+        for s in range(n):
+            for j in range(d):
+                i = s * d + j
+                z[s, j] = 1.0 if (int(words[i // 64]) >> (i % 64)) & 1 else -1.0
+    elif nm.shape == "gaussian":
+        z = rng.standard_normal((n, d))
+    else:
+        z = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(n, d))
+    return z @ nm.cholesky.T
+
+
+def reference_chain(op, nm, drift_coeff, noise_coeff, c, *, burn_in, thin,
+                    samples_per_chain, seed, purpose="simulate"):
+    """Chain c of run_chains, stepped alone, one step at a time."""
+    label = (purpose, op.name, nm.shape, format(float(drift_coeff), ".17g"))
+    rng = seed_rng(seed, stream_id(*label, c))
+    sign_path = nm.shape == "rademacher" and nm.dim == 1
+    step_block = sim._SIGN_STEP_BLOCK if sign_path else sim._STEP_BLOCK
+    total = burn_in + samples_per_chain * thin
+    x = op.root.copy()[None, :]
+    records = []
+    k = 0
+    while k < total:
+        block = min(step_block, total - k)
+        noise = reference_noise(nm, rng, block)
+        for s in range(block):
+            x = x + op.fn(x) * drift_coeff
+            x = x + noise_coeff * noise[s]
+            k += 1
+            if k > burn_in and (k - burn_in) % thin == 0:
+                records.append(x[0].copy())
+    return np.array(records), x[0]
+
+
+class TestEngineMatchesReference:
+    @pytest.mark.parametrize(
+        "op, shape, sigma, burn_in, thin, spc",
+        [
+            # crosses a 16384-step sign block; thin is not a multiple of 64
+            (quartic(), "rademacher", [[0.5]], 16000, 37, 20),
+            (linear([[-1.0, 0.5], [0.0, -2.0]]), "rademacher",
+             [[1.0, 0.3], [0.3, 0.5]], 4000, 13, 20),
+            (grad_quadratic(), "gaussian", [[2.0]], 4000, 13, 20),
+            (linear([[-1.0, 0.5], [0.0, -2.0]]), "gaussian",
+             [[1.0, 0.3], [0.3, 0.5]], 4000, 13, 20),
+            (quartic(), "uniform", [[1.5]], 4000, 13, 20),
+        ],
+        ids=["sign-d1", "sign-d2", "gaussian-d1", "gaussian-d2", "uniform-d1"],
+    )
+    def test_each_chain_is_bit_identical(self, op, shape, sigma, burn_in, thin, spc):
+        nm = make_noise(shape, sigma)
+        sizes = dict(burn_in=burn_in, thin=thin, samples_per_chain=spc, seed=12)
+        raw = run_chains(op, nm, 0.01, 0.02, n_chains=3, **sizes)
+        assert raw.n_diverged == 0
+        for c in range(3):
+            records, state = reference_chain(op, nm, 0.01, 0.02, c, **sizes)
+            assert raw.samples[c].tobytes() == records.tobytes()
+            assert raw.final_states[c].tobytes() == state.tobytes()
