@@ -10,11 +10,11 @@ Usage:
 """
 
 import argparse
-import csv
 import sys
 import time
 from pathlib import Path
 
+from salab.cli import _alpha_tag, _write_csv
 from salab.figures import FIGURE_SPECS, run_figure
 
 
@@ -33,10 +33,8 @@ def main() -> int:
         fig_dir = out / name
         fig_dir.mkdir(exist_ok=True)
         for alpha, est in result.densities.items():
-            with open(fig_dir / f"density_{alpha:g}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["y", "p_hat"])
-                writer.writerows(zip(est.grid, est.density))
+            _write_csv(fig_dir / f"density_{_alpha_tag(alpha)}.csv", ["y", "p_hat"],
+                       zip(est.grid, est.density))
         status = ""
         if result.trend is not None:
             status = f"trend {'PASS' if result.trend.passed else 'FAIL'}"

@@ -35,18 +35,17 @@ from .simulate import default_burn_in, default_thin, moment_summary, run_ensembl
 from .stats import cf_residual, estimate_density, gaussian_gof, log_density_fit
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_csv(path: Path, header, rows) -> None:
+    """Header plus rows as UTF-8 CSV.
+
+    csv.writer formats each value with str(), which for float and
+    np.float64 is the shortest round-trip repr, so no value is reformatted
+    here.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 class _Manifest:
@@ -131,6 +130,15 @@ def _matrix_rows(prefix: str, m: np.ndarray):
             yield (f"{prefix}_{i + 1}_{j + 1}", m[i, j])
 
 
+def _emit_scaling_report(op, manifest):
+    """Run the scaling search and write scaling_report.csv; returns the report."""
+    report = find_scaling_exponent(op)
+    rows = [*report.evidence, ["p_star", "", "", report.exponent, "chosen"]]
+    manifest.emit(["p", "probe", "alpha", "magnitude", "classification"], rows,
+                  "scaling_report.csv")
+    return report
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -151,10 +159,12 @@ def _cmd_simulate(args) -> int:
         burn = default_burn_in(alpha) if validated.burn_in == "auto" else validated.burn_in
         thin = default_thin(alpha) if validated.thin == "auto" else validated.thin
         header = ["chain", "step"] + [f"y_{i + 1}" for i in range(d)]
-        rows = []
-        for ci, chain in zip(ens.chain_ids, ens.samples):
-            for r, y in enumerate(chain):
-                rows.append([int(ci), burn + (r + 1) * thin, *y])
+        steps = [burn + (r + 1) * thin for r in range(ens.samples.shape[1])]
+        rows = (
+            [c, step, *y]
+            for c, chain in zip(ens.chain_ids.tolist(), ens.samples.tolist())
+            for step, y in zip(steps, chain)
+        )
         manifest.emit(header, rows, f"samples_{tag}.csv")
         mom = moment_summary(ens)
         mrows = [("alpha", alpha), ("n_samples", mom.count),
@@ -192,11 +202,7 @@ def _cmd_find_scaling(args) -> int:
         return 0
     out = _prepare_out(validated.out_dir)
     manifest = _Manifest("find-scaling", out, validated.seed, dataclasses.asdict(cfg))
-    report = find_scaling_exponent(validated.op)
-    rows = [list(r) for r in report.evidence]
-    rows.append(["p_star", "", "", report.exponent, "chosen"])
-    manifest.emit(["p", "probe", "alpha", "magnitude", "classification"], rows,
-                  "scaling_report.csv")
+    _emit_scaling_report(validated.op, manifest)
     manifest.finish()
     return 0
 
@@ -282,11 +288,7 @@ def _cmd_pipeline(args) -> int:
         return 0
     out = _prepare_out(validated.out_dir)
     manifest = _Manifest("pipeline", out, validated.seed, dataclasses.asdict(cfg))
-    report = find_scaling_exponent(validated.op)
-    rows = [list(r) for r in report.evidence]
-    rows.append(["p_star", "", "", report.exponent, "chosen"])
-    manifest.emit(["p", "probe", "alpha", "magnitude", "classification"], rows,
-                  "scaling_report.csv")
+    report = _emit_scaling_report(validated.op, manifest)
     scaling = PowerScaling(report.exponent)
     _run_tests_for(validated, manifest, scaling, args.threads)
     manifest.finish()

@@ -36,6 +36,10 @@ _STEP_BLOCK = 4096
 #: larger blocks for the compact sign-noise fast path (1 byte per draw)
 _SIGN_STEP_BLOCK = 16384
 
+#: bytes of gaussian/uniform noise staged chain-major before it is laid out
+#: step-major, a tile of consecutive chains at a time
+_TILE_BYTES = 1 << 18
+
 #: abort when more than this fraction of chains diverges
 _MAX_DIVERGED_FRACTION = 0.01
 
@@ -136,12 +140,27 @@ def _sign_chunks(gens, coeff: float, block: int):
         yield rows[: block - 64 * w]
 
 
+def _tile_chains(block: int, d: int) -> int:
+    """Chains per noise tile: about _TILE_BYTES of (block, d) float64 draws."""
+    return max(1, _TILE_BYTES // (8 * block * d))
+
+
 def _shaped_chunks(nm: NoiseModel, gens, coeff: float, block: int):
-    """The block's noise from each chain's stream, scaled by coeff once."""
-    noise = np.empty((block, len(gens), nm.dim))
-    for i, g in enumerate(gens):
-        noise[:, i, :] = sample_block(nm, g, block)
-    noise *= coeff
+    """The block's noise from each chain's stream, scaled by coeff once.
+
+    Consecutive chains draw their (block, d) noise into one contiguous
+    tile of about _TILE_BYTES, and the tile is copied into the step-major
+    block at once: every block row then receives tile * d adjacent values
+    per copy instead of d values per chain.
+    """
+    n, d = len(gens), nm.dim
+    noise = np.empty((block, n, d))
+    tile = np.empty((min(n, _tile_chains(block, d)), block, d))
+    for c0 in range(0, n, len(tile)):
+        part = tile[: n - c0]
+        for j, g in enumerate(gens[c0 : c0 + len(part)]):
+            np.multiply(sample_block(nm, g, block), coeff, out=part[j])
+        noise[:, c0 : c0 + len(part)] = part.transpose(1, 0, 2)
     yield noise
 
 

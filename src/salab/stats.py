@@ -123,6 +123,20 @@ class CfResidualReport:
     max_abs_residual: float
 
 
+def _sample_matrix(samples) -> np.ndarray:
+    """Samples as an (n, d) float array: 1-D input holds n scalar samples.
+
+    2-D input is always read as (n, d), so a single d-dimensional sample
+    stays one sample and meets the callers' dimension checks.
+    """
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim == 1:
+        return samples[:, None]
+    if samples.ndim != 2:
+        raise NumericalError(f"samples must be 1-D or (n, d), got shape {samples.shape}")
+    return samples
+
+
 def default_t_grid(dim: int, seed: int = 0) -> np.ndarray:
     """Frequency probes: signed scalars for d=1, axes plus random directions else."""
     if dim == 1:
@@ -149,12 +163,12 @@ def cf_residual(samples, m_lyap, sigma, t_grid=None) -> CfResidualReport:
     come from batch means over the sample order, so correlated ensembles get
     honest error bars.
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[0] == 1 and samples.shape[1] > 1:
-        samples = samples.T
+    samples = _sample_matrix(samples)
     n, d = samples.shape
     m_lyap = np.atleast_2d(np.asarray(m_lyap, dtype=float))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    if m_lyap.shape != (d, d) or sigma.shape != (d, d):
+        raise NumericalError("M / Sigma dimension mismatch")
     if t_grid is None:
         t_grid = default_t_grid(d)
     t_grid = np.atleast_2d(np.asarray(t_grid, dtype=float))
@@ -207,9 +221,7 @@ def gaussian_gof(samples, sigma_y) -> GofReport:
     Frobenius error of the sample covariance against a 5-standard-error
     bound.  Thresholds use the batch-means effective sample size.
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[0] == 1 and samples.shape[1] > 1:
-        samples = samples.T
+    samples = _sample_matrix(samples)
     n, d = samples.shape
     sigma_y = require_spd(sigma_y, "Sigma_Y")
     if sigma_y.shape[0] != d:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from salab.cli import main
+from salab.cli import _write_csv, main
 
 QUAD_CFG = """
 drift = grad_quadratic
@@ -33,6 +33,24 @@ def read_bytes(directory):
         p.name: p.read_bytes()
         for p in sorted(Path(directory).glob("*.csv"))
     }
+
+
+class TestWriteCsv:
+    # values are written as repr(float(v)) for floats and str(v) otherwise
+    EDGE_FLOATS = (1e16, 1e-5, -0.0, 5e-324, 1.7976931348623157e308)
+
+    def test_value_bytes(self, tmp_path):
+        values = [*self.EDGE_FLOATS, *map(np.float64, self.EDGE_FLOATS),
+                  np.int64(-7), True, np.bool_(False)]
+        path = tmp_path / "values.csv"
+        _write_csv(path, ["value"], [[v] for v in values])
+        floats = ["1e+16", "1e-05", "-0.0", "5e-324", "1.7976931348623157e+308"]
+        lines = ["value", *floats, *floats, "-7", "True", "False"]
+        assert lines[1:] == [
+            repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+            for v in values
+        ]
+        assert path.read_bytes() == "".join(f"{line}\r\n" for line in lines).encode()
 
 
 class TestSimulateCommand:

@@ -280,3 +280,25 @@ class TestEngineMatchesReference:
             records, state = reference_chain(op, nm, 0.01, 0.02, c, **sizes)
             assert raw.samples[c].tobytes() == records.tobytes()
             assert raw.final_states[c].tobytes() == state.tobytes()
+
+    @pytest.mark.parametrize(
+        "op, shape, sigma",
+        [
+            (linear([[-1.0, 0.5], [0.0, -2.0]]), "gaussian", [[1.0, 0.3], [0.3, 0.5]]),
+            (quartic(), "uniform", [[1.5]]),
+        ],
+        ids=["gaussian-d2", "uniform-d1"],
+    )
+    def test_chains_at_noise_tile_edges(self, op, shape, sigma):
+        # a full-length block is laid out a tile of chains at a time; two
+        # full tiles and a partial one put a chain on both sides of each edge
+        nm = make_noise(shape, sigma)
+        tile = sim._tile_chains(sim._STEP_BLOCK, nm.dim)
+        n_chains = 2 * tile + 5
+        sizes = dict(burn_in=4000, thin=13, samples_per_chain=20, seed=13)
+        raw = run_chains(op, nm, 0.01, 0.02, n_chains=n_chains, **sizes)
+        assert raw.n_diverged == 0
+        for c in sorted({0, tile - 1, tile, 2 * tile - 1, 2 * tile, n_chains - 1}):
+            records, state = reference_chain(op, nm, 0.01, 0.02, c, **sizes)
+            assert raw.samples[c].tobytes() == records.tobytes(), c
+            assert raw.final_states[c].tobytes() == state.tobytes(), c

@@ -97,6 +97,11 @@ class TestCfResidual:
         assert plus.residual_real[0] == minus.residual_real[0]
         assert plus.residual_imag[0] == -minus.residual_imag[0]
 
+    def test_single_vector_sample_is_not_transposed(self):
+        # one 3-d sample, not three scalar ones: M and Sigma are 1 x 1
+        with pytest.raises(NumericalError, match="dimension"):
+            cf_residual(np.array([[0.3, -0.2, 0.5]]), [[-1.0]], [[1.0]])
+
     def test_default_grid_shapes(self):
         assert default_t_grid(1).shape == (8, 1)
         assert default_t_grid(3).shape == (4 * 3 + 8, 3)
@@ -121,6 +126,11 @@ class TestGaussianGof:
         rep = gaussian_gof(z @ chol.T, sigma)
         assert rep.passed
         assert np.isnan(rep.ks_distance)
+
+    def test_single_vector_sample_is_not_transposed(self):
+        # one 3-d sample, not three scalar ones: Sigma_Y is 1 x 1
+        with pytest.raises(NumericalError, match="dimension"):
+            gaussian_gof(np.array([[0.3, -0.2, 0.5]]), [[1.0]])
 
     def test_pass_rate_over_repetitions(self):
         passes = 0
