@@ -41,7 +41,7 @@ from .lyapunov import (
     solve_lyapunov,
     solve_lyapunov_integral,
 )
-from .noise import NoiseModel, make_noise, sample_block, sample_noise
+from .noise import NoiseModel, make_noise, sample_block
 from .scaling import (
     ScalingReport,
     classify_limit,
@@ -49,14 +49,12 @@ from .scaling import (
     sample_limit_drift,
     scaled_drift,
 )
-from .sde import EmCompareResult, EmConfig, em_step, em_vs_sa_compare, run_em_ensemble
+from .sde import EmCompareResult, em_vs_sa_compare, run_em_ensemble
 from .simulate import (
     ChainEnsemble,
     MomentSummary,
     moment_summary,
     run_ensemble,
-    snapshot_scaled,
-    step_chain,
 )
 from .stats import (
     CfResidualReport,

@@ -31,7 +31,7 @@ from .figures import FIGURE_SPECS, run_figure
 from .lyapunov import predict_stationary
 from .scaling import find_scaling_exponent
 from .sde import em_vs_sa_compare
-from .simulate import default_burn_in, default_thin, moment_summary, run_ensemble
+from .simulate import moment_summary, run_ensemble
 from .stats import cf_residual, estimate_density, gaussian_gof, log_density_fit
 
 
@@ -130,6 +130,27 @@ def _matrix_rows(prefix: str, m: np.ndarray):
             yield (f"{prefix}_{i + 1}_{j + 1}", m[i, j])
 
 
+def _emit_prediction(validated, manifest):
+    """Solve the Lyapunov prediction and write prediction.csv; returns the solution."""
+    sol = predict_stationary(validated.op, validated.noise)
+    rows = list(_matrix_rows("sigma_y", sol.sigma_y))
+    rows += [("residual_norm", sol.residual_norm),
+             ("min_eigenvalue", sol.min_eigenvalue),
+             ("method", sol.method)]
+    manifest.emit(["quantity", "value"], rows, "prediction.csv")
+    return sol
+
+
+def _emit_logfit(fits, manifest):
+    """Write logfit.csv from a {q: FitReport} mapping, one row per q."""
+    rows = [
+        [q, fit.slope, fit.intercept, fit.r_squared, fit.n_points]
+        for q, fit in sorted(fits.items())
+    ]
+    manifest.emit(["q", "slope", "intercept", "r_squared", "n_points"], rows,
+                  "logfit.csv")
+
+
 def _emit_scaling_report(op, manifest):
     """Run the scaling search and write scaling_report.csv; returns the report."""
     report = find_scaling_exponent(op)
@@ -156,10 +177,8 @@ def _cmd_simulate(args) -> int:
         ens = run_ensemble(validated, alpha, scaling, threads=args.threads)
         tag = _alpha_tag(alpha)
         d = ens.samples.shape[-1]
-        burn = default_burn_in(alpha) if validated.burn_in == "auto" else validated.burn_in
-        thin = default_thin(alpha) if validated.thin == "auto" else validated.thin
         header = ["chain", "step"] + [f"y_{i + 1}" for i in range(d)]
-        steps = [burn + (r + 1) * thin for r in range(ens.samples.shape[1])]
+        steps = [ens.burn_in + (r + 1) * ens.thin for r in range(ens.samples.shape[1])]
         rows = (
             [c, step, *y]
             for c, chain in zip(ens.chain_ids.tolist(), ens.samples.tolist())
@@ -185,12 +204,7 @@ def _cmd_predict(args) -> int:
         return 0
     out = _prepare_out(validated.out_dir)
     manifest = _Manifest("predict", out, validated.seed, dataclasses.asdict(cfg))
-    sol = predict_stationary(validated.op, validated.noise)
-    rows = list(_matrix_rows("sigma_y", sol.sigma_y))
-    rows += [("residual_norm", sol.residual_norm),
-             ("min_eigenvalue", sol.min_eigenvalue),
-             ("method", sol.method)]
-    manifest.emit(["quantity", "value"], rows, "prediction.csv")
+    _emit_prediction(validated, manifest)
     manifest.finish()
     return 0
 
@@ -229,11 +243,7 @@ def _run_tests_for(validated, manifest, scaling, threads) -> None:
 
     m = derivative_at_root(validated.op)
     if check_hurwitz(m).hurwitz and abs(scaling.exponent - 0.5) < 1e-9:
-        sol = predict_stationary(validated.op, validated.noise)
-        rows = list(_matrix_rows("sigma_y", sol.sigma_y))
-        rows += [("residual_norm", sol.residual_norm),
-                 ("min_eigenvalue", sol.min_eigenvalue)]
-        manifest.emit(["quantity", "value"], rows, "prediction.csv")
+        sol = _emit_prediction(validated, manifest)
 
         gof = gaussian_gof(ens.flat, sol.sigma_y)
         rows = [("alpha", smallest), ("ks_distance", gof.ks_distance),
@@ -258,12 +268,7 @@ def _run_tests_for(validated, manifest, scaling, threads) -> None:
 
     if validated.op.dim == 1:
         q_main = 4 if abs(scaling.exponent - 0.25) < 1e-9 else 2
-        rows = []
-        for q in sorted({q_main, 2}):
-            fit = log_density_fit(est, q)
-            rows.append([q, fit.slope, fit.intercept, fit.r_squared, fit.n_points])
-        manifest.emit(["q", "slope", "intercept", "r_squared", "n_points"], rows,
-                      "logfit.csv")
+        _emit_logfit({q: log_density_fit(est, q) for q in {q_main, 2}}, manifest)
 
 
 def _cmd_test(args) -> int:
@@ -308,15 +313,13 @@ def _cmd_em_compare(args) -> int:
         if isinstance(validated.scaling, PowerScaling)
         else None
     )
-    burn = 0 if validated.burn_in == "auto" else validated.burn_in
-    thin = 0 if validated.thin == "auto" else validated.thin
     result = em_vs_sa_compare(
         validated.op,
         alpha,
         exponent=exponent,
         n_chains=validated.n_chains,
-        burn_in=burn,
-        thin=thin,
+        burn_in=validated.burn_in,
+        thin=validated.thin,
         samples_per_chain=validated.samples_per_chain,
         seed=validated.seed,
         threads=args.threads,
@@ -362,12 +365,7 @@ def _cmd_figure(args) -> int:
         manifest.note(f"{args.figure}: convergence trend "
                       f"{'PASS' if t.passed else 'FAIL'}")
     if result.fits:
-        rows = [
-            [q, fit.slope, fit.intercept, fit.r_squared, fit.n_points]
-            for q, fit in sorted(result.fits.items())
-        ]
-        manifest.emit(["q", "slope", "intercept", "r_squared", "n_points"], rows,
-                      "logfit.csv")
+        _emit_logfit(result.fits, manifest)
     manifest.finish()
     return 0
 

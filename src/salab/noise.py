@@ -101,7 +101,3 @@ def sample_block(nm: NoiseModel, rng: np.random.Generator, n: int) -> np.ndarray
         return z
     return z @ nm.cholesky.T
 
-
-def sample_noise(nm: NoiseModel, rng: np.random.Generator) -> np.ndarray:
-    """Draw a single noise vector, shape (dim,)."""
-    return sample_block(nm, rng, 1)[0]

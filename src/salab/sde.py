@@ -10,7 +10,7 @@ discretization error, which is what the comparison measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, sqrt
+from math import sqrt
 from typing import Optional
 
 import numpy as np
@@ -19,55 +19,41 @@ from .core import NumericalError, PowerScaling
 from .drift import DriftOperator, eval_drift
 from .noise import NoiseModel, make_noise
 from .scaling import find_scaling_exponent
-from .simulate import run_chains
-
-
-@dataclass(frozen=True)
-class EmConfig:
-    """Euler-Maruyama run description, mirroring the SA ensemble semantics."""
-
-    delta_t: float
-    n_chains: int = 64
-    burn_in: int = 0          # 0 -> ceil(10 / delta_t)
-    thin: int = 0             # 0 -> ceil(1 / delta_t)
-    samples_per_chain: int = 1024
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.delta_t <= 0:
-            raise NumericalError("delta_t must be positive")
-
-
-def em_step(op: DriftOperator, delta_t: float, x, rng: np.random.Generator) -> np.ndarray:
-    """One EM update x + dt F(x) + sqrt(dt) z with z standard normal."""
-    x = np.asarray(x, dtype=float)
-    z = rng.standard_normal(x.shape if x.ndim else 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = x + delta_t * eval_drift(op, x) + sqrt(delta_t) * z
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("chain diverged")
-    return out
+from .simulate import resolve_schedule, run_chains
 
 
 def _standard_noise(dim: int) -> NoiseModel:
     return make_noise("gaussian", np.eye(dim))
 
 
-def run_em_ensemble(op: DriftOperator, cfg: EmConfig, *, threads: int = 1):
-    """Sample the EM chain's stationary law; returns a RawEnsemble of X-hat."""
-    dt = cfg.delta_t
-    burn = cfg.burn_in if cfg.burn_in else ceil(10.0 / dt)
-    thin = cfg.thin if cfg.thin else ceil(1.0 / dt)
+def run_em_ensemble(
+    op: DriftOperator,
+    delta_t: float,
+    *,
+    n_chains: int,
+    burn_in="auto",
+    thin="auto",
+    samples_per_chain: int,
+    seed: int,
+    threads: int = 1,
+):
+    """Sample the EM chain's stationary law; returns a RawEnsemble of X-hat.
+
+    burn_in and thin take the SA ensemble's values, "auto" included.
+    """
+    if delta_t <= 0:
+        raise NumericalError("delta_t must be positive")
+    burn_in, thin = resolve_schedule(delta_t, burn_in, thin)
     return run_chains(
         op,
         _standard_noise(op.dim),
-        drift_coeff=dt,
-        noise_coeff=sqrt(dt),
-        n_chains=cfg.n_chains,
-        burn_in=burn,
+        drift_coeff=delta_t,
+        noise_coeff=sqrt(delta_t),
+        n_chains=n_chains,
+        burn_in=burn_in,
         thin=thin,
-        samples_per_chain=cfg.samples_per_chain,
-        seed=cfg.seed,
+        samples_per_chain=samples_per_chain,
+        seed=seed,
         purpose="em",
         threads=threads,
     )
@@ -89,8 +75,8 @@ def em_vs_sa_compare(
     *,
     exponent: Optional[float] = None,
     n_chains: int = 64,
-    burn_in: int = 0,
-    thin: int = 0,
+    burn_in="auto",
+    thin="auto",
     samples_per_chain: int = 1024,
     seed: int = 0,
     threads: int = 1,
@@ -110,34 +96,20 @@ def em_vs_sa_compare(
     scaling = PowerScaling(float(exponent))
 
     dt = float(alpha)
-    burn = burn_in if burn_in else ceil(10.0 / dt)
-    thin_ = thin if thin else ceil(1.0 / dt)
-
+    sizes = dict(n_chains=n_chains, samples_per_chain=samples_per_chain, seed=seed,
+                 threads=threads)
+    burn_in, thin = resolve_schedule(dt, burn_in, thin)
     sa = run_chains(
         op,
         _standard_noise(op.dim),
         drift_coeff=dt,
         noise_coeff=dt,
-        n_chains=n_chains,
-        burn_in=burn,
-        thin=thin_,
-        samples_per_chain=samples_per_chain,
-        seed=seed,
+        burn_in=burn_in,
+        thin=thin,
         purpose="em-compare-sa",
-        threads=threads,
+        **sizes,
     )
-    em = run_em_ensemble(
-        op,
-        EmConfig(
-            delta_t=dt,
-            n_chains=n_chains,
-            burn_in=burn,
-            thin=thin_,
-            samples_per_chain=samples_per_chain,
-            seed=seed,
-        ),
-        threads=threads,
-    )
+    em = run_em_ensemble(op, dt, burn_in=burn_in, thin=thin, **sizes)
 
     g = scaling(dt)
     sa_flat = ((sa.samples - op.root) / g).reshape(-1, op.dim)

@@ -17,14 +17,7 @@ import numpy as np
 
 from .core import NumericalError, PowerScaling, ValidatedConfig, seed_rng, stream_id
 from .drift import DriftOperator
-from .noise import (
-    NoiseModel,
-    decode_signs,
-    sample_block,
-    sample_noise,
-    sign_table,
-    sign_words,
-)
+from .noise import NoiseModel, decode_signs, sample_block, sign_table, sign_words
 
 #: chains simulated together in one vectorized group; grouping never affects
 #: results (chains own their streams and updates are elementwise), only speed
@@ -54,29 +47,23 @@ def default_thin(alpha: float) -> int:
     return ceil(1.0 / alpha)
 
 
-def step_chain(
-    op: DriftOperator,
-    nm: NoiseModel,
-    alpha: float,
-    x,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One update x + alpha (F(x) + w); raises if the result is non-finite."""
-    x = np.asarray(x, dtype=float)
-    w = sample_noise(nm, rng)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = x + alpha * (op.fn(x) + w)
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("chain diverged")
-    return out
+def resolve_schedule(alpha: float, burn_in="auto", thin="auto") -> tuple:
+    """(burn_in, thin) in steps, with "auto" replaced by the defaults for alpha."""
+    return (
+        default_burn_in(alpha) if burn_in == "auto" else burn_in,
+        default_thin(alpha) if thin == "auto" else thin,
+    )
 
 
 @dataclass(frozen=True)
 class RawEnsemble:
-    """Unscaled trajectory records for the chains that stayed finite."""
+    """Unscaled trajectory records for the chains that stayed finite.
+
+    The last record is taken at the last step, so samples[:, -1] is each
+    chain's final state.
+    """
 
     samples: np.ndarray       # (n_kept, samples_per_chain, d), values of X
-    final_states: np.ndarray  # (n_kept, d)
     chain_ids: np.ndarray     # (n_kept,)
     n_chains: int
     n_diverged: int
@@ -84,12 +71,16 @@ class RawEnsemble:
 
 @dataclass(frozen=True)
 class ChainEnsemble:
-    """Post-burn-in samples of the centered scaled iterate Y."""
+    """Post-burn-in samples of the centered scaled iterate Y.
+
+    Record r of a chain was taken after step burn_in + (r + 1) * thin.
+    """
 
     alpha: float
     scaling: PowerScaling
     samples: np.ndarray       # (n_kept, samples_per_chain, d), values of Y
-    final_states: np.ndarray  # (n_kept, d), values of X
+    burn_in: int
+    thin: int
     chain_ids: np.ndarray
     n_diverged: int
     drift_name: str
@@ -124,20 +115,26 @@ def moment_summary(ens: ChainEnsemble) -> MomentSummary:
     )
 
 
-def _sign_chunks(gens, coeff: float, block: int):
-    """Pre-scaled sign-noise rows for one block, one 64-step word at a time.
+def _sign_chunks(gens, coeff: float, total: int):
+    """Pre-scaled sign-noise rows for all total steps, one 64-step word at a time.
 
-    Each chain draws its block's words from its own stream, so draw s of a
-    chain is bit s % 64 of its word s // 64.  A word row is decoded into 64
-    contiguous rows of +-coeff only when the update loop reaches it; the
-    buffer is reused, so it never holds more than 64 steps.
+    Each chain draws a block's words from its own stream, _SIGN_STEP_BLOCK
+    steps at a time, so draw s of a block is bit s % 64 of its word s // 64.
+    A word row is decoded into 64 contiguous rows of +-coeff only when the
+    update loop reaches it; the buffer is reused, so it never holds more
+    than 64 steps.  The word block is refilled in place as well.
     """
-    words = np.stack([sign_words(g, block) for g in gens], axis=1)
     table = sign_table(coeff)
     rows = np.empty((64, len(gens)))
-    for w, word_row in enumerate(words):
-        np.copyto(rows, decode_signs(word_row, table).T)
-        yield rows[: block - 64 * w]
+    words = np.empty(((min(_SIGN_STEP_BLOCK, total) + 63) // 64, len(gens)), np.uint64)
+    for k in range(0, total, _SIGN_STEP_BLOCK):
+        block = min(_SIGN_STEP_BLOCK, total - k)
+        n_words = (block + 63) // 64
+        for j, g in enumerate(gens):
+            words[:n_words, j] = sign_words(g, block)
+        for w, word_row in enumerate(words[:n_words]):
+            np.copyto(rows, decode_signs(word_row, table).T)
+            yield rows[: block - 64 * w]
 
 
 def _tile_chains(block: int, d: int) -> int:
@@ -145,23 +142,27 @@ def _tile_chains(block: int, d: int) -> int:
     return max(1, _TILE_BYTES // (8 * block * d))
 
 
-def _shaped_chunks(nm: NoiseModel, gens, coeff: float, block: int):
-    """The block's noise from each chain's stream, scaled by coeff once.
+def _shaped_chunks(nm: NoiseModel, gens, coeff: float, total: int):
+    """Noise for all total steps from each chain's stream, scaled by coeff once.
 
-    Consecutive chains draw their (block, d) noise into one contiguous
-    tile of about _TILE_BYTES, and the tile is copied into the step-major
-    block at once: every block row then receives tile * d adjacent values
-    per copy instead of d values per chain.
+    Each chain draws _STEP_BLOCK steps of noise at a time.  Consecutive
+    chains draw their (block, d) noise into one contiguous tile of about
+    _TILE_BYTES, and the tile is copied into the step-major block at once:
+    every block row then receives tile * d adjacent values per copy instead
+    of d values per chain.  The block and the tile are refilled in place,
+    so one block of noise is held at a time.
     """
     n, d = len(gens), nm.dim
-    noise = np.empty((block, n, d))
-    tile = np.empty((min(n, _tile_chains(block, d)), block, d))
-    for c0 in range(0, n, len(tile)):
-        part = tile[: n - c0]
-        for j, g in enumerate(gens[c0 : c0 + len(part)]):
-            np.multiply(sample_block(nm, g, block), coeff, out=part[j])
-        noise[:, c0 : c0 + len(part)] = part.transpose(1, 0, 2)
-    yield noise
+    noise = np.empty((min(_STEP_BLOCK, total), n, d))
+    tile = np.empty((min(n, _tile_chains(len(noise), d)), len(noise), d))
+    for k in range(0, total, len(noise)):
+        block = min(len(noise), total - k)
+        for c0 in range(0, n, len(tile)):
+            part = tile[: n - c0, :block]
+            for j, g in enumerate(gens[c0 : c0 + len(part)]):
+                np.multiply(sample_block(nm, g, block), coeff, out=part[j])
+            noise[:block, c0 : c0 + len(part)] = part.transpose(1, 0, 2)
+        yield noise[:block]
 
 
 def _run_group(
@@ -177,7 +178,7 @@ def _run_group(
     label: tuple,
     init: np.ndarray,
 ):
-    """Advance one group of chains in lockstep; returns (samples, states, alive).
+    """Advance one group of chains in lockstep; returns (samples, alive).
 
     Chains consume noise from their own streams in a fixed block order, so
     per-chain trajectories are independent of the grouping; the group width
@@ -200,32 +201,26 @@ def _run_group(
         record = out
 
     # scalar sign noise stays packed, one bit per draw, until decoded
-    sign_path = nm.shape == "rademacher" and d == 1
-    step_block = _SIGN_STEP_BLOCK if sign_path else _STEP_BLOCK
-    sign_coeff = noise_coeff * float(nm.cholesky[0, 0])
+    if nm.shape == "rademacher" and d == 1:
+        chunks = _sign_chunks(gens, noise_coeff * float(nm.cholesky[0, 0]), total)
+    else:
+        chunks = _shaped_chunks(nm, gens, noise_coeff, total)
 
     k = 0
     next_record = burn_in + thin
     with np.errstate(over="ignore", invalid="ignore"):
-        while k < total:
-            block = min(step_block, total - k)
-            if sign_path:
-                chunks = _sign_chunks(gens, sign_coeff, block)
-            else:
-                chunks = _shaped_chunks(nm, gens, noise_coeff, block)
-            for rows in chunks:
-                for row in rows.reshape(-1, *x.shape):
-                    f = op.fn(x)
-                    f *= drift_coeff
-                    x += f
-                    x += row
-                    k += 1
-                    if k == next_record:
-                        record[:, (k - burn_in) // thin - 1] = x
-                        next_record += thin
-    states = x[:, None] if flat else x
-    alive = np.isfinite(out).all(axis=(1, 2)) & np.isfinite(states).all(axis=1)
-    return out, states, alive
+        for rows in chunks:
+            for row in rows.reshape(-1, *x.shape):
+                f = op.fn(x)
+                f *= drift_coeff
+                x += f
+                x += row
+                k += 1
+                if k == next_record:
+                    record[:, (k - burn_in) // thin - 1] = x
+                    next_record += thin
+    # the last record is the final state, so this also checks where chains end
+    return out, np.isfinite(out).all(axis=(1, 2))
 
 
 def run_chains(
@@ -247,7 +242,9 @@ def run_chains(
 
     The SA recursion uses drift_coeff = noise_coeff = alpha with shaped
     noise; the Euler-Maruyama scheme reuses the same engine with
-    coefficients (dt, sqrt(dt)) and standard normal noise.
+    coefficients (dt, sqrt(dt)) and standard normal noise.  Chains start
+    from init (default: the root), discard burn_in steps and then record X
+    every thin steps; burn_in = 0, thin = 1 records every step.
     """
     init = op.root if init is None else np.asarray(init, dtype=float)
     label = (purpose, op.name, nm.shape, format(float(drift_coeff), ".17g"))
@@ -267,11 +264,9 @@ def run_chains(
         results = [work(ids) for ids in groups]
 
     samples = np.concatenate([r[0] for r in results], axis=0)
-    states = np.concatenate([r[1] for r in results], axis=0)
-    alive = np.concatenate([r[2] for r in results], axis=0)
+    alive = np.concatenate([r[1] for r in results], axis=0)
     return RawEnsemble(
         samples=samples[alive],
-        final_states=states[alive],
         chain_ids=all_ids[alive],
         n_chains=n_chains,
         n_diverged=int((~alive).sum()),
@@ -296,8 +291,7 @@ def run_ensemble(
         if not isinstance(cfg.scaling, PowerScaling):
             raise NumericalError("no scaling exponent resolved; run the scaling search")
         scaling = cfg.scaling
-    burn_in = default_burn_in(alpha) if cfg.burn_in == "auto" else cfg.burn_in
-    thin = default_thin(alpha) if cfg.thin == "auto" else cfg.thin
+    burn_in, thin = resolve_schedule(alpha, cfg.burn_in, cfg.thin)
     raw = run_chains(
         cfg.op,
         cfg.noise,
@@ -320,48 +314,11 @@ def run_ensemble(
         alpha=alpha,
         scaling=scaling,
         samples=(raw.samples - cfg.op.root) / g,
-        final_states=raw.final_states,
+        burn_in=burn_in,
+        thin=thin,
         chain_ids=raw.chain_ids,
         n_diverged=raw.n_diverged,
         drift_name=cfg.op.name,
         noise_shape=cfg.noise.shape,
     )
 
-
-def snapshot_scaled(
-    op: DriftOperator,
-    nm: NoiseModel,
-    alpha: float,
-    scaling: PowerScaling,
-    steps: tuple,
-    *,
-    n_chains: int,
-    seed: int,
-    init_scaled: float = 0.0,
-    purpose: str = "snapshot",
-) -> dict:
-    """Distribution snapshots of Y_k across chains at the requested steps k.
-
-    Used to verify exact finite-k laws; the chains start from
-    X0 = x* + g(alpha) * init_scaled instead of the stationary-run default.
-    """
-    steps = tuple(sorted(int(k) for k in steps))
-    g = scaling(alpha)
-    init = op.root + g * init_scaled
-    label = (purpose, op.name, nm.shape, format(float(alpha), ".17g"))
-    gens = [seed_rng(seed, stream_id(*label, c)) for c in range(n_chains)]
-    x = np.tile(init, (n_chains, 1))
-    snaps = {}
-    done = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in steps:
-            span = k - done
-            while span > 0:
-                block = min(_STEP_BLOCK, span)
-                noise = np.stack([sample_block(nm, g_, block) for g_ in gens], axis=1)
-                for s in range(block):
-                    x = x + alpha * (op.fn(x) + noise[s])
-                span -= block
-            done = k
-            snaps[k] = (x - op.root) / g
-    return snaps

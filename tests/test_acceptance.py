@@ -21,7 +21,7 @@ from salab.lyapunov import (
     solve_lyapunov_integral,
 )
 from salab.scaling import find_scaling_exponent
-from salab.sde import EmConfig, em_vs_sa_compare, run_em_ensemble
+from salab.sde import em_vs_sa_compare, run_em_ensemble
 from salab.simulate import run_ensemble
 from salab.stats import (
     batch_means_se,
@@ -227,9 +227,9 @@ def test_criterion_10_euler_maruyama():
     ladder_ok = True
     ladder = []
     for dt, thin in ((0.01, 25), (0.001, 250)):
-        cfg = EmConfig(delta_t=dt, n_chains=256, burn_in=int(30 / dt),
-                       thin=thin, samples_per_chain=320, seed=SEED)
-        flat = run_em_ensemble(linear([[-1.0]]), cfg).samples.reshape(-1)
+        raw = run_em_ensemble(linear([[-1.0]]), dt, n_chains=256, burn_in=int(30 / dt),
+                              thin=thin, samples_per_chain=320, seed=SEED)
+        flat = raw.samples.reshape(-1)
         target = 1.0 / (2.0 - dt)
         passed, err, se = _variance_check(flat, target, 4)
         ladder_ok &= passed

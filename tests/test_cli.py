@@ -65,8 +65,10 @@ class TestSimulateCommand:
         }
         manifest = json.loads((out / "manifest.json").read_text())
         assert sorted(manifest["files"]) == sorted(n for n in names if n != "manifest.json")
-        header = (out / "samples_0.1.csv").read_text().splitlines()[0]
+        header, first, second = (out / "samples_0.1.csv").read_text().splitlines()[:3]
         assert header == "chain,step,y_1"
+        # auto burn-in ceil(10 / 0.1) = 100, auto thin ceil(1 / 0.1) = 10
+        assert [first.split(",")[:2], second.split(",")[:2]] == [["0", "110"], ["0", "120"]]
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, QUAD_CFG)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from salab.core import ConfigError, seed_rng
-from salab.noise import make_noise, sample_block, sample_noise
+from salab.noise import make_noise, sample_block
 
 SQRT6 = np.sqrt(6.0)
 
@@ -58,7 +58,7 @@ class TestMoments:
 
     def test_single_draw_shape(self):
         nm = make_noise("gaussian", np.eye(3))
-        assert sample_noise(nm, seed_rng(5, 0)).shape == (3,)
+        assert sample_block(nm, seed_rng(5, 0), 1).shape == (1, 3)
 
 
 class TestUniversality:

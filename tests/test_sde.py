@@ -1,10 +1,16 @@
+from math import sqrt
+
 import numpy as np
 import pytest
 
-from salab.core import NumericalError, seed_rng
+from salab.core import NumericalError, PowerScaling, seed_rng, stream_id
 from salab.drift import DriftOperator, linear, quartic
-from salab.sde import EmConfig, em_step, em_vs_sa_compare, run_em_ensemble
+from salab.noise import make_noise
+from salab.sde import em_vs_sa_compare, run_em_ensemble
+from salab.simulate import run_chains
 from salab.stats import batch_means_se
+
+STANDARD = make_noise("gaussian", [[1.0]])
 
 
 def zero_drift() -> DriftOperator:
@@ -12,43 +18,63 @@ def zero_drift() -> DriftOperator:
                          elementwise=True)
 
 
-class TestEmStep:
-    def _known_z(self, seed_pair):
-        return seed_rng(*seed_pair).standard_normal(1)[0]
+def em_records(op, dt, x0, n, seed):
+    """X_1..X_n of EM chain 0 from x0: the engine at coefficients (dt, sqrt(dt))."""
+    raw = run_chains(op, STANDARD, dt, sqrt(dt), n_chains=1, burn_in=0, thin=1,
+                     samples_per_chain=n, seed=seed, purpose="em", init=x0)
+    return raw.samples[0, :, 0]
 
+
+def em_normals(op, dt, n, seed):
+    """The n standard normals EM chain 0 consumes, from a copy of its stream."""
+    label = ("em", op.name, "gaussian", format(float(dt), ".17g"))
+    return seed_rng(seed, stream_id(*label, 0)).standard_normal((n, 1))[:, 0]
+
+
+class TestEmStep:
     def test_pure_diffusion_step(self):
         # x + sqrt(dt) z: with z = 1 this is exactly 0.1 at dt = 0.01
-        z = self._known_z((4, 1))
-        out = em_step(zero_drift(), 0.01, [0.0], seed_rng(4, 1))
-        assert out[0] == pytest.approx(0.1 * z)
+        z = em_normals(zero_drift(), 0.01, 1, 1)[0]
+        out = em_records(zero_drift(), 0.01, [0.0], 1, 1)[0]
+        assert out == pytest.approx(0.1 * z)
 
     def test_linear_drift_step(self):
-        z = self._known_z((4, 2))
-        out = em_step(linear([[-1.0]]), 0.01, [1.0], seed_rng(4, 2))
-        assert out[0] == pytest.approx(0.99 + 0.1 * z)
+        op = linear([[-1.0]])
+        z = em_normals(op, 0.01, 1, 2)[0]
+        assert em_records(op, 0.01, [1.0], 1, 2)[0] == pytest.approx(0.99 + 0.1 * z)
 
     def test_cubic_drift_step(self):
-        z = self._known_z((4, 3))
-        out = em_step(quartic(), 0.01, [2.0], seed_rng(4, 3))
-        assert out[0] == pytest.approx(1.92 + 0.1 * z)
+        z = em_normals(quartic(), 0.01, 1, 3)[0]
+        assert em_records(quartic(), 0.01, [2.0], 1, 3)[0] == pytest.approx(1.92 + 0.1 * z)
 
     def test_linear_em_recursion_equals_scaled_sa_recursion(self):
         # for F(x) = -x both recursions are y' = (1 - a) y + sqrt(a) z:
         # the AR(1) coefficients coincide exactly when dt = alpha
         alpha, y = 0.01, 1.3
-        z = self._known_z((4, 4))
-        em = em_step(linear([[-1.0]]), alpha, [y], seed_rng(4, 4))[0]
-        scaled_sa = (1 - alpha) * y + np.sqrt(alpha) * z
-        assert em == pytest.approx(scaled_sa, abs=1e-15)
+        op = linear([[-1.0]])
+        z = em_normals(op, alpha, 2, 4)
+        em = em_records(op, alpha, [y], 2, 4)
+        assert em[0] == pytest.approx((1 - alpha) * y + np.sqrt(alpha) * z[0], abs=1e-15)
+        assert em[1] == pytest.approx((1 - alpha) * em[0] + np.sqrt(alpha) * z[1], abs=1e-15)
+
+    def test_ensemble_runs_the_engine_at_dt_and_sqrt_dt(self):
+        op, dt = quartic(), 0.01
+        sizes = dict(n_chains=3, burn_in=7, thin=3, samples_per_chain=5, seed=5)
+        raw = run_em_ensemble(op, dt, **sizes)
+        ref = run_chains(op, STANDARD, dt, sqrt(dt), purpose="em", **sizes)
+        assert raw.samples.tobytes() == ref.samples.tobytes()
+
+    def test_nonpositive_step_rejected(self):
+        with pytest.raises(NumericalError, match="delta_t must be positive"):
+            run_em_ensemble(zero_drift(), 0.0, n_chains=1, samples_per_chain=1, seed=0)
 
 
 class TestOuDiscretization:
     @pytest.mark.parametrize("dt", [0.01, 0.001])
     def test_variance_matches_discretization_value(self, dt):
-        cfg = EmConfig(delta_t=dt, n_chains=256, burn_in=int(30 / dt),
-                       thin=max(1, int(0.25 / dt)), samples_per_chain=256,
-                       seed=21)
-        raw = run_em_ensemble(linear([[-1.0]]), cfg)
+        raw = run_em_ensemble(linear([[-1.0]]), dt, n_chains=256, burn_in=int(30 / dt),
+                              thin=max(1, int(0.25 / dt)), samples_per_chain=256,
+                              seed=21)
         flat = raw.samples.reshape(-1)
         target = 1.0 / (2.0 - dt)  # exact AR(1) stationary variance
         se = batch_means_se((flat - flat.mean()) ** 2)
@@ -81,6 +107,17 @@ class TestEmVsSaCompare:
             burn_in=200_000, thin=1000, samples_per_chain=850, seed=32,
         )
         assert result.rel_err <= 0.1
+
+    def test_zero_burn_in_is_honoured(self):
+        # burn_in = 0 keeps the first records, on both sides of the comparison
+        op, dt = linear([[-1.0]]), 0.01
+        sizes = dict(n_chains=4, burn_in=0, thin=1, samples_per_chain=2, seed=3)
+        result = em_vs_sa_compare(op, dt, exponent=0.5, **sizes)
+        sa = run_chains(op, STANDARD, dt, dt, purpose="em-compare-sa", **sizes)
+        em = run_chains(op, STANDARD, dt, sqrt(dt), purpose="em", **sizes)
+        sa_scaled = (sa.samples - op.root) / PowerScaling(0.5)(dt)
+        assert result.sa_samples.tobytes() == sa_scaled.reshape(-1, 1).tobytes()
+        assert result.em_samples.tobytes() == (em.samples - op.root).reshape(-1, 1).tobytes()
 
     def test_zero_drift_has_no_stationary_law(self):
         with pytest.raises(NumericalError, match="no stationary law"):

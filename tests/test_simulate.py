@@ -1,3 +1,4 @@
+import threading
 from math import ceil
 
 import numpy as np
@@ -14,14 +15,7 @@ from salab.core import (
 )
 from salab.drift import grad_quadratic, linear, quartic
 from salab.noise import make_noise
-from salab.simulate import (
-    ChainEnsemble,
-    moment_summary,
-    run_chains,
-    run_ensemble,
-    snapshot_scaled,
-    step_chain,
-)
+from salab.simulate import ChainEnsemble, moment_summary, run_chains, run_ensemble
 from salab.stats import batch_means_se
 
 
@@ -42,26 +36,35 @@ def quadratic_config(alpha, *, shape="gaussian", n_chains=64, spc=512,
     return validate_config(cfg)
 
 
+def chain_rng(op, nm, drift_coeff, c, seed, purpose="simulate"):
+    """A fresh copy of the stream run_chains gives chain c."""
+    label = (purpose, op.name, nm.shape, format(float(drift_coeff), ".17g"))
+    return seed_rng(seed, stream_id(*label, c))
+
+
+def one_step(op, nm, alpha, x0, seed):
+    """X_1 of chain 0 started at x0: one SA update alpha (F(x0) + w)."""
+    raw = run_chains(op, nm, alpha, alpha, n_chains=1, burn_in=0, thin=1,
+                     samples_per_chain=1, seed=seed, init=x0)
+    return raw.samples[0, 0]
+
+
 class TestStepChain:
     def test_noiseless_linear(self):
         op = linear([[-1.0]])
         nm = make_noise("noiseless", [[0.0]])
-        out = step_chain(op, nm, 0.1, [1.0], seed_rng(0, 0))
-        assert out == pytest.approx([0.9])
+        assert one_step(op, nm, 0.1, [1.0], 0) == pytest.approx([0.9])
 
     def test_noiseless_cubic(self):
         nm = make_noise("noiseless", [[0.0]])
-        out = step_chain(quartic(), nm, 0.1, [2.0], seed_rng(0, 0))
-        assert out == pytest.approx([1.2])
+        assert one_step(quartic(), nm, 0.1, [2.0], 0) == pytest.approx([1.2])
 
     def test_pure_noise_step(self):
         # F(0) = 0, so the update is exactly alpha * w
         op = linear([[-1.0]])
         nm = make_noise("gaussian", [[1.0]])
-        rng = seed_rng(4, 0)
-        w = seed_rng(4, 0).standard_normal((1, 1))[0, 0]
-        out = step_chain(op, nm, 0.1, [0.0], rng)
-        assert out[0] == pytest.approx(0.1 * w)
+        w = chain_rng(op, nm, 0.1, 0, 4).standard_normal((1, 1))[0, 0]
+        assert one_step(op, nm, 0.1, [0.0], 4)[0] == pytest.approx(0.1 * w)
 
 
 class TestRunEnsemble:
@@ -122,12 +125,22 @@ class TestRunEnsemble:
         with pytest.raises(NumericalError, match="unstable configuration"):
             run_ensemble(cfg, 0.25)
 
-    def test_thread_count_invariance(self):
+    def test_thread_count_invariance(self, monkeypatch):
+        # four groups of at most 5 chains, so threads=4 runs them on workers
         alpha = 0.05
         cfg = quadratic_config(alpha, n_chains=16, spc=64, seed=5)
         single = run_ensemble(cfg, alpha, threads=1)
+        monkeypatch.setattr(sim, "_CHAIN_GROUP", 5)
+        workers = set()
+
+        def seed_rng_noting_thread(*args):
+            workers.add(threading.get_ident())
+            return seed_rng(*args)
+
+        monkeypatch.setattr(sim, "seed_rng", seed_rng_noting_thread)
         multi = run_ensemble(cfg, alpha, threads=4)
-        assert np.array_equal(single.samples, multi.samples)
+        assert len(workers) >= 2 and threading.get_ident() not in workers
+        assert single.samples.tobytes() == multi.samples.tobytes()
 
     def test_group_width_invariance(self, monkeypatch):
         alpha = 0.05
@@ -154,13 +167,14 @@ class TestFiniteKOracle:
         # Y_k ~ N((1-a)^k y0, (1 - (1-a)^(2k)) / (2-a))
         alpha, y0 = 0.01, 3.0
         op, nm = grad_quadratic(), make_noise("gaussian", [[1.0]])
-        ks = (10, 100, 1000)
-        snaps = snapshot_scaled(
-            op, nm, alpha, PowerScaling(0.5), ks,
-            n_chains=20000, seed=11, init_scaled=y0,
+        g = PowerScaling(0.5)(alpha)
+        raw = run_chains(
+            op, nm, alpha, alpha, n_chains=20000, burn_in=0, thin=10,
+            samples_per_chain=100, seed=11, purpose="snapshot", init=op.root + g * y0,
         )
-        for k in ks:
-            y = snaps[k][:, 0]
+        assert raw.n_diverged == 0
+        for k in (10, 100, 1000):
+            y = (raw.samples[:, k // 10 - 1, 0] - op.root[0]) / g
             mean_k = (1 - alpha) ** k * y0
             var_k = (1 - (1 - alpha) ** (2 * k)) / (2 - alpha)
             n = y.size
@@ -173,7 +187,7 @@ class TestMomentSummary:
         values = np.asarray(values, dtype=float).reshape(1, -1, 1)
         return ChainEnsemble(
             alpha=0.01, scaling=PowerScaling(0.5), samples=values,
-            final_states=values[:, -1, :], chain_ids=np.array([0]),
+            burn_in=0, thin=1, chain_ids=np.array([0]),
             n_diverged=0, drift_name="grad_quadratic", noise_shape="gaussian",
         )
 
@@ -236,8 +250,7 @@ def reference_noise(nm, rng, n):
 def reference_chain(op, nm, drift_coeff, noise_coeff, c, *, burn_in, thin,
                     samples_per_chain, seed, purpose="simulate"):
     """Chain c of run_chains, stepped alone, one step at a time."""
-    label = (purpose, op.name, nm.shape, format(float(drift_coeff), ".17g"))
-    rng = seed_rng(seed, stream_id(*label, c))
+    rng = chain_rng(op, nm, drift_coeff, c, seed, purpose)
     sign_path = nm.shape == "rademacher" and nm.dim == 1
     step_block = sim._SIGN_STEP_BLOCK if sign_path else sim._STEP_BLOCK
     total = burn_in + samples_per_chain * thin
@@ -253,7 +266,7 @@ def reference_chain(op, nm, drift_coeff, noise_coeff, c, *, burn_in, thin,
             k += 1
             if k > burn_in and (k - burn_in) % thin == 0:
                 records.append(x[0].copy())
-    return np.array(records), x[0]
+    return np.array(records)
 
 
 class TestEngineMatchesReference:
@@ -277,9 +290,8 @@ class TestEngineMatchesReference:
         raw = run_chains(op, nm, 0.01, 0.02, n_chains=3, **sizes)
         assert raw.n_diverged == 0
         for c in range(3):
-            records, state = reference_chain(op, nm, 0.01, 0.02, c, **sizes)
+            records = reference_chain(op, nm, 0.01, 0.02, c, **sizes)
             assert raw.samples[c].tobytes() == records.tobytes()
-            assert raw.final_states[c].tobytes() == state.tobytes()
 
     @pytest.mark.parametrize(
         "op, shape, sigma",
@@ -299,6 +311,5 @@ class TestEngineMatchesReference:
         raw = run_chains(op, nm, 0.01, 0.02, n_chains=n_chains, **sizes)
         assert raw.n_diverged == 0
         for c in sorted({0, tile - 1, tile, 2 * tile - 1, 2 * tile, n_chains - 1}):
-            records, state = reference_chain(op, nm, 0.01, 0.02, c, **sizes)
+            records = reference_chain(op, nm, 0.01, 0.02, c, **sizes)
             assert raw.samples[c].tobytes() == records.tobytes(), c
-            assert raw.final_states[c].tobytes() == state.tobytes(), c
