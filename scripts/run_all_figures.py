@@ -2,8 +2,10 @@
 """Reproduce every built-in figure's data in one go.
 
 The three quartic figures share their stepsize ladder, so the raw ensembles
-are simulated once and rescaled per figure.  Expect a few minutes: the
-alpha = 1e-4 quartic chain needs ~1e7 steps per chain to mix.
+are simulated once and rescaled per figure.  Each figure's directory gets
+the files `salab figure <name>` writes: density CSVs, trend_check.csv or
+logfit.csv, and manifest.json.  Expect a few minutes: the alpha = 1e-4
+quartic chain needs ~1e7 steps per chain to mix.
 
 Usage:
     python scripts/run_all_figures.py [--out figures_out] [--seed 0]
@@ -14,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from salab.cli import _alpha_tag, _write_csv
+from salab.cli import emit_figure, figure_manifest
 from salab.figures import FIGURE_SPECS, run_figure
 
 
@@ -29,21 +31,17 @@ def main() -> int:
     cache = {}
     for name in sorted(FIGURE_SPECS):
         t0 = time.perf_counter()
-        result = run_figure(name, seed=args.seed, cache=cache)
         fig_dir = out / name
         fig_dir.mkdir(exist_ok=True)
-        for alpha, est in result.densities.items():
-            _write_csv(fig_dir / f"density_{_alpha_tag(alpha)}.csv", ["y", "p_hat"],
-                       zip(est.grid, est.density))
-        status = ""
-        if result.trend is not None:
-            status = f"trend {'PASS' if result.trend.passed else 'FAIL'}"
-        if result.fits:
-            status += " " + " ".join(
-                f"r2(q={q})={fit.r_squared:.4f}" for q, fit in sorted(result.fits.items())
-            )
+        manifest = figure_manifest(name, fig_dir, args.seed)
+        result = run_figure(name, seed=args.seed, cache=cache)
+        emit_figure(result, manifest)
+        manifest.finish()
+        fits = " ".join(
+            f"r2(q={q})={fit.r_squared:.4f}" for q, fit in sorted(result.fits.items())
+        )
         print(f"{name:6s} exponent {result.exponent:<5g} "
-              f"[{time.perf_counter() - t0:6.1f}s] {status}")
+              f"[{time.perf_counter() - t0:6.1f}s] {fits}")
     return 0
 
 

@@ -51,7 +51,7 @@ from .scaling import (
 )
 from .sde import EmCompareResult, em_vs_sa_compare, run_em_ensemble
 from .simulate import (
-    ChainEnsemble,
+    Ensemble,
     MomentSummary,
     moment_summary,
     run_ensemble,

@@ -27,7 +27,7 @@ from .core import (
     validate_config,
 )
 from .drift import check_hurwitz, derivative_at_root
-from .figures import FIGURE_SPECS, run_figure
+from .figures import FIGURE_SPECS, FigureResult, run_figure
 from .lyapunov import predict_stationary
 from .scaling import find_scaling_exponent
 from .sde import em_vs_sa_compare
@@ -149,6 +149,35 @@ def _emit_logfit(fits, manifest):
     ]
     manifest.emit(["q", "slope", "intercept", "r_squared", "n_points"], rows,
                   "logfit.csv")
+
+
+def figure_manifest(name: str, out: Path, seed) -> _Manifest:
+    """The manifest of one figure's output directory, started now."""
+    spec = FIGURE_SPECS[name]
+    return _Manifest(
+        f"figure {name}", out, seed,
+        {"figure": name, "drift": spec.drift, "exponent": spec.exponent,
+         "alphas": list(spec.alphas)},
+    )
+
+
+def emit_figure(result: FigureResult, manifest: _Manifest) -> None:
+    """Write a figure's density CSVs, its trend_check.csv and its logfit.csv."""
+    for alpha in result.alphas:
+        est = result.densities[alpha]
+        manifest.emit(["y", "p_hat"], list(zip(est.grid, est.density)),
+                      f"density_{_alpha_tag(alpha)}.csv")
+    if result.trend is not None:
+        t = result.trend
+        rows = [("diff_small", t.diff_small), ("diff_large", t.diff_large),
+                ("diff_ok", t.diff_ok),
+                ("sigma_log10_ratio", t.sigma_log10_ratio),
+                ("sigma_ok", t.sigma_ok), ("passed", t.passed)]
+        manifest.emit(["quantity", "value"], rows, "trend_check.csv")
+        manifest.note(f"{result.name}: convergence trend "
+                      f"{'PASS' if t.passed else 'FAIL'}")
+    if result.fits:
+        _emit_logfit(result.fits, manifest)
 
 
 def _emit_scaling_report(op, manifest):
@@ -302,12 +331,21 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_em_compare(args) -> int:
     cfg, validated = _load_config(args)
+    nm = validated.noise
+    if nm.shape != "gaussian" or not np.array_equal(nm.sigma, np.eye(nm.dim)):
+        raise ConfigError(
+            "em-compare drives both chains with the SDE's identity diffusion: "
+            "it needs noise.shape = gaussian and noise.sigma = the identity"
+        )
     if args.dry_run:
         print("em-compare: would write em_compare.csv")
         return 0
     out = _prepare_out(validated.out_dir)
     manifest = _Manifest("em-compare", out, validated.seed, dataclasses.asdict(cfg))
-    alpha = validated.alphas[0]
+    alpha, *not_run = validated.alphas
+    if not_run:
+        manifest.note("em-compare runs the first alpha only; not run: "
+                      + ", ".join(map(_alpha_tag, not_run)))
     exponent = (
         validated.scaling.exponent
         if isinstance(validated.scaling, PowerScaling)
@@ -343,29 +381,8 @@ def _cmd_figure(args) -> int:
         print(f"figure {args.figure}: would simulate and write density CSVs")
         return 0
     seed = args.seed if args.seed is not None else 0
-    out = _prepare_out(args.out or "out")
-    spec = FIGURE_SPECS[args.figure]
-    manifest = _Manifest(
-        f"figure {args.figure}", out, seed,
-        {"figure": args.figure, "drift": spec.drift, "exponent": spec.exponent,
-         "alphas": list(spec.alphas)},
-    )
-    result = run_figure(args.figure, seed=seed, threads=args.threads)
-    for alpha in spec.alphas:
-        est = result.densities[alpha]
-        manifest.emit(["y", "p_hat"], list(zip(est.grid, est.density)),
-                      f"density_{_alpha_tag(alpha)}.csv")
-    if result.trend is not None:
-        t = result.trend
-        rows = [("diff_small", t.diff_small), ("diff_large", t.diff_large),
-                ("diff_ok", t.diff_ok),
-                ("sigma_log10_ratio", t.sigma_log10_ratio),
-                ("sigma_ok", t.sigma_ok), ("passed", t.passed)]
-        manifest.emit(["quantity", "value"], rows, "trend_check.csv")
-        manifest.note(f"{args.figure}: convergence trend "
-                      f"{'PASS' if t.passed else 'FAIL'}")
-    if result.fits:
-        _emit_logfit(result.fits, manifest)
+    manifest = figure_manifest(args.figure, _prepare_out(args.out or "out"), seed)
+    emit_figure(run_figure(args.figure, seed=seed, threads=args.threads), manifest)
     manifest.finish()
     return 0
 

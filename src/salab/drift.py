@@ -69,9 +69,6 @@ class DriftOperator:
     certificate: Optional[SmoothConvexCertificate] = None
     contraction: Optional[ContractionSpec] = None
     stability_limit: float = 0.25
-    #: fn applies entrywise to arrays of any shape (lets d=1 simulations
-    #: drop the trailing axis in their hot loop)
-    elementwise: bool = False
 
     def __post_init__(self):
         root = as_vector(self.root, "root")
@@ -224,7 +221,6 @@ def grad_generic(
     hessian=None,
     certificate: Optional[SmoothConvexCertificate] = None,
     stability_limit: float = 0.1,
-    elementwise: bool = False,
 ) -> DriftOperator:
     """Descent field F(x) = -grad f(x) for a user-supplied gradient.
 
@@ -241,7 +237,6 @@ def grad_generic(
         jacobian=None if hess is None else -hess,
         certificate=certificate,
         stability_limit=stability_limit,
-        elementwise=elementwise,
     )
 
 
@@ -284,7 +279,6 @@ def contractive_tanh(gain: float = 0.9, weights=None) -> DriftOperator:
         jacobian=np.array([[gain - 1.0]]),
         contraction=ContractionSpec(operator=t, weights=w, modulus=gain),
         stability_limit=0.5,
-        elementwise=True,
     )
 
 
@@ -297,7 +291,6 @@ def quartic() -> DriftOperator:
         root=np.zeros(1),
         jacobian=np.array([[0.0]]),
         stability_limit=0.25,
-        elementwise=True,
     )
 
 
@@ -311,7 +304,6 @@ def exp_square() -> DriftOperator:
         jacobian=np.array([[-2.0]]),
         # the map x - 2 alpha x exp(x^2) loses stability beyond |x| ~ 1 at alpha 0.1
         stability_limit=0.1,
-        elementwise=True,
     )
 
 
@@ -324,7 +316,6 @@ def quartic_sine() -> DriftOperator:
         root=np.zeros(1),
         jacobian=np.array([[-1.0]]),
         stability_limit=0.25,
-        elementwise=True,
     )
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .core import NumericalError, PowerScaling
 from .drift import exp_square, quartic, quartic_sine
 from .noise import make_noise
-from .simulate import run_chains
+from .simulate import require_stable, run_chains
 from .stats import estimate_density, log_density_fit
 
 #: density curves flatten/sharpen 10^|p - p*| per decade under a wrong
@@ -167,7 +167,7 @@ def _figure_samples(drift_name: str, run: FigureRun, seed: int, threads: int,
         return cache[key]
     op = _DRIFTS[drift_name]()
     nm = make_noise("rademacher", np.eye(op.dim))
-    raw = run_chains(
+    raw = require_stable(run_chains(
         op,
         nm,
         drift_coeff=run.alpha,
@@ -179,11 +179,7 @@ def _figure_samples(drift_name: str, run: FigureRun, seed: int, threads: int,
         seed=seed,
         purpose="figure",
         threads=threads,
-    )
-    if raw.n_diverged > 0.01 * run.n_chains:
-        raise NumericalError(
-            f"unstable figure configuration: {raw.n_diverged} chains diverged"
-        )
+    ))
     flat = raw.samples.reshape(-1)
     if cache is not None:
         cache[key] = flat

@@ -96,8 +96,5 @@ def _unit_variance_block(shape: str, rng: np.random.Generator, n: int, d: int) -
 
 def sample_block(nm: NoiseModel, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw n noise vectors with covariance Sigma, shape (n, dim)."""
-    z = _unit_variance_block(nm.shape, rng, n, nm.dim)
-    if nm.shape == "noiseless":
-        return z
-    return z @ nm.cholesky.T
+    return _unit_variance_block(nm.shape, rng, n, nm.dim) @ nm.cholesky.T
 

@@ -70,8 +70,6 @@ def _probe_trend(
     y = _probe_vector(op, probe)
     values = np.array([scaled_drift(op, p, a, y) for a in alphas])
     mags = np.linalg.norm(values, axis=1)
-    if np.all(mags == 0.0):
-        return ProbeTrend(probe, mags, np.inf, VANISHES)
     if np.any(mags == 0.0):
         # magnitude hits exact zero along the sequence: treat as vanishing
         return ProbeTrend(probe, mags, np.inf, VANISHES)

@@ -19,7 +19,7 @@ from .core import NumericalError, PowerScaling
 from .drift import DriftOperator, eval_drift
 from .noise import NoiseModel, make_noise
 from .scaling import find_scaling_exponent
-from .simulate import resolve_schedule, run_chains
+from .simulate import Ensemble, require_stable, resolve_schedule, run_chains
 
 
 def _standard_noise(dim: int) -> NoiseModel:
@@ -36,15 +36,15 @@ def run_em_ensemble(
     samples_per_chain: int,
     seed: int,
     threads: int = 1,
-):
-    """Sample the EM chain's stationary law; returns a RawEnsemble of X-hat.
+) -> Ensemble:
+    """Sample the EM chain's stationary law; returns the records of X-hat.
 
     burn_in and thin take the SA ensemble's values, "auto" included.
     """
     if delta_t <= 0:
         raise NumericalError("delta_t must be positive")
     burn_in, thin = resolve_schedule(delta_t, burn_in, thin)
-    return run_chains(
+    return require_stable(run_chains(
         op,
         _standard_noise(op.dim),
         drift_coeff=delta_t,
@@ -56,7 +56,7 @@ def run_em_ensemble(
         seed=seed,
         purpose="em",
         threads=threads,
-    )
+    ))
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def em_vs_sa_compare(
     sizes = dict(n_chains=n_chains, samples_per_chain=samples_per_chain, seed=seed,
                  threads=threads)
     burn_in, thin = resolve_schedule(dt, burn_in, thin)
-    sa = run_chains(
+    sa = require_stable(run_chains(
         op,
         _standard_noise(op.dim),
         drift_coeff=dt,
@@ -108,7 +108,7 @@ def em_vs_sa_compare(
         thin=thin,
         purpose="em-compare-sa",
         **sizes,
-    )
+    ))
     em = run_em_ensemble(op, dt, burn_in=burn_in, thin=thin, **sizes)
 
     g = scaling(dt)

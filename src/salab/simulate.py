@@ -9,7 +9,7 @@ streams, so results are bit-identical for any worker-thread count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil
 from typing import Optional
 
@@ -20,7 +20,7 @@ from .drift import DriftOperator
 from .noise import NoiseModel, decode_signs, sample_block, sign_table, sign_words
 
 #: chains simulated together in one vectorized group; grouping never affects
-#: results (chains own their streams and updates are elementwise), only speed
+#: results (chains own their streams and update independently), only speed
 _CHAIN_GROUP = 4096
 
 #: steps of noise pre-generated per chain at a time
@@ -56,40 +56,34 @@ def resolve_schedule(alpha: float, burn_in="auto", thin="auto") -> tuple:
 
 
 @dataclass(frozen=True)
-class RawEnsemble:
-    """Unscaled trajectory records for the chains that stayed finite.
+class Ensemble:
+    """Records of the chains that stayed finite, and the schedule that made them.
 
-    The last record is taken at the last step, so samples[:, -1] is each
-    chain's final state.
+    Record r of a chain was taken after step burn_in + (r + 1) * thin, so
+    samples[:, -1] is each chain's final state.  run_chains records X;
+    run_ensemble records the centered scaled iterate Y = (X - x*) / g(alpha).
     """
 
-    samples: np.ndarray       # (n_kept, samples_per_chain, d), values of X
+    samples: np.ndarray       # (n_kept, samples_per_chain, d)
     chain_ids: np.ndarray     # (n_kept,)
     n_chains: int
     n_diverged: int
-
-
-@dataclass(frozen=True)
-class ChainEnsemble:
-    """Post-burn-in samples of the centered scaled iterate Y.
-
-    Record r of a chain was taken after step burn_in + (r + 1) * thin.
-    """
-
-    alpha: float
-    scaling: PowerScaling
-    samples: np.ndarray       # (n_kept, samples_per_chain, d), values of Y
     burn_in: int
     thin: int
-    chain_ids: np.ndarray
-    n_diverged: int
-    drift_name: str
-    noise_shape: str
 
     @property
     def flat(self) -> np.ndarray:
         """All retained samples pooled in chain-major order, shape (n, d)."""
         return self.samples.reshape(-1, self.samples.shape[-1])
+
+
+def require_stable(ens: Ensemble) -> Ensemble:
+    """ens, unless more than _MAX_DIVERGED_FRACTION of its chains diverged."""
+    if ens.n_diverged > _MAX_DIVERGED_FRACTION * ens.n_chains:
+        raise NumericalError(
+            f"unstable configuration: {ens.n_diverged}/{ens.n_chains} chains diverged"
+        )
+    return ens
 
 
 @dataclass(frozen=True)
@@ -100,7 +94,7 @@ class MomentSummary:
     count: int
 
 
-def moment_summary(ens: ChainEnsemble) -> MomentSummary:
+def moment_summary(ens: Ensemble) -> MomentSummary:
     """Unbiased sample mean/covariance over all retained samples."""
     flat = ens.flat
     if flat.shape[0] < 2:
@@ -182,23 +176,16 @@ def _run_group(
 
     Chains consume noise from their own streams in a fixed block order, so
     per-chain trajectories are independent of the grouping; the group width
-    only controls vectorization.  Elementwise scalar drifts run on flat
-    (nc,) state arrays, everything else on (nc, d).  Every noise shape feeds
-    the same update body with rows that already hold noise_coeff * w.
+    only controls vectorization.  The state is one (nc, d) array for every
+    drift, and every noise shape feeds the same update body with rows that
+    already hold noise_coeff * w.
     """
     nc = chain_ids.size
     d = op.dim
     gens = [seed_rng(seed, stream_id(*label, int(c))) for c in chain_ids]
     out = np.empty((nc, samples_per_chain, d))
     total = burn_in + samples_per_chain * thin
-
-    flat = d == 1 and op.elementwise
-    if flat:
-        x = np.full(nc, init[0])
-        record = out[:, :, 0]
-    else:
-        x = np.tile(init, (nc, 1))
-        record = out
+    x = np.tile(init, (nc, 1))
 
     # scalar sign noise stays packed, one bit per draw, until decoded
     if nm.shape == "rademacher" and d == 1:
@@ -217,7 +204,7 @@ def _run_group(
                 x += row
                 k += 1
                 if k == next_record:
-                    record[:, (k - burn_in) // thin - 1] = x
+                    out[:, (k - burn_in) // thin - 1] = x
                     next_record += thin
     # the last record is the final state, so this also checks where chains end
     return out, np.isfinite(out).all(axis=(1, 2))
@@ -237,14 +224,16 @@ def run_chains(
     purpose: str = "simulate",
     threads: int = 1,
     init: Optional[np.ndarray] = None,
-) -> RawEnsemble:
+) -> Ensemble:
     """Run the generic update X <- X + drift_coeff F(X) + noise_coeff w.
 
     The SA recursion uses drift_coeff = noise_coeff = alpha with shaped
     noise; the Euler-Maruyama scheme reuses the same engine with
     coefficients (dt, sqrt(dt)) and standard normal noise.  Chains start
     from init (default: the root), discard burn_in steps and then record X
-    every thin steps; burn_in = 0, thin = 1 records every step.
+    every thin steps; burn_in = 0, thin = 1 records every step.  Chains
+    with a non-finite record are dropped and counted; require_stable
+    decides whether too many were.
     """
     init = op.root if init is None else np.asarray(init, dtype=float)
     label = (purpose, op.name, nm.shape, format(float(drift_coeff), ".17g"))
@@ -265,11 +254,13 @@ def run_chains(
 
     samples = np.concatenate([r[0] for r in results], axis=0)
     alive = np.concatenate([r[1] for r in results], axis=0)
-    return RawEnsemble(
+    return Ensemble(
         samples=samples[alive],
         chain_ids=all_ids[alive],
         n_chains=n_chains,
         n_diverged=int((~alive).sum()),
+        burn_in=burn_in,
+        thin=thin,
     )
 
 
@@ -280,7 +271,7 @@ def run_ensemble(
     *,
     threads: int = 1,
     purpose: str = "simulate",
-) -> ChainEnsemble:
+) -> Ensemble:
     """Simulate the configured ensemble at one stepsize and scale the records."""
     alpha = float(alpha)
     if alpha <= 0 or alpha > cfg.alpha_max:
@@ -292,7 +283,7 @@ def run_ensemble(
             raise NumericalError("no scaling exponent resolved; run the scaling search")
         scaling = cfg.scaling
     burn_in, thin = resolve_schedule(alpha, cfg.burn_in, cfg.thin)
-    raw = run_chains(
+    raw = require_stable(run_chains(
         cfg.op,
         cfg.noise,
         drift_coeff=alpha,
@@ -304,21 +295,5 @@ def run_ensemble(
         seed=cfg.seed,
         purpose=purpose,
         threads=threads,
-    )
-    if raw.n_diverged > _MAX_DIVERGED_FRACTION * cfg.n_chains:
-        raise NumericalError(
-            f"unstable configuration: {raw.n_diverged}/{cfg.n_chains} chains diverged"
-        )
-    g = scaling(alpha)
-    return ChainEnsemble(
-        alpha=alpha,
-        scaling=scaling,
-        samples=(raw.samples - cfg.op.root) / g,
-        burn_in=burn_in,
-        thin=thin,
-        chain_ids=raw.chain_ids,
-        n_diverged=raw.n_diverged,
-        drift_name=cfg.op.name,
-        noise_shape=cfg.noise.shape,
-    )
-
+    ))
+    return replace(raw, samples=(raw.samples - cfg.op.root) / scaling(alpha))

@@ -248,6 +248,35 @@ class TestEmCompareCommand:
         text = (out / "em_compare.csv").read_text()
         assert "rel_err" in text and "sa_cov_1_1" in text
 
+    @pytest.mark.parametrize("noise", [
+        "noise.shape = uniform\nnoise.sigma = [[1.0]]",
+        "noise.shape = gaussian\nnoise.sigma = [[4.0]]",
+    ], ids=["uniform", "scaled-sigma"])
+    def test_noise_other_than_standard_gaussian_exits_2(self, tmp_path, capsys, noise):
+        body = f"drift = grad_quadratic\n{noise}\nalphas = 0.05\nscaling = 0.5\n"
+        cfg = write_cfg(tmp_path, body)
+        assert main(["em-compare", "--config", cfg, "--out", str(tmp_path / "em")]) == 2
+        err = capsys.readouterr().err
+        assert "noise.shape" in err and "noise.sigma" in err
+        assert not (tmp_path / "em").exists()
+
+    def test_alphas_not_run_are_noted(self, tmp_path):
+        body = """
+        drift = grad_quadratic
+        noise.sigma = [[1.0]]
+        alphas = 0.05, 0.01, 0.005
+        scaling = 0.5
+        n_chains = 8
+        samples_per_chain = 16
+        seed = 5
+        """
+        cfg = write_cfg(tmp_path, body)
+        out = tmp_path / "em"
+        assert main(["em-compare", "--config", cfg, "--out", str(out)]) == 0
+        assert "alpha,0.05" in (out / "em_compare.csv").read_text()
+        notes = json.loads((out / "manifest.json").read_text())["notes"]
+        assert notes == ["em-compare runs the first alpha only; not run: 0.01, 0.005"]
+
 
 def test_importing_the_cli_loads_no_scipy():
     # scipy costs more than a second of start-up; only the statistics load it

@@ -173,8 +173,6 @@ class TestConstruction:
 
     def test_grad_generic_wraps_a_gradient(self):
         # f(x) = x^2/2 + x^4/10: gradient x + 0.4 x^3, curvature 1 at 0
-        op = grad_generic(
-            lambda x: x + 0.4 * x**3, root=[0.0], elementwise=True
-        )
+        op = grad_generic(lambda x: x + 0.4 * x**3, root=[0.0])
         assert eval_drift(op, [1.0]) == pytest.approx(-1.4)
         assert derivative_at_root(op)[0, 0] == pytest.approx(-1.0, abs=1e-8)

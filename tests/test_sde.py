@@ -14,8 +14,7 @@ STANDARD = make_noise("gaussian", [[1.0]])
 
 
 def zero_drift() -> DriftOperator:
-    return DriftOperator(name="zero", dim=1, fn=np.zeros_like, root=np.zeros(1),
-                         elementwise=True)
+    return DriftOperator(name="zero", dim=1, fn=np.zeros_like, root=np.zeros(1))
 
 
 def em_records(op, dt, x0, n, seed):
@@ -118,6 +117,13 @@ class TestEmVsSaCompare:
         sa_scaled = (sa.samples - op.root) / PowerScaling(0.5)(dt)
         assert result.sa_samples.tobytes() == sa_scaled.reshape(-1, 1).tobytes()
         assert result.em_samples.tobytes() == (em.samples - op.root).reshape(-1, 1).tobytes()
+
+    def test_diverged_chains_are_rejected(self):
+        # alpha = 3 makes x <- -2x + 3w: every chain overflows, so no
+        # covariance is left to compare
+        with pytest.raises(NumericalError, match="unstable configuration: 8/8"):
+            em_vs_sa_compare(linear([[-1.0]]), 3.0, exponent=0.5, n_chains=8,
+                             burn_in=2000, thin=1, samples_per_chain=4, seed=1)
 
     def test_zero_drift_has_no_stationary_law(self):
         with pytest.raises(NumericalError, match="no stationary law"):

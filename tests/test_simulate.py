@@ -15,7 +15,7 @@ from salab.core import (
 )
 from salab.drift import grad_quadratic, linear, quartic
 from salab.noise import make_noise
-from salab.simulate import ChainEnsemble, moment_summary, run_chains, run_ensemble
+from salab.simulate import Ensemble, moment_summary, run_chains, run_ensemble
 from salab.stats import batch_means_se
 
 
@@ -185,11 +185,8 @@ class TestFiniteKOracle:
 class TestMomentSummary:
     def _ensemble_from(self, values):
         values = np.asarray(values, dtype=float).reshape(1, -1, 1)
-        return ChainEnsemble(
-            alpha=0.01, scaling=PowerScaling(0.5), samples=values,
-            burn_in=0, thin=1, chain_ids=np.array([0]),
-            n_diverged=0, drift_name="grad_quadratic", noise_shape="gaussian",
-        )
+        return Ensemble(samples=values, chain_ids=np.array([0]), n_chains=1,
+                        n_diverged=0, burn_in=0, thin=1)
 
     def test_two_point_sample(self):
         mom = moment_summary(self._ensemble_from([1.0, -1.0]))
