@@ -31,7 +31,7 @@ from .figures import FIGURE_SPECS, FigureResult, run_figure
 from .lyapunov import predict_stationary
 from .scaling import find_scaling_exponent
 from .sde import em_vs_sa_compare
-from .simulate import moment_summary, run_ensemble
+from .simulate import engine, moment_summary, run_ensemble
 from .stats import cf_residual, estimate_density, gaussian_gof, log_density_fit
 
 
@@ -59,6 +59,7 @@ class _Manifest:
         self.files = []
         self.durations = {}
         self.notes = []
+        self.engine = None        # simulate.engine of the chains run, if any
         self._t0 = time.perf_counter()
 
     def add(self, path: Path) -> None:
@@ -84,6 +85,7 @@ class _Manifest:
             "config": self.config,
             "files": sorted(self.files),
             "notes": self.notes,
+            "engine": self.engine,
             "durations": self.durations,
         }
         path.write_text(json.dumps(payload, indent=2, default=str), encoding="utf-8")
@@ -163,6 +165,7 @@ def figure_manifest(name: str, out: Path, seed) -> _Manifest:
 
 def emit_figure(result: FigureResult, manifest: _Manifest) -> None:
     """Write a figure's density CSVs, its trend_check.csv and its logfit.csv."""
+    manifest.engine = result.engine
     for alpha in result.alphas:
         est = result.densities[alpha]
         manifest.emit(["y", "p_hat"], list(zip(est.grid, est.density)),
@@ -222,6 +225,7 @@ def _cmd_simulate(args) -> int:
         mrows += list(_matrix_rows("cov", mom.covariance))
         manifest.emit(["quantity", "value"], mrows, f"moments_{tag}.csv")
         manifest.durations[f"alpha_{tag}_s"] = time.perf_counter() - t0
+    manifest.engine = engine(validated.op)
     manifest.finish()
     return 0
 
@@ -268,6 +272,7 @@ def _run_tests_for(validated, manifest, scaling, threads) -> None:
                 list(zip(est.grid, est.density)),
                 f"density_{_alpha_tag(alpha)}.csv",
             )
+    manifest.engine = engine(validated.op)
     smallest = validated.alphas[-1]
 
     m = derivative_at_root(validated.op)
@@ -362,6 +367,7 @@ def _cmd_em_compare(args) -> int:
         seed=validated.seed,
         threads=args.threads,
     )
+    manifest.engine = engine(validated.op)
     rows = [("alpha", alpha), ("exponent", result.exponent),
             ("rel_err", result.rel_err)]
     rows += list(_matrix_rows("sa_cov", result.sa_cov))

@@ -282,12 +282,17 @@ def contractive_tanh(gain: float = 0.9, weights=None) -> DriftOperator:
     )
 
 
+def _neg_cube(x):
+    """F(x) = -x^3; the engine steps this drift with its compiled kernel."""
+    return -(x * x * x)
+
+
 def quartic() -> DriftOperator:
     """Descent field of f(x) = x^4 / 4: F(x) = -x^3, flat at the root."""
     return DriftOperator(
         name="quartic",
         dim=1,
-        fn=lambda x: -(x * x * x),
+        fn=_neg_cube,
         root=np.zeros(1),
         jacobian=np.array([[0.0]]),
         stability_limit=0.25,

@@ -23,7 +23,7 @@ import numpy as np
 from .core import NumericalError, PowerScaling
 from .drift import exp_square, quartic, quartic_sine
 from .noise import make_noise
-from .simulate import require_stable, run_chains
+from .simulate import engine, require_stable, run_chains
 from .stats import estimate_density, log_density_fit
 
 #: density curves flatten/sharpen 10^|p - p*| per decade under a wrong
@@ -157,6 +157,7 @@ class FigureResult:
     sigmas: dict                  # alpha -> sample std of the scaled iterate
     trend: Optional[TrendCheck]
     fits: dict                    # q -> FitReport
+    engine: str                   # simulate.engine of the figure's drift
 
 
 def _figure_samples(drift_name: str, run: FigureRun, seed: int, threads: int,
@@ -234,4 +235,5 @@ def run_figure(
         sigmas=sigmas,
         trend=trend,
         fits=fits,
+        engine=engine(_DRIFTS[spec.drift]()),
     )

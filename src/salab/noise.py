@@ -55,8 +55,11 @@ def sign_words(rng: np.random.Generator, n: int) -> np.ndarray:
     """Raw 64-bit words for n sign draws: draw s is bit s % 64 of word s // 64.
 
     One raw word feeds 64 sign draws, which is much cheaper than floats.
+    The words are the bit generator's raw output: for the Philox streams
+    of core.seed_rng, the same words (and the same later draws) as
+    rng.integers(0, 1 << 64, dtype=np.uint64), at a third of the cost.
     """
-    return rng.integers(0, 1 << 64, size=(n + 63) // 64, dtype=np.uint64)
+    return rng.bit_generator.random_raw((n + 63) // 64)
 
 
 def sign_table(coeff: float) -> np.ndarray:

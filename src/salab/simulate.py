@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .core import NumericalError, PowerScaling, ValidatedConfig, seed_rng, stream_id
-from .drift import DriftOperator
+from .drift import DriftOperator, _neg_cube
 from .noise import NoiseModel, decode_signs, sample_block, sign_table, sign_words
 
 #: chains simulated together in one vectorized group; grouping never affects
@@ -109,26 +109,53 @@ def moment_summary(ens: Ensemble) -> MomentSummary:
     )
 
 
-def _sign_chunks(gens, coeff: float, total: int):
-    """Pre-scaled sign-noise rows for all total steps, one 64-step word at a time.
+def _sign_word_blocks(gens, total: int):
+    """Each chain's packed sign words for all total steps, a block at a time.
 
     Each chain draws a block's words from its own stream, _SIGN_STEP_BLOCK
     steps at a time, so draw s of a block is bit s % 64 of its word s // 64.
-    A word row is decoded into 64 contiguous rows of +-coeff only when the
-    update loop reaches it; the buffer is reused, so it never holds more
-    than 64 steps.  The word block is refilled in place as well.
+    Yields (words, block): words[i, j] is word i of chain j.  The word block
+    is refilled in place.
     """
-    table = sign_table(coeff)
-    rows = np.empty((64, len(gens)))
     words = np.empty(((min(_SIGN_STEP_BLOCK, total) + 63) // 64, len(gens)), np.uint64)
     for k in range(0, total, _SIGN_STEP_BLOCK):
         block = min(_SIGN_STEP_BLOCK, total - k)
         n_words = (block + 63) // 64
         for j, g in enumerate(gens):
             words[:n_words, j] = sign_words(g, block)
-        for w, word_row in enumerate(words[:n_words]):
+        yield words[:n_words], block
+
+
+def _sign_chunks(word_blocks, table: np.ndarray, n: int):
+    """Rows of table values for the packed words, one 64-step word at a time.
+
+    A word row is decoded into 64 contiguous rows only when the update loop
+    reaches it; the buffer is reused, so it never holds more than 64 steps.
+    """
+    rows = np.empty((64, n))
+    for words, block in word_blocks:
+        for w, word_row in enumerate(words):
             np.copyto(rows, decode_signs(word_row, table).T)
             yield rows[: block - 64 * w]
+
+
+def _kernel_for(op: DriftOperator):
+    """The compiled step kernel when it runs op's update, else None.
+
+    Only F(x) = -x^3 at d = 1 has a kernel.  Its module is imported, and
+    the kernel built and loaded, on the first such call, never on import;
+    it is None when that fails.
+    """
+    if op.fn is not _neg_cube or op.dim != 1:
+        return None
+    from . import _step
+
+    return _step.load()
+
+
+def engine(op: DriftOperator) -> str:
+    """The body that steps op's chains: "compiled" or "numpy"."""
+    return "numpy" if _kernel_for(op) is None else "compiled"
 
 
 def _tile_chains(block: int, d: int) -> int:
@@ -161,6 +188,7 @@ def _shaped_chunks(nm: NoiseModel, gens, coeff: float, total: int):
 
 def _run_group(
     op: DriftOperator,
+    kernel,
     nm: NoiseModel,
     drift_coeff: float,
     noise_coeff: float,
@@ -178,7 +206,9 @@ def _run_group(
     per-chain trajectories are independent of the grouping; the group width
     only controls vectorization.  The state is one (nc, d) array for every
     drift, and every noise shape feeds the same update body with rows that
-    already hold noise_coeff * w.
+    already hold noise_coeff * w.  When kernel is not None (the quartic
+    drift, see _kernel_for), it steps the chains instead of that body and
+    makes the same roundings in the same order.
     """
     nc = chain_ids.size
     d = op.dim
@@ -188,24 +218,39 @@ def _run_group(
     x = np.tile(init, (nc, 1))
 
     # scalar sign noise stays packed, one bit per draw, until decoded
-    if nm.shape == "rademacher" and d == 1:
-        chunks = _sign_chunks(gens, noise_coeff * float(nm.cholesky[0, 0]), total)
+    sign = nm.shape == "rademacher" and d == 1
+    if sign:
+        table = sign_table(noise_coeff * float(nm.cholesky[0, 0]))
+        blocks = _sign_word_blocks(gens, total)
     else:
-        chunks = _shaped_chunks(nm, gens, noise_coeff, total)
+        blocks = _shaped_chunks(nm, gens, noise_coeff, total)
 
-    k = 0
-    next_record = burn_in + thin
-    with np.errstate(over="ignore", invalid="ignore"):
-        for rows in chunks:
-            for row in rows.reshape(-1, *x.shape):
-                f = op.fn(x)
-                f *= drift_coeff
-                x += f
-                x += row
-                k += 1
-                if k == next_record:
-                    out[:, (k - burn_in) // thin - 1] = x
-                    next_record += thin
+    if kernel is not None:
+        k = 0
+        for noise in blocks:
+            if sign:
+                words, block = noise
+                kernel.step_signs(x, words, block, k, drift_coeff, table[0, 0],
+                                  table[1, 0], out, burn_in, thin)
+            else:
+                block = len(noise)
+                kernel.step_rows(x, noise, k, drift_coeff, out, burn_in, thin)
+            k += block
+    else:
+        chunks = _sign_chunks(blocks, table, nc) if sign else blocks
+        k = 0
+        next_record = burn_in + thin
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows in chunks:
+                for row in rows.reshape(-1, *x.shape):
+                    f = op.fn(x)
+                    f *= drift_coeff
+                    x += f
+                    x += row
+                    k += 1
+                    if k == next_record:
+                        out[:, (k - burn_in) // thin - 1] = x
+                        next_record += thin
     # the last record is the final state, so this also checks where chains end
     return out, np.isfinite(out).all(axis=(1, 2))
 
@@ -239,10 +284,11 @@ def run_chains(
     label = (purpose, op.name, nm.shape, format(float(drift_coeff), ".17g"))
     all_ids = np.arange(n_chains)
     groups = [all_ids[i : i + _CHAIN_GROUP] for i in range(0, n_chains, _CHAIN_GROUP)]
+    kernel = _kernel_for(op)
 
     def work(ids):
         return _run_group(
-            op, nm, drift_coeff, noise_coeff, ids, burn_in, thin,
+            op, kernel, nm, drift_coeff, noise_coeff, ids, burn_in, thin,
             samples_per_chain, seed, label, init,
         )
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import salab._step as step
 from salab.cli import _write_csv, main
 
 QUAD_CFG = """
@@ -165,6 +166,20 @@ class TestFigureCommand:
         assert names == {"density_0.001.csv", "logfit.csv", "manifest.json"}
         q, *rest = (out / "logfit.csv").read_text().splitlines()[1].split(",")
         assert q == "2"
+
+
+    def test_fig3_bytes_are_equal_on_both_bodies(self, tmp_path, monkeypatch):
+        if step.load() is None:
+            pytest.skip("no C compiler: the compiled kernel cannot be built")
+        outs = {}
+        for body in ("compiled", "numpy"):
+            if body == "numpy":
+                monkeypatch.setattr(step, "load", lambda: None)
+            outs[body] = tmp_path / body
+            assert main(["figure", "fig3", "--out", str(outs[body]), "--seed", "2"]) == 0
+            manifest = json.loads((outs[body] / "manifest.json").read_text())
+            assert manifest["engine"] == body
+        assert read_bytes(outs["compiled"]) == read_bytes(outs["numpy"])
 
 
 class TestPipelineCommand:

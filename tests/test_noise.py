@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from salab.core import ConfigError, seed_rng
-from salab.noise import make_noise, sample_block
+from salab.noise import make_noise, sample_block, sign_words
 
 SQRT6 = np.sqrt(6.0)
 
@@ -74,3 +74,15 @@ class TestUniversality:
         ]
         for s in solutions[1:]:
             assert np.array_equal(s, solutions[0])
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 16384])
+def test_sign_words_are_the_full_range_integers(n):
+    # raw words equal integers(0, 2^64) and leave the stream where it would
+    old, new = seed_rng(21, 5), seed_rng(21, 5)
+    expected = old.integers(0, 1 << 64, size=(n + 63) // 64, dtype=np.uint64)
+    words = sign_words(new, n)
+    assert words.dtype == np.uint64 and words.tobytes() == expected.tobytes()
+    assert new.standard_normal(7).tobytes() == old.standard_normal(7).tobytes()
+    assert new.integers(0, 1 << 64, size=3, dtype=np.uint64).tobytes() == \
+        old.integers(0, 1 << 64, size=3, dtype=np.uint64).tobytes()

@@ -4,6 +4,7 @@ from math import ceil
 import numpy as np
 import pytest
 
+import salab._step as step
 import salab.simulate as sim
 from salab.core import (
     ExperimentConfig,
@@ -40,6 +41,17 @@ def chain_rng(op, nm, drift_coeff, c, seed, purpose="simulate"):
     """A fresh copy of the stream run_chains gives chain c."""
     label = (purpose, op.name, nm.shape, format(float(drift_coeff), ".17g"))
     return seed_rng(seed, stream_id(*label, c))
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def body(request, monkeypatch):
+    """Run the quartic drift on the named body: the C kernel or the numpy loop."""
+    if request.param == "numpy":
+        monkeypatch.setattr(step, "load", lambda: None)
+    elif step.load() is None:
+        pytest.skip("no C compiler: the compiled kernel cannot be built")
+    assert sim.engine(quartic()) == request.param
+    return request.param
 
 
 def one_step(op, nm, alpha, x0, seed):
@@ -149,6 +161,30 @@ class TestRunEnsemble:
         monkeypatch.setattr(sim, "_CHAIN_GROUP", 7)
         narrow = run_ensemble(cfg, alpha)
         assert np.array_equal(wide.samples, narrow.samples)
+
+    @pytest.mark.parametrize("shape", ["rademacher", "gaussian"])
+    def test_quartic_thread_and_group_invariance(self, shape, body, monkeypatch):
+        # the same bytes for one wide group, groups of 7, and groups of 5
+        # spread over four threads, on either body
+        alpha = 0.05
+        cfg = validate_config(ExperimentConfig(
+            drift="quartic", noise_shape=shape, noise_sigma=[[1.0]], alphas=(alpha,),
+            scaling=0.25, n_chains=24, burn_in=700, thin=9, samples_per_chain=64, seed=5,
+        ))
+        wide = run_ensemble(cfg, alpha)
+        monkeypatch.setattr(sim, "_CHAIN_GROUP", 7)
+        narrow = run_ensemble(cfg, alpha)
+        monkeypatch.setattr(sim, "_CHAIN_GROUP", 5)
+        workers = set()
+
+        def seed_rng_noting_thread(*args):
+            workers.add(threading.get_ident())
+            return seed_rng(*args)
+
+        monkeypatch.setattr(sim, "seed_rng", seed_rng_noting_thread)
+        multi = run_ensemble(cfg, alpha, threads=4)
+        assert len(workers) >= 2 and threading.get_ident() not in workers
+        assert wide.samples.tobytes() == narrow.samples.tobytes() == multi.samples.tobytes()
 
     @pytest.mark.parametrize("shape", ["gaussian", "rademacher", "uniform"])
     def test_noise_shape_universality(self, shape):
@@ -266,6 +302,19 @@ def reference_chain(op, nm, drift_coeff, noise_coeff, c, *, burn_in, thin,
     return np.array(records)
 
 
+def assert_chains_match_reference(op, nm, n_chains, chains, **sizes):
+    """The given chains of one run_chains call equal reference_chain bit for bit."""
+    raw = run_chains(op, nm, 0.01, 0.02, n_chains=n_chains, **sizes)
+    assert raw.n_diverged == 0
+    for c in chains:
+        records = reference_chain(op, nm, 0.01, 0.02, c, **sizes)
+        assert raw.samples[c].tobytes() == records.tobytes(), c
+
+
+#: chains per tile of the compiled kernel (TILE in _step.c)
+KERNEL_TILE = 64
+
+
 class TestEngineMatchesReference:
     @pytest.mark.parametrize(
         "op, shape, sigma, burn_in, thin, spc",
@@ -282,13 +331,44 @@ class TestEngineMatchesReference:
         ids=["sign-d1", "sign-d2", "gaussian-d1", "gaussian-d2", "uniform-d1"],
     )
     def test_each_chain_is_bit_identical(self, op, shape, sigma, burn_in, thin, spc):
+        assert_chains_match_reference(op, make_noise(shape, sigma), 3, range(3),
+                                      burn_in=burn_in, thin=thin, samples_per_chain=spc,
+                                      seed=12)
+
+    @pytest.mark.parametrize(
+        "shape, sigma, burn_in, thin, spc",
+        [
+            # burn-in ends 6 steps into the second sign block, mid-word, and
+            # the records straddle the third block's first word
+            ("rademacher", [[0.5]], 16390, 101, 170),
+            ("gaussian", [[1.0]], 4100, 13, 20),
+            ("uniform", [[1.5]], 4100, 13, 20),
+        ],
+        ids=["sign", "gaussian", "uniform"],
+    )
+    def test_quartic_chains_on_both_bodies(self, shape, sigma, burn_in, thin, spc, body):
+        # a full kernel tile, then a partial one of 5 chains
+        n_chains = KERNEL_TILE + 5
+        assert_chains_match_reference(
+            quartic(), make_noise(shape, sigma), n_chains,
+            (0, KERNEL_TILE - 1, KERNEL_TILE, n_chains - 1),
+            burn_in=burn_in, thin=thin, samples_per_chain=spc, seed=14)
+
+    # about an eighth (gaussian) and a quarter (sign) of the chains diverge
+    @pytest.mark.parametrize("shape, sigma", [("gaussian", [[30.0]]),
+                                              ("rademacher", [[150.0]])])
+    def test_diverging_quartic_chains_agree_on_both_bodies(self, shape, sigma, monkeypatch):
+        if step.load() is None:
+            pytest.skip("no C compiler: the compiled kernel cannot be built")
         nm = make_noise(shape, sigma)
-        sizes = dict(burn_in=burn_in, thin=thin, samples_per_chain=spc, seed=12)
-        raw = run_chains(op, nm, 0.01, 0.02, n_chains=3, **sizes)
-        assert raw.n_diverged == 0
-        for c in range(3):
-            records = reference_chain(op, nm, 0.01, 0.02, c, **sizes)
-            assert raw.samples[c].tobytes() == records.tobytes()
+        sizes = dict(n_chains=100, burn_in=0, thin=1, samples_per_chain=300, seed=4)
+        compiled = run_chains(quartic(), nm, 0.1, 0.2, **sizes)
+        monkeypatch.setattr(step, "load", lambda: None)
+        numpy_body = run_chains(quartic(), nm, 0.1, 0.2, **sizes)
+        assert 0 < compiled.n_diverged < 100
+        assert compiled.n_diverged == numpy_body.n_diverged
+        assert np.array_equal(compiled.chain_ids, numpy_body.chain_ids)
+        assert compiled.samples.tobytes() == numpy_body.samples.tobytes()
 
     @pytest.mark.parametrize(
         "op, shape, sigma",
@@ -304,9 +384,6 @@ class TestEngineMatchesReference:
         nm = make_noise(shape, sigma)
         tile = sim._tile_chains(sim._STEP_BLOCK, nm.dim)
         n_chains = 2 * tile + 5
-        sizes = dict(burn_in=4000, thin=13, samples_per_chain=20, seed=13)
-        raw = run_chains(op, nm, 0.01, 0.02, n_chains=n_chains, **sizes)
-        assert raw.n_diverged == 0
-        for c in sorted({0, tile - 1, tile, 2 * tile - 1, 2 * tile, n_chains - 1}):
-            records = reference_chain(op, nm, 0.01, 0.02, c, **sizes)
-            assert raw.samples[c].tobytes() == records.tobytes(), c
+        assert_chains_match_reference(
+            op, nm, n_chains, sorted({0, tile - 1, tile, 2 * tile - 1, 2 * tile, n_chains - 1}),
+            burn_in=4000, thin=13, samples_per_chain=20, seed=13)

@@ -1,0 +1,151 @@
+"""The compiled step kernel: its build, its dispatch and its numpy fallback."""
+
+import functools
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import salab._step as step
+import salab.simulate as sim
+from salab.drift import linear, quartic, quartic_sine
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+QUARTIC_CFG = """
+drift = quartic
+noise.shape = rademacher
+noise.sigma = [[1.0]]
+alphas = 0.01
+scaling = 0.25
+n_chains = 70
+burn_in = 2000
+thin = 37
+samples_per_chain = 16
+seed = 3
+"""
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+def run_salab(args, tmp_path, cache, path=None):
+    """salab in a fresh interpreter with its kernel cache at `cache`."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "XDG_CACHE_HOME": str(cache)}
+    if path is not None:
+        env["PATH"] = str(path)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+
+
+def fake_cc(tmp_path):
+    """A directory whose `cc` only leaves a marker file behind, and that marker."""
+    bin_dir, marker = tmp_path / "bin", tmp_path / "cc-ran"
+    bin_dir.mkdir()
+    cc = bin_dir / "cc"
+    cc.write_text(f"#!/bin/sh\ntouch '{marker}'\nexit 1\n")
+    cc.chmod(0o755)
+    return bin_dir, marker
+
+
+@pytest.fixture
+def fresh_kernel(tmp_path, monkeypatch):
+    """A kernel built now into an empty cache, and loaded in place of the cached one."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(step, "load", functools.cache(step.load.__wrapped__))
+    kernel = step.load()
+    assert kernel is not None
+    return kernel
+
+
+def csv_bytes(out):
+    return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+
+
+@needs_cc
+def test_source_compiles_without_warnings(tmp_path):
+    # the production flags plus every common warning, as errors
+    res = subprocess.run(
+        ["cc", *step.CFLAGS, "-Wall", "-Wextra", "-Werror", str(step.SOURCE),
+         "-o", str(tmp_path / "step.so")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+
+
+def test_only_the_quartic_drift_takes_the_kernel(fresh_kernel):
+    assert sim.engine(quartic()) == "compiled"
+    assert sim.engine(linear([[-1.0]])) == "numpy"
+    assert sim.engine(quartic_sine()) == "numpy"
+
+
+def test_import_and_dry_run_build_nothing(tmp_path):
+    cache = tmp_path / "cache"
+    bin_dir, marker = fake_cc(tmp_path)
+    path = f"{bin_dir}{os.pathsep}{os.environ['PATH']}"
+    for args in (["-c", "import salab.cli"],
+                 ["-m", "salab", "figure", "fig3", "--dry-run"]):
+        res = run_salab(args, tmp_path, cache, path)
+        assert res.returncode == 0, res.stderr
+    assert not marker.exists() and not cache.exists()
+    # the probe sees a build: a quartic run starts the compiler, whose
+    # failure leaves the numpy body in charge
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text(QUARTIC_CFG)
+    res = run_salab(["-m", "salab", "simulate", "--config", str(cfg), "--out", "q"],
+                    tmp_path, cache, path)
+    assert res.returncode == 0, res.stderr
+    assert marker.exists()
+    assert json.loads((tmp_path / "q" / "manifest.json").read_text())["engine"] == "numpy"
+
+
+@pytest.mark.parametrize("failure", ["no-compiler", "unwritable-cache"])
+def test_fallback_writes_the_compiled_bytes(tmp_path, failure):
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text(QUARTIC_CFG)
+    args = ["-m", "salab", "simulate", "--config", str(cfg), "--out"]
+    if failure == "no-compiler":
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        res = run_salab([*args, "fallback"], tmp_path, tmp_path / "c1", path=empty)
+    else:
+        blocked = tmp_path / "not-a-dir"
+        blocked.write_text("")
+        res = run_salab([*args, "fallback"], tmp_path, blocked)
+    assert res.returncode == 0, res.stderr
+    manifest = json.loads((tmp_path / "fallback" / "manifest.json").read_text())
+    assert manifest["engine"] == "numpy"
+
+    cache = tmp_path / "c2"
+    res = run_salab([*args, "compiled"], tmp_path, cache)
+    assert res.returncode == 0, res.stderr
+    assert csv_bytes(tmp_path / "fallback") == csv_bytes(tmp_path / "compiled")
+    if shutil.which("cc") is not None:
+        manifest = json.loads((tmp_path / "compiled" / "manifest.json").read_text())
+        assert manifest["engine"] == "compiled"
+        digest = hashlib.sha256(step.SOURCE.read_bytes()).hexdigest()
+        built = sorted(p.name for p in (cache / "salab").glob("*.so"))
+        assert built == [f"step-{digest}.so"]
+
+
+def test_kernel_rejects_buffers_it_cannot_step(fresh_kernel):
+    kernel = fresh_kernel
+    x, out = np.zeros((4, 1)), np.zeros((4, 3, 1))
+    rows = np.zeros((10, 4, 1))
+    kernel.step_rows(x, rows, 0, 0.1, out, burn_in=1, thin=3)
+    with pytest.raises(ValueError, match="shape"):
+        kernel.step_rows(x, rows[:, :3], 0, 0.1, out, burn_in=1, thin=3)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        kernel.step_rows(np.zeros((4, 2))[:, :1], rows, 0, 0.1, out, burn_in=1, thin=3)
+    with pytest.raises(ValueError, match="uint64"):
+        kernel.step_signs(x, np.zeros((1, 4)), 10, 0, 0.1, -1.0, 1.0, out, burn_in=1, thin=3)
+    with pytest.raises(ValueError, match="schedule"):
+        # steps 1..10 of a schedule that ends at step 1 + 3 * 3 = 10 fit; 2..11 do not
+        kernel.step_rows(x, rows, 1, 0.1, out, burn_in=1, thin=3)
