@@ -32,6 +32,23 @@ SOURCE = Path(__file__).with_name("_step.c")
 _long, _double, _ptr = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
 
 
+#: the drifts the kernel steps, in the order of _step.c's enum:
+#: F(x) = -x^3, -(x a) and x a + b
+KINDS = ("neg_cube", "neg_scale", "affine")
+
+
+class Drift(ctypes.Structure):
+    """The drift the kernel steps: the index of its kind, coefficients a and b, and dc."""
+
+    _fields_ = [("kind", _long), ("a", _double), ("b", _double), ("dc", _double)]
+
+
+def _drift(kind, a, b, dc) -> Drift:
+    if kind not in KINDS:
+        raise ValueError(f"step kernel has no drift kind {kind!r}")
+    return Drift(KINDS.index(kind), a, b, dc)
+
+
 def _data(a: np.ndarray, dtype, shape) -> int:
     """Address of a's buffer, once it is checked to be what the kernel reads."""
     if a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous:
@@ -50,33 +67,37 @@ def _records(out, n, k0, m, burn_in, thin) -> tuple:
 
 
 class Kernel:
-    """Steps a group of n quartic chains, state x of shape (n, 1), through one block.
+    """Steps n chains at d = 1, state x of shape (n, 1), through one block.
 
-    k0 is the number of steps taken before the block; each chain's record r,
-    its state after step burn_in + (r + 1) * thin, goes to out[chain, r, 0].
+    drift is (kind, a, b, dc): a drift F of one of the KINDS and its
+    coefficient.  k0 is the number of steps taken before the block; each
+    chain's record r, its state after step burn_in + (r + 1) * thin, goes to
+    out[chain, r, 0].
     """
 
     def __init__(self, lib: ctypes.CDLL):
-        lib.step_rows.argtypes = [_ptr, _long, _ptr, _long, _long, _double,
+        drift = ctypes.POINTER(Drift)
+        lib.step_tile.argtypes = [drift, _ptr, _long, _ptr, _long, _long,
                                   _ptr, _long, _long, _long]
-        lib.step_signs.argtypes = [_ptr, _long, _ptr, _long, _long, _double,
-                                   _double, _double, _ptr, _long, _long, _long]
-        lib.step_rows.restype = lib.step_signs.restype = None
+        lib.step_signs.argtypes = [drift, _ptr, _long, _ptr, _long, _long, _double,
+                                   _double, _ptr, _long, _long, _long]
+        lib.step_tile.restype = lib.step_signs.restype = None
         self._lib = lib
 
-    def step_rows(self, x, rows, k0, dc, out, burn_in, thin) -> None:
-        """rows: (m, n, 1) noise, already scaled, one row per step."""
-        n, m = len(x), len(rows)
-        self._lib.step_rows(
-            _data(x, np.float64, (n, 1)), n, _data(rows, np.float64, (m, n, 1)), m,
-            k0, dc, *_records(out, n, k0, m, burn_in, thin))
+    def step_tile(self, drift, x, draws, k0, out, burn_in, thin) -> None:
+        """draws: (n, m, 1) noise, already scaled, as each chain drew it."""
+        n, m = draws.shape[:2]
+        self._lib.step_tile(
+            _drift(*drift), _data(x, np.float64, (n, 1)), n,
+            _data(draws, np.float64, (n, m, 1)), m, k0, *_records(out, n, k0, m, burn_in, thin))
 
-    def step_signs(self, x, words, m, k0, dc, lo, hi, out, burn_in, thin) -> None:
+    def step_signs(self, drift, x, words, m, k0, lo, hi, out, burn_in, thin) -> None:
         """words: (ceil(m / 64), n) packed draws; a set bit adds hi, a clear one lo."""
         n = len(x)
         self._lib.step_signs(
-            _data(x, np.float64, (n, 1)), n, _data(words, np.uint64, ((m + 63) // 64, n)),
-            m, k0, dc, lo, hi, *_records(out, n, k0, m, burn_in, thin))
+            _drift(*drift), _data(x, np.float64, (n, 1)), n,
+            _data(words, np.uint64, ((m + 63) // 64, n)), m, k0, lo, hi,
+            *_records(out, n, k0, m, burn_in, thin))
 
 
 def _build(source: bytes, target: Path) -> None:

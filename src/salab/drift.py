@@ -194,6 +194,31 @@ def _ball_point(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray
 # catalog
 # ---------------------------------------------------------------------------
 
+# The engine steps these fields with its compiled kernel at d = 1.  They are
+# module-level types rather than lambdas so that it can recognize them and
+# read their coefficients.
+
+@dataclass(frozen=True, eq=False)
+class NegatedLinear:
+    """F(x) = -(x H^T): gradient descent on x^T H x / 2."""
+
+    h: np.ndarray
+
+    def __call__(self, x):
+        return -(x @ self.h.T)
+
+
+@dataclass(frozen=True, eq=False)
+class Affine:
+    """F(x) = x A^T + b."""
+
+    a: np.ndarray
+    b: np.ndarray
+
+    def __call__(self, x):
+        return x @ self.a.T + self.b
+
+
 def grad_quadratic(hessian=((1.0,),)) -> DriftOperator:
     """Gradient descent field for f(x) = x^T H x / 2 with H symmetric PD."""
     h = as_square_matrix(hessian, "hessian")
@@ -206,7 +231,7 @@ def grad_quadratic(hessian=((1.0,),)) -> DriftOperator:
     return DriftOperator(
         name="grad_quadratic",
         dim=h.shape[0],
-        fn=lambda x: -(x @ h.T),
+        fn=NegatedLinear(h),
         root=np.zeros(h.shape[0]),
         jacobian=-h,
         certificate=SmoothConvexCertificate(smoothness=big_l, strong_convexity=sig),
@@ -257,7 +282,7 @@ def linear(a, b=None) -> DriftOperator:
     return DriftOperator(
         name="linear",
         dim=d,
-        fn=lambda x: x @ a.T + b,
+        fn=Affine(a, b),
         root=root,
         jacobian=a.copy(),
         stability_limit=min(1.0, 0.5 * exact),

@@ -98,6 +98,15 @@ def _unit_variance_block(shape: str, rng: np.random.Generator, n: int, d: int) -
 
 
 def sample_block(nm: NoiseModel, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n noise vectors with covariance Sigma, shape (n, dim)."""
-    return _unit_variance_block(nm.shape, rng, n, nm.dim) @ nm.cholesky.T
+    """Draw n noise vectors with covariance Sigma, shape (n, dim).
+
+    At d = 1 each draw is scaled in place by the one Cholesky entry: a
+    single product, so the same bits as the matrix product, without its
+    overhead.
+    """
+    z = _unit_variance_block(nm.shape, rng, n, nm.dim)
+    if nm.dim == 1:
+        z *= nm.cholesky[0, 0]
+        return z
+    return z @ nm.cholesky.T
 

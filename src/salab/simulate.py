@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .core import NumericalError, PowerScaling, ValidatedConfig, seed_rng, stream_id
-from .drift import DriftOperator, _neg_cube
+from .drift import Affine, DriftOperator, NegatedLinear, _neg_cube
 from .noise import NoiseModel, decode_signs, sample_block, sign_table, sign_words
 
 #: chains simulated together in one vectorized group; grouping never affects
@@ -29,8 +29,8 @@ _STEP_BLOCK = 4096
 #: larger blocks for the compact sign-noise fast path (1 byte per draw)
 _SIGN_STEP_BLOCK = 16384
 
-#: bytes of gaussian/uniform noise staged chain-major before it is laid out
-#: step-major, a tile of consecutive chains at a time
+#: bytes of gaussian/uniform noise drawn chain-major, a tile of consecutive
+#: chains at a time
 _TILE_BYTES = 1 << 18
 
 #: abort when more than this fraction of chains diverges
@@ -140,17 +140,29 @@ def _sign_chunks(word_blocks, table: np.ndarray, n: int):
 
 
 def _kernel_for(op: DriftOperator):
-    """The compiled step kernel when it runs op's update, else None.
+    """(kernel, (kind, a, b)) when the compiled step kernel runs op's update, else None.
 
-    Only F(x) = -x^3 at d = 1 has a kernel.  Its module is imported, and
-    the kernel built and loaded, on the first such call, never on import;
-    it is None when that fails.
+    The kernel steps F(x) = -x^3, -(x h) and x a + b (drift.quartic,
+    grad_quadratic and linear) at d = 1; (kind, a, b) names the drift and
+    its coefficients.  Its module is imported, and the kernel built and
+    loaded, on the first such call, never on import; it is None when that
+    fails.
     """
-    if op.fn is not _neg_cube or op.dim != 1:
+    fn = op.fn
+    if op.dim != 1:
+        return None
+    if fn is _neg_cube:
+        drift = ("neg_cube", 0.0, 0.0)
+    elif isinstance(fn, NegatedLinear):
+        drift = ("neg_scale", float(fn.h[0, 0]), 0.0)
+    elif isinstance(fn, Affine):
+        drift = ("affine", float(fn.a[0, 0]), float(fn.b[0]))
+    else:
         return None
     from . import _step
 
-    return _step.load()
+    kernel = _step.load()
+    return None if kernel is None else (kernel, drift)
 
 
 def engine(op: DriftOperator) -> str:
@@ -163,32 +175,46 @@ def _tile_chains(block: int, d: int) -> int:
     return max(1, _TILE_BYTES // (8 * block * d))
 
 
-def _shaped_chunks(nm: NoiseModel, gens, coeff: float, total: int):
+def _noise_tiles(nm: NoiseModel, gens, coeff: float, total: int):
     """Noise for all total steps from each chain's stream, scaled by coeff once.
 
-    Each chain draws _STEP_BLOCK steps of noise at a time.  Consecutive
-    chains draw their (block, d) noise into one contiguous tile of about
-    _TILE_BYTES, and the tile is copied into the step-major block at once:
-    every block row then receives tile * d adjacent values per copy instead
-    of d values per chain.  The block and the tile are refilled in place,
-    so one block of noise is held at a time.
+    Each chain draws _STEP_BLOCK steps of noise at a time, and consecutive
+    chains draw into one contiguous tile of about _TILE_BYTES.  Yields
+    (k, c0, draws) with draws[j, s] the noise of chain c0 + j at step
+    k + s + 1; the tiles of one block come in chain order.  The tile is
+    refilled in place, so one tile of noise is held at a time.
     """
     n, d = len(gens), nm.dim
+    steps = min(_STEP_BLOCK, total)
+    width = min(n, _tile_chains(steps, d))
+    buf = np.empty(width * steps * d)
+    for k in range(0, total, steps):
+        block = min(steps, total - k)
+        for c0 in range(0, n, width):
+            draws = buf[: min(width, n - c0) * block * d].reshape(-1, block, d)
+            for j, g in enumerate(gens[c0 : c0 + len(draws)]):
+                np.multiply(sample_block(nm, g, block), coeff, out=draws[j])
+            yield k, c0, draws
+
+
+def _shaped_chunks(tiles, n: int, d: int, total: int):
+    """The step-major (block, n, d) noise of each block, for the numpy body.
+
+    Each tile is copied into the block at once: every block row then
+    receives tile * d adjacent values per copy instead of d values per
+    chain.  The block is refilled in place.
+    """
     noise = np.empty((min(_STEP_BLOCK, total), n, d))
-    tile = np.empty((min(n, _tile_chains(len(noise), d)), len(noise), d))
-    for k in range(0, total, len(noise)):
-        block = min(len(noise), total - k)
-        for c0 in range(0, n, len(tile)):
-            part = tile[: n - c0, :block]
-            for j, g in enumerate(gens[c0 : c0 + len(part)]):
-                np.multiply(sample_block(nm, g, block), coeff, out=part[j])
-            noise[:block, c0 : c0 + len(part)] = part.transpose(1, 0, 2)
-        yield noise[:block]
+    for _, c0, draws in tiles:
+        block = draws.shape[1]
+        noise[:block, c0 : c0 + len(draws)] = draws.transpose(1, 0, 2)
+        if c0 + len(draws) == n:
+            yield noise[:block]
 
 
 def _run_group(
     op: DriftOperator,
-    kernel,
+    stepper,
     nm: NoiseModel,
     drift_coeff: float,
     noise_coeff: float,
@@ -206,9 +232,10 @@ def _run_group(
     per-chain trajectories are independent of the grouping; the group width
     only controls vectorization.  The state is one (nc, d) array for every
     drift, and every noise shape feeds the same update body with rows that
-    already hold noise_coeff * w.  When kernel is not None (the quartic
-    drift, see _kernel_for), it steps the chains instead of that body and
-    makes the same roundings in the same order.
+    already hold noise_coeff * w.  When stepper is not None (see
+    _kernel_for), the compiled kernel steps the chains instead of that body,
+    each noise tile straight from where its chains drew it, and makes the
+    same roundings in the same order.
     """
     nc = chain_ids.size
     d = op.dim
@@ -223,21 +250,23 @@ def _run_group(
         table = sign_table(noise_coeff * float(nm.cholesky[0, 0]))
         blocks = _sign_word_blocks(gens, total)
     else:
-        blocks = _shaped_chunks(nm, gens, noise_coeff, total)
+        tiles = _noise_tiles(nm, gens, noise_coeff, total)
 
-    if kernel is not None:
-        k = 0
-        for noise in blocks:
-            if sign:
-                words, block = noise
-                kernel.step_signs(x, words, block, k, drift_coeff, table[0, 0],
-                                  table[1, 0], out, burn_in, thin)
-            else:
-                block = len(noise)
-                kernel.step_rows(x, noise, k, drift_coeff, out, burn_in, thin)
-            k += block
+    if stepper is not None:
+        kernel, coeffs = stepper
+        drift = (*coeffs, drift_coeff)
+        if sign:
+            k = 0
+            for words, block in blocks:
+                kernel.step_signs(drift, x, words, block, k, table[0, 0], table[1, 0],
+                                  out, burn_in, thin)
+                k += block
+        else:
+            for k, c0, draws in tiles:
+                c1 = c0 + len(draws)
+                kernel.step_tile(drift, x[c0:c1], draws, k, out[c0:c1], burn_in, thin)
     else:
-        chunks = _sign_chunks(blocks, table, nc) if sign else blocks
+        chunks = _sign_chunks(blocks, table, nc) if sign else _shaped_chunks(tiles, nc, d, total)
         k = 0
         next_record = burn_in + thin
         with np.errstate(over="ignore", invalid="ignore"):
@@ -284,11 +313,11 @@ def run_chains(
     label = (purpose, op.name, nm.shape, format(float(drift_coeff), ".17g"))
     all_ids = np.arange(n_chains)
     groups = [all_ids[i : i + _CHAIN_GROUP] for i in range(0, n_chains, _CHAIN_GROUP)]
-    kernel = _kernel_for(op)
+    stepper = _kernel_for(op)
 
     def work(ids):
         return _run_group(
-            op, kernel, nm, drift_coeff, noise_coeff, ids, burn_in, thin,
+            op, stepper, nm, drift_coeff, noise_coeff, ids, burn_in, thin,
             samples_per_chain, seed, label, init,
         )
 

@@ -89,6 +89,14 @@ class TestIntegralOracle:
             quad = solve_lyapunov_integral(m, sigma).sigma_y
             assert np.linalg.norm(kron - quad) < 1e-7
 
+    def test_defective_matrix_agrees_with_kronecker(self):
+        # a Jordan block has no eigenbasis: the oracle takes scipy's expm
+        m = np.array([[-1.0, 1.0], [0.0, -1.0]])
+        sigma = np.array([[1.0, 0.2], [0.2, 2.0]])
+        kron = solve_lyapunov(m, sigma).sigma_y
+        quad = solve_lyapunov_integral(m, sigma).sigma_y
+        assert np.linalg.norm(kron - quad) < 1e-8
+
     def test_non_hurwitz_rejected(self):
         with pytest.raises(NumericalError):
             solve_lyapunov_integral([[0.5]], [[1.0]])

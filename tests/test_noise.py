@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from salab.core import ConfigError, seed_rng
-from salab.noise import make_noise, sample_block, sign_words
+from salab.noise import _unit_variance_block, make_noise, sample_block, sign_words
 
 SQRT6 = np.sqrt(6.0)
 
@@ -86,3 +86,12 @@ def test_sign_words_are_the_full_range_integers(n):
     assert new.standard_normal(7).tobytes() == old.standard_normal(7).tobytes()
     assert new.integers(0, 1 << 64, size=3, dtype=np.uint64).tobytes() == \
         old.integers(0, 1 << 64, size=3, dtype=np.uint64).tobytes()
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "uniform", "rademacher"])
+def test_scalar_draws_equal_the_cholesky_product(shape):
+    # at d = 1 the draws are scaled in place; the bits are those of z @ L^T
+    nm = make_noise(shape, [[2.7]])
+    z = _unit_variance_block(shape, seed_rng(22, 3), 4096, 1)
+    expected = z @ nm.cholesky.T
+    assert sample_block(nm, seed_rng(22, 3), 4096).tobytes() == expected.tobytes()

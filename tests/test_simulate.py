@@ -1,4 +1,5 @@
 import threading
+from dataclasses import replace
 from math import ceil
 
 import numpy as np
@@ -45,7 +46,7 @@ def chain_rng(op, nm, drift_coeff, c, seed, purpose="simulate"):
 
 @pytest.fixture(params=["compiled", "numpy"])
 def body(request, monkeypatch):
-    """Run the quartic drift on the named body: the C kernel or the numpy loop."""
+    """Run the kernel's drifts on the named body: the C kernel or the numpy loop."""
     if request.param == "numpy":
         monkeypatch.setattr(step, "load", lambda: None)
     elif step.load() is None:
@@ -59,6 +60,42 @@ def one_step(op, nm, alpha, x0, seed):
     raw = run_chains(op, nm, alpha, alpha, n_chains=1, burn_in=0, thin=1,
                      samples_per_chain=1, seed=seed, init=x0)
     return raw.samples[0, 0]
+
+
+def spread_over_threads(monkeypatch):
+    """The set of threads that seed chains, each held until a second one starts.
+
+    Groups of a few chains finish in microseconds on the compiled kernel,
+    so one worker could otherwise run them all before another starts.
+    """
+    workers, second = set(), threading.Event()
+
+    def seed_rng_noting_thread(*args):
+        workers.add(threading.get_ident())
+        if len(workers) >= 2:
+            second.set()
+        elif not second.wait(timeout=10):
+            second.set()          # no second worker: fail on the count, not here
+        return seed_rng(*args)
+
+    monkeypatch.setattr(sim, "seed_rng", seed_rng_noting_thread)
+    return workers
+
+
+def assert_thread_and_group_invariance(cfg, monkeypatch):
+    """The same bytes for one wide group, groups of 7, and groups of 5 spread
+    over four threads, on whichever body runs cfg's drift."""
+    alpha = 0.05
+    cfg = validate_config(replace(cfg, noise_sigma=[[1.0]], alphas=(alpha,), n_chains=24,
+                                  burn_in=700, thin=9, samples_per_chain=64, seed=5))
+    wide = run_ensemble(cfg, alpha)
+    monkeypatch.setattr(sim, "_CHAIN_GROUP", 7)
+    narrow = run_ensemble(cfg, alpha)
+    monkeypatch.setattr(sim, "_CHAIN_GROUP", 5)
+    workers = spread_over_threads(monkeypatch)
+    multi = run_ensemble(cfg, alpha, threads=4)
+    assert len(workers) >= 2 and threading.get_ident() not in workers
+    assert wide.samples.tobytes() == narrow.samples.tobytes() == multi.samples.tobytes()
 
 
 class TestStepChain:
@@ -143,13 +180,7 @@ class TestRunEnsemble:
         cfg = quadratic_config(alpha, n_chains=16, spc=64, seed=5)
         single = run_ensemble(cfg, alpha, threads=1)
         monkeypatch.setattr(sim, "_CHAIN_GROUP", 5)
-        workers = set()
-
-        def seed_rng_noting_thread(*args):
-            workers.add(threading.get_ident())
-            return seed_rng(*args)
-
-        monkeypatch.setattr(sim, "seed_rng", seed_rng_noting_thread)
+        workers = spread_over_threads(monkeypatch)
         multi = run_ensemble(cfg, alpha, threads=4)
         assert len(workers) >= 2 and threading.get_ident() not in workers
         assert single.samples.tobytes() == multi.samples.tobytes()
@@ -164,27 +195,20 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("shape", ["rademacher", "gaussian"])
     def test_quartic_thread_and_group_invariance(self, shape, body, monkeypatch):
-        # the same bytes for one wide group, groups of 7, and groups of 5
-        # spread over four threads, on either body
-        alpha = 0.05
-        cfg = validate_config(ExperimentConfig(
-            drift="quartic", noise_shape=shape, noise_sigma=[[1.0]], alphas=(alpha,),
-            scaling=0.25, n_chains=24, burn_in=700, thin=9, samples_per_chain=64, seed=5,
-        ))
-        wide = run_ensemble(cfg, alpha)
-        monkeypatch.setattr(sim, "_CHAIN_GROUP", 7)
-        narrow = run_ensemble(cfg, alpha)
-        monkeypatch.setattr(sim, "_CHAIN_GROUP", 5)
-        workers = set()
+        assert_thread_and_group_invariance(
+            ExperimentConfig(drift="quartic", noise_shape=shape, scaling=0.25),
+            monkeypatch)
 
-        def seed_rng_noting_thread(*args):
-            workers.add(threading.get_ident())
-            return seed_rng(*args)
-
-        monkeypatch.setattr(sim, "seed_rng", seed_rng_noting_thread)
-        multi = run_ensemble(cfg, alpha, threads=4)
-        assert len(workers) >= 2 and threading.get_ident() not in workers
-        assert wide.samples.tobytes() == narrow.samples.tobytes() == multi.samples.tobytes()
+    @pytest.mark.parametrize("shape", ["rademacher", "gaussian", "uniform"])
+    @pytest.mark.parametrize("drift, params", [("linear", {"a": [[-1.5]], "b": [0.7]}),
+                                               ("grad_quadratic", {"hessian": [[0.8]]})],
+                             ids=["linear", "grad_quadratic"])
+    def test_affine_thread_and_group_invariance(self, drift, params, shape, body,
+                                                monkeypatch):
+        assert_thread_and_group_invariance(
+            ExperimentConfig(drift=drift, drift_params=params, noise_shape=shape,
+                             scaling=0.5),
+            monkeypatch)
 
     @pytest.mark.parametrize("shape", ["gaussian", "rademacher", "uniform"])
     def test_noise_shape_universality(self, shape):
@@ -275,19 +299,21 @@ def reference_noise(nm, rng, n):
                 z[s, j] = 1.0 if (int(words[i // 64]) >> (i % 64)) & 1 else -1.0
     elif nm.shape == "gaussian":
         z = rng.standard_normal((n, d))
+    elif nm.shape == "noiseless":
+        z = np.zeros((n, d))
     else:
         z = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(n, d))
     return z @ nm.cholesky.T
 
 
 def reference_chain(op, nm, drift_coeff, noise_coeff, c, *, burn_in, thin,
-                    samples_per_chain, seed, purpose="simulate"):
+                    samples_per_chain, seed, purpose="simulate", init=None):
     """Chain c of run_chains, stepped alone, one step at a time."""
     rng = chain_rng(op, nm, drift_coeff, c, seed, purpose)
     sign_path = nm.shape == "rademacher" and nm.dim == 1
     step_block = sim._SIGN_STEP_BLOCK if sign_path else sim._STEP_BLOCK
     total = burn_in + samples_per_chain * thin
-    x = op.root.copy()[None, :]
+    x = (op.root if init is None else np.asarray(init, dtype=float)).copy()[None, :]
     records = []
     k = 0
     while k < total:
@@ -354,6 +380,47 @@ class TestEngineMatchesReference:
             (0, KERNEL_TILE - 1, KERNEL_TILE, n_chains - 1),
             burn_in=burn_in, thin=thin, samples_per_chain=spc, seed=14)
 
+    @pytest.mark.parametrize("op", [linear([[-1.5]], [0.7]), grad_quadratic([[2.5]])],
+                             ids=["linear", "grad_quadratic"])
+    @pytest.mark.parametrize(
+        "shape, sigma, blocks",
+        [
+            ("gaussian", [[1.3]], "long"),
+            ("gaussian", [[1.3]], "short"),
+            ("uniform", [[0.8]], "long"),
+            ("uniform", [[0.8]], "short"),
+            ("noiseless", [[0.0]], "short"),
+            ("rademacher", [[0.5]], "long"),
+        ],
+        ids=["gaussian-long", "gaussian-short", "uniform-long", "uniform-short",
+             "noiseless", "sign"],
+    )
+    def test_affine_chains_on_both_bodies(self, op, shape, sigma, blocks, body):
+        # Chains start off the root, so the noiseless ones move too.  Long
+        # blocks: burn-in ends 4 steps into the second noise block (sign:
+        # mid-word in the second sign block), and chains sit on both sides of
+        # the noise tile edges.  Short blocks: one block of 360 steps, whose
+        # noise tiles are wider than a kernel tile, so chains sit on both
+        # sides of a kernel tile edge and a noise tile edge.
+        nm = make_noise(shape, sigma)
+        if shape == "rademacher":
+            n_chains = KERNEL_TILE + 5
+            chains = {0, KERNEL_TILE - 1, KERNEL_TILE, n_chains - 1}
+            sizes = dict(burn_in=16390, thin=101, samples_per_chain=20)
+        elif blocks == "long":
+            tile = sim._tile_chains(sim._STEP_BLOCK, 1)
+            n_chains = 2 * tile + 3
+            chains = {0, tile - 1, tile, 2 * tile - 1, 2 * tile, n_chains - 1}
+            sizes = dict(burn_in=4100, thin=13, samples_per_chain=20)
+        else:
+            tile = sim._tile_chains(360, 1)
+            assert tile > KERNEL_TILE + 1
+            n_chains = tile + 5
+            chains = {0, KERNEL_TILE - 1, KERNEL_TILE, tile - 1, tile, n_chains - 1}
+            sizes = dict(burn_in=150, thin=7, samples_per_chain=30)
+        assert_chains_match_reference(op, nm, n_chains, sorted(chains), seed=15,
+                                      init=[3.0], **sizes)
+
     # about an eighth (gaussian) and a quarter (sign) of the chains diverge
     @pytest.mark.parametrize("shape, sigma", [("gaussian", [[30.0]]),
                                               ("rademacher", [[150.0]])])
@@ -365,6 +432,22 @@ class TestEngineMatchesReference:
         compiled = run_chains(quartic(), nm, 0.1, 0.2, **sizes)
         monkeypatch.setattr(step, "load", lambda: None)
         numpy_body = run_chains(quartic(), nm, 0.1, 0.2, **sizes)
+        assert 0 < compiled.n_diverged < 100
+        assert compiled.n_diverged == numpy_body.n_diverged
+        assert np.array_equal(compiled.chain_ids, numpy_body.chain_ids)
+        assert compiled.samples.tobytes() == numpy_body.samples.tobytes()
+
+    # X <- -2 X + 3 (0.5 + w) grows like 2^k: 61 to 78 of the 100 chains
+    # pass 1e308 and overflow within 1024 steps
+    @pytest.mark.parametrize("shape", ["gaussian", "uniform", "rademacher"])
+    def test_diverging_linear_chains_agree_on_both_bodies(self, shape, monkeypatch):
+        if step.load() is None:
+            pytest.skip("no C compiler: the compiled kernel cannot be built")
+        op, nm = linear([[-1.0]], [0.5]), make_noise(shape, [[1.0]])
+        sizes = dict(n_chains=100, burn_in=0, thin=1, samples_per_chain=1024, seed=4)
+        compiled = run_chains(op, nm, 3.0, 3.0, **sizes)
+        monkeypatch.setattr(step, "load", lambda: None)
+        numpy_body = run_chains(op, nm, 3.0, 3.0, **sizes)
         assert 0 < compiled.n_diverged < 100
         assert compiled.n_diverged == numpy_body.n_diverged
         assert np.array_equal(compiled.chain_ids, numpy_body.chain_ids)

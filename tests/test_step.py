@@ -14,7 +14,7 @@ import pytest
 
 import salab._step as step
 import salab.simulate as sim
-from salab.drift import linear, quartic, quartic_sine
+from salab.drift import grad_quadratic, linear, quartic, quartic_sine
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -27,6 +27,20 @@ scaling = 0.25
 n_chains = 70
 burn_in = 2000
 thin = 37
+samples_per_chain = 16
+seed = 3
+"""
+
+GRAD_CFG = """
+drift = grad_quadratic
+drift.hessian = [[2.0]]
+noise.shape = gaussian
+noise.sigma = [[1.5]]
+alphas = 0.02, 0.005
+scaling = 0.5
+n_chains = 70
+burn_in = 4100
+thin = 13
 samples_per_chain = 16
 seed = 3
 """
@@ -81,8 +95,13 @@ def test_source_compiles_without_warnings(tmp_path):
 
 
 def test_only_the_quartic_drift_takes_the_kernel(fresh_kernel):
+    # the quartic and the two affine drifts at d = 1; nothing else
     assert sim.engine(quartic()) == "compiled"
-    assert sim.engine(linear([[-1.0]])) == "numpy"
+    assert sim.engine(linear([[-1.0]])) == "compiled"
+    assert sim.engine(linear([[-1.0]], [0.5])) == "compiled"
+    assert sim.engine(grad_quadratic([[2.0]])) == "compiled"
+    assert sim.engine(linear([[-1.0, 0.5], [0.0, -2.0]])) == "numpy"
+    assert sim.engine(grad_quadratic(np.eye(2))) == "numpy"
     assert sim.engine(quartic_sine()) == "numpy"
 
 
@@ -108,44 +127,55 @@ def test_import_and_dry_run_build_nothing(tmp_path):
 
 @pytest.mark.parametrize("failure", ["no-compiler", "unwritable-cache"])
 def test_fallback_writes_the_compiled_bytes(tmp_path, failure):
-    cfg = tmp_path / "q.cfg"
-    cfg.write_text(QUARTIC_CFG)
-    args = ["-m", "salab", "simulate", "--config", str(cfg), "--out"]
-    if failure == "no-compiler":
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        res = run_salab([*args, "fallback"], tmp_path, tmp_path / "c1", path=empty)
-    else:
-        blocked = tmp_path / "not-a-dir"
-        blocked.write_text("")
-        res = run_salab([*args, "fallback"], tmp_path, blocked)
-    assert res.returncode == 0, res.stderr
-    manifest = json.loads((tmp_path / "fallback" / "manifest.json").read_text())
-    assert manifest["engine"] == "numpy"
+    for name, text in (("q", QUARTIC_CFG), ("g", GRAD_CFG)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        args = ["-m", "salab", "simulate", "--config", str(cfg), "--out"]
+        if failure == "no-compiler":
+            empty = tmp_path / "empty"
+            empty.mkdir(exist_ok=True)
+            res = run_salab([*args, f"{name}-fallback"], tmp_path, tmp_path / "c1", path=empty)
+        else:
+            blocked = tmp_path / "not-a-dir"
+            blocked.write_text("")
+            res = run_salab([*args, f"{name}-fallback"], tmp_path, blocked)
+        assert res.returncode == 0, res.stderr
+        manifest = json.loads((tmp_path / f"{name}-fallback" / "manifest.json").read_text())
+        assert manifest["engine"] == "numpy"
 
-    cache = tmp_path / "c2"
-    res = run_salab([*args, "compiled"], tmp_path, cache)
-    assert res.returncode == 0, res.stderr
-    assert csv_bytes(tmp_path / "fallback") == csv_bytes(tmp_path / "compiled")
-    if shutil.which("cc") is not None:
-        manifest = json.loads((tmp_path / "compiled" / "manifest.json").read_text())
-        assert manifest["engine"] == "compiled"
-        digest = hashlib.sha256(step.SOURCE.read_bytes()).hexdigest()
-        built = sorted(p.name for p in (cache / "salab").glob("*.so"))
-        assert built == [f"step-{digest}.so"]
+        cache = tmp_path / "c2"
+        res = run_salab([*args, f"{name}-compiled"], tmp_path, cache)
+        assert res.returncode == 0, res.stderr
+        assert csv_bytes(tmp_path / f"{name}-fallback") == csv_bytes(tmp_path / f"{name}-compiled")
+        if shutil.which("cc") is not None:
+            manifest = json.loads((tmp_path / f"{name}-compiled" / "manifest.json").read_text())
+            assert manifest["engine"] == "compiled"
+            digest = hashlib.sha256(step.SOURCE.read_bytes()).hexdigest()
+            built = sorted(p.name for p in (cache / "salab").glob("*.so"))
+            assert built == [f"step-{digest}.so"]
 
 
 def test_kernel_rejects_buffers_it_cannot_step(fresh_kernel):
     kernel = fresh_kernel
+    cube = ("neg_cube", 0.0, 0.0, 0.1)
     x, out = np.zeros((4, 1)), np.zeros((4, 3, 1))
-    rows = np.zeros((10, 4, 1))
-    kernel.step_rows(x, rows, 0, 0.1, out, burn_in=1, thin=3)
+    draws = np.zeros((4, 10, 1))
+    kernel.step_tile(cube, x, draws, 0, out, burn_in=1, thin=3)
     with pytest.raises(ValueError, match="shape"):
-        kernel.step_rows(x, rows[:, :3], 0, 0.1, out, burn_in=1, thin=3)
+        kernel.step_tile(cube, x, draws[:3], 0, out, burn_in=1, thin=3)
     with pytest.raises(ValueError, match="C-contiguous"):
-        kernel.step_rows(np.zeros((4, 2))[:, :1], rows, 0, 0.1, out, burn_in=1, thin=3)
+        kernel.step_tile(cube, np.zeros((4, 2))[:, :1], draws, 0, out, burn_in=1, thin=3)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        # a step-major block's tile of chains is not what the kernel reads
+        kernel.step_tile(cube, x, np.zeros((10, 4, 1)).transpose(1, 0, 2), 0, out,
+                         burn_in=1, thin=3)
     with pytest.raises(ValueError, match="uint64"):
-        kernel.step_signs(x, np.zeros((1, 4)), 10, 0, 0.1, -1.0, 1.0, out, burn_in=1, thin=3)
+        kernel.step_signs(cube, x, np.zeros((1, 4)), 10, 0, -1.0, 1.0, out, burn_in=1, thin=3)
+    with pytest.raises(ValueError, match="drift kind"):
+        kernel.step_tile(("cube", 0.0, 0.0, 0.1), x, draws, 0, out, burn_in=1, thin=3)
     with pytest.raises(ValueError, match="schedule"):
         # steps 1..10 of a schedule that ends at step 1 + 3 * 3 = 10 fit; 2..11 do not
-        kernel.step_rows(x, rows, 1, 0.1, out, burn_in=1, thin=3)
+        kernel.step_tile(cube, x, draws, 1, out, burn_in=1, thin=3)
+    with pytest.raises(ValueError, match="schedule"):
+        kernel.step_signs(cube, x, np.zeros((1, 4), np.uint64), 10, 1, -1.0, 1.0, out,
+                          burn_in=1, thin=3)
