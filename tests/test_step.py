@@ -15,6 +15,7 @@ import pytest
 import salab._step as step
 import salab.simulate as sim
 from salab.drift import grad_quadratic, linear, quartic, quartic_sine
+from salab.noise import make_noise
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -103,6 +104,18 @@ def test_only_the_quartic_drift_takes_the_kernel(fresh_kernel):
     assert sim.engine(linear([[-1.0, 0.5], [0.0, -2.0]])) == "numpy"
     assert sim.engine(grad_quadratic(np.eye(2))) == "numpy"
     assert sim.engine(quartic_sine()) == "numpy"
+
+
+def test_compiled_body_builds_no_step_major_noise(fresh_kernel, monkeypatch):
+    def step_major(*args):
+        raise AssertionError("the compiled body laid the noise out step-major")
+
+    monkeypatch.setattr(sim, "_shaped_chunks", step_major)
+    for op in (quartic(), grad_quadratic([[2.0]]), linear([[-1.0]], [0.5])):
+        for shape in ("gaussian", "uniform", "noiseless"):
+            ens = sim.run_chains(op, make_noise(shape, [[1.0]]), 0.01, 0.01, n_chains=10,
+                                 burn_in=10, thin=3, samples_per_chain=4, seed=1)
+            assert ens.samples.shape == (10, 4, 1)
 
 
 def test_import_and_dry_run_build_nothing(tmp_path):
