@@ -337,6 +337,20 @@ def assert_chains_match_reference(op, nm, n_chains, chains, **sizes):
         assert raw.samples[c].tobytes() == records.tobytes(), c
 
 
+def assert_diverging_chains_agree(op, nm, drift_coeff, noise_coeff, steps, monkeypatch):
+    """Some but not all of 100 chains diverge, alike on both bodies."""
+    if step.load() is None:
+        pytest.skip("no C compiler: the compiled kernel cannot be built")
+    sizes = dict(n_chains=100, burn_in=0, thin=1, samples_per_chain=steps, seed=4)
+    compiled = run_chains(op, nm, drift_coeff, noise_coeff, **sizes)
+    monkeypatch.setattr(step, "load", lambda: None)
+    numpy_body = run_chains(op, nm, drift_coeff, noise_coeff, **sizes)
+    assert 0 < compiled.n_diverged < 100
+    assert compiled.n_diverged == numpy_body.n_diverged
+    assert np.array_equal(compiled.chain_ids, numpy_body.chain_ids)
+    assert compiled.samples.tobytes() == numpy_body.samples.tobytes()
+
+
 #: chains per tile of the compiled kernel (TILE in _step.c)
 KERNEL_TILE = 64
 
@@ -425,33 +439,15 @@ class TestEngineMatchesReference:
     @pytest.mark.parametrize("shape, sigma", [("gaussian", [[30.0]]),
                                               ("rademacher", [[150.0]])])
     def test_diverging_quartic_chains_agree_on_both_bodies(self, shape, sigma, monkeypatch):
-        if step.load() is None:
-            pytest.skip("no C compiler: the compiled kernel cannot be built")
-        nm = make_noise(shape, sigma)
-        sizes = dict(n_chains=100, burn_in=0, thin=1, samples_per_chain=300, seed=4)
-        compiled = run_chains(quartic(), nm, 0.1, 0.2, **sizes)
-        monkeypatch.setattr(step, "load", lambda: None)
-        numpy_body = run_chains(quartic(), nm, 0.1, 0.2, **sizes)
-        assert 0 < compiled.n_diverged < 100
-        assert compiled.n_diverged == numpy_body.n_diverged
-        assert np.array_equal(compiled.chain_ids, numpy_body.chain_ids)
-        assert compiled.samples.tobytes() == numpy_body.samples.tobytes()
+        assert_diverging_chains_agree(quartic(), make_noise(shape, sigma), 0.1, 0.2, 300,
+                                      monkeypatch)
 
     # X <- -2 X + 3 (0.5 + w) grows like 2^k: 61 to 78 of the 100 chains
     # pass 1e308 and overflow within 1024 steps
     @pytest.mark.parametrize("shape", ["gaussian", "uniform", "rademacher"])
     def test_diverging_linear_chains_agree_on_both_bodies(self, shape, monkeypatch):
-        if step.load() is None:
-            pytest.skip("no C compiler: the compiled kernel cannot be built")
-        op, nm = linear([[-1.0]], [0.5]), make_noise(shape, [[1.0]])
-        sizes = dict(n_chains=100, burn_in=0, thin=1, samples_per_chain=1024, seed=4)
-        compiled = run_chains(op, nm, 3.0, 3.0, **sizes)
-        monkeypatch.setattr(step, "load", lambda: None)
-        numpy_body = run_chains(op, nm, 3.0, 3.0, **sizes)
-        assert 0 < compiled.n_diverged < 100
-        assert compiled.n_diverged == numpy_body.n_diverged
-        assert np.array_equal(compiled.chain_ids, numpy_body.chain_ids)
-        assert compiled.samples.tobytes() == numpy_body.samples.tobytes()
+        assert_diverging_chains_agree(linear([[-1.0]], [0.5]), make_noise(shape, [[1.0]]),
+                                      3.0, 3.0, 1024, monkeypatch)
 
     @pytest.mark.parametrize(
         "op, shape, sigma",
