@@ -33,7 +33,6 @@ from .drift import (
     linear,
     quartic,
     quartic_sine,
-    register_drift,
 )
 from .lyapunov import (
     LyapunovSolution,

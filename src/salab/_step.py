@@ -33,20 +33,14 @@ _long, _double, _ptr = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
 
 
 #: the drifts the kernel steps, in the order of _step.c's enum:
-#: F(x) = -x^3, -(x a) and x a + b
+#: F(x) = -x^3 (d = 1), -(x H^T) and x A^T + b (any d)
 KINDS = ("neg_cube", "neg_scale", "affine")
 
 
 class Drift(ctypes.Structure):
-    """The drift the kernel steps: the index of its kind, coefficients a and b, and dc."""
+    """The drift the kernel steps: its kind, d, its row-major a (A or H) and b, and dc."""
 
-    _fields_ = [("kind", _long), ("a", _double), ("b", _double), ("dc", _double)]
-
-
-def _drift(kind, a, b, dc) -> Drift:
-    if kind not in KINDS:
-        raise ValueError(f"step kernel has no drift kind {kind!r}")
-    return Drift(KINDS.index(kind), a, b, dc)
+    _fields_ = [("kind", _long), ("d", _long), ("a", _ptr), ("b", _ptr), ("dc", _double)]
 
 
 def _data(a: np.ndarray, dtype, shape) -> int:
@@ -57,22 +51,35 @@ def _data(a: np.ndarray, dtype, shape) -> int:
     return a.ctypes.data
 
 
-def _records(out, n, k0, m, burn_in, thin) -> tuple:
+def _drift(kind, a, b, dc) -> Drift:
+    """The kernel's view of (kind, a, b, dc); the caller keeps a and b alive."""
+    if kind not in KINDS:
+        raise ValueError(f"step kernel has no drift kind {kind!r}")
+    if kind == "neg_cube":
+        return Drift(0, 1, None, None, dc)
+    d = len(a)
+    b = None if kind == "neg_scale" else _data(b, np.float64, (d,))
+    return Drift(KINDS.index(kind), d, _data(a, np.float64, (d, d)), b, dc)
+
+
+def _records(out, n, d, k0, m, burn_in, thin) -> tuple:
     """The record arguments, once steps k0 + 1 .. k0 + m are checked to fit out."""
     spc = out.shape[1] if out.ndim == 3 else 0
-    address = _data(out, np.float64, (n, spc, 1))
+    address = _data(out, np.float64, (n, spc, d))
     if thin < 1 or not 0 <= k0 <= k0 + m <= burn_in + spc * thin:
         raise ValueError(f"steps {k0 + 1}..{k0 + m} lie outside the records' schedule")
     return address, spc, burn_in, thin
 
 
 class Kernel:
-    """Steps n chains at d = 1, state x of shape (n, 1), through one block.
+    """Steps n chains, state x of shape (n, d), through one block.
 
-    drift is (kind, a, b, dc): a drift F of one of the KINDS and its
-    coefficient.  k0 is the number of steps taken before the block; each
+    drift is (kind, a, b, dc): a drift F of one of the KINDS, its
+    coefficients and dc.  a is the C-contiguous float64 (d, d) matrix (A or
+    H; None for neg_cube, whose d is 1) and b the (d,) vector (affine only,
+    else None).  k0 is the number of steps taken before the block; each
     chain's record r, its state after step burn_in + (r + 1) * thin, goes to
-    out[chain, r, 0].
+    out[chain, r].
     """
 
     def __init__(self, lib: ctypes.CDLL):
@@ -85,19 +92,24 @@ class Kernel:
         self._lib = lib
 
     def step_tile(self, drift, x, draws, k0, out, burn_in, thin) -> None:
-        """draws: (n, m, 1) noise, already scaled, as each chain drew it."""
+        """draws: (n, m, d) noise, already scaled, as each chain drew it."""
+        f = _drift(*drift)
         n, m = draws.shape[:2]
         self._lib.step_tile(
-            _drift(*drift), _data(x, np.float64, (n, 1)), n,
-            _data(draws, np.float64, (n, m, 1)), m, k0, *_records(out, n, k0, m, burn_in, thin))
+            f, _data(x, np.float64, (n, f.d)), n, _data(draws, np.float64, (n, m, f.d)),
+            m, k0, *_records(out, n, f.d, k0, m, burn_in, thin))
 
     def step_signs(self, drift, x, words, m, k0, lo, hi, out, burn_in, thin) -> None:
-        """words: (ceil(m / 64), n) packed draws; a set bit adds hi, a clear one lo."""
+        """d = 1 only.  words: (ceil(m / 64), n) packed draws; a set bit adds hi,
+        a clear one lo."""
+        f = _drift(*drift)
+        if f.d != 1:
+            raise ValueError(f"step kernel steps sign words at d = 1 only, not d = {f.d}")
         n = len(x)
         self._lib.step_signs(
-            _drift(*drift), _data(x, np.float64, (n, 1)), n,
+            f, _data(x, np.float64, (n, 1)), n,
             _data(words, np.uint64, ((m + 63) // 64, n)), m, k0, lo, hi,
-            *_records(out, n, k0, m, burn_in, thin))
+            *_records(out, n, 1, k0, m, burn_in, thin))
 
 
 def _build(source: bytes, target: Path) -> None:

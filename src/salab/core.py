@@ -132,7 +132,6 @@ DRIFT_IDS = (
     "quartic",
     "exp_square",
     "quartic_sine",
-    "custom",
 )
 
 NOISE_SHAPES = ("gaussian", "uniform", "rademacher", "noiseless")

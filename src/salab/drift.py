@@ -194,9 +194,23 @@ def _ball_point(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray
 # catalog
 # ---------------------------------------------------------------------------
 
-# The engine steps these fields with its compiled kernel at d = 1.  They are
+# The engine steps these fields with its compiled kernel.  They are
 # module-level types rather than lambdas so that it can recognize them and
 # read their coefficients.
+
+def _ordered_product(x, a):
+    """x A^T summed in one fixed order: column i is x_0 a_i0 + x_1 a_i1 + ...
+
+    Each product and each sum rounds on its own (no fused multiply-add), in
+    order of k, so a row's value never depends on how many rows are
+    evaluated together, as a BLAS product's can.  The compiled kernel adds
+    in the same order.
+    """
+    f = x[..., :1] * a[:, 0]
+    for k in range(1, a.shape[1]):
+        f += x[..., k : k + 1] * a[:, k]
+    return f
+
 
 @dataclass(frozen=True, eq=False)
 class NegatedLinear:
@@ -205,7 +219,7 @@ class NegatedLinear:
     h: np.ndarray
 
     def __call__(self, x):
-        return -(x @ self.h.T)
+        return -_ordered_product(x, self.h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +230,9 @@ class Affine:
     b: np.ndarray
 
     def __call__(self, x):
-        return x @ self.a.T + self.b
+        f = _ordered_product(x, self.a)
+        f += self.b
+        return f
 
 
 def grad_quadratic(hessian=((1.0,),)) -> DriftOperator:
@@ -349,14 +365,6 @@ def quartic_sine() -> DriftOperator:
     )
 
 
-_CUSTOM_REGISTRY: dict[str, DriftOperator] = {}
-
-
-def register_drift(custom_id: str, op: DriftOperator) -> None:
-    """Register an operator so configs can refer to it as drift=custom."""
-    _CUSTOM_REGISTRY[custom_id] = op
-
-
 def from_config(drift_id: str, params: dict) -> DriftOperator:
     """Resolve a drift identifier plus parameters from a configuration."""
     params = dict(params)
@@ -374,11 +382,6 @@ def from_config(drift_id: str, params: dict) -> DriftOperator:
         op = exp_square()
     elif drift_id == "quartic_sine":
         op = quartic_sine()
-    elif drift_id == "custom":
-        custom_id = params.pop("custom_id", None)
-        if custom_id not in _CUSTOM_REGISTRY:
-            raise ConfigError(f"custom drift {custom_id!r} is not registered")
-        op = _CUSTOM_REGISTRY[custom_id]
     else:
         raise ConfigError(f"unknown drift id {drift_id!r}")
     if params:

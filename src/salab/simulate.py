@@ -142,21 +142,21 @@ def _sign_chunks(word_blocks, table: np.ndarray, n: int):
 def _kernel_for(op: DriftOperator):
     """(kernel, (kind, a, b)) when the compiled step kernel runs op's update, else None.
 
-    The kernel steps F(x) = -x^3, -(x h) and x a + b (drift.quartic,
-    grad_quadratic and linear) at d = 1; (kind, a, b) names the drift and
-    its coefficients.  Its module is imported, and the kernel built and
-    loaded, on the first such call, never on import; it is None when that
-    fails.
+    The kernel steps F(x) = -x^3 (drift.quartic, d = 1) and, at every d,
+    -(x H^T) and x A^T + b (grad_quadratic and linear), under every noise
+    shape; (kind, a, b) names the drift and holds its coefficients as
+    C-contiguous float64 arrays.  Its module is imported, and the kernel
+    built and loaded, on the first such call, never on import; it is None
+    when that fails.
     """
     fn = op.fn
-    if op.dim != 1:
-        return None
-    if fn is _neg_cube:
-        drift = ("neg_cube", 0.0, 0.0)
+    if fn is _neg_cube and op.dim == 1:
+        drift = ("neg_cube", None, None)
     elif isinstance(fn, NegatedLinear):
-        drift = ("neg_scale", float(fn.h[0, 0]), 0.0)
+        drift = ("neg_scale", np.ascontiguousarray(fn.h, np.float64), None)
     elif isinstance(fn, Affine):
-        drift = ("affine", float(fn.a[0, 0]), float(fn.b[0]))
+        drift = ("affine", np.ascontiguousarray(fn.a, np.float64),
+                 np.ascontiguousarray(fn.b, np.float64))
     else:
         return None
     from . import _step

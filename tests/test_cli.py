@@ -83,6 +83,13 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg]) == 2
         assert "unknown drift id" in capsys.readouterr().err
 
+    def test_custom_drift_exits_2(self, tmp_path, capsys):
+        # a config cannot name a drift registered in another process
+        cfg = write_cfg(tmp_path, QUAD_CFG.replace("drift = grad_quadratic", "drift = custom")
+                        .replace("drift.hessian = [[1.0]]", "drift.custom_id = foo"))
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "unknown drift id 'custom'" in capsys.readouterr().err
+
     def test_non_integer_burn_in_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUAD_CFG + "burn_in = abc\n")
         assert main(["simulate", "--config", cfg]) == 2

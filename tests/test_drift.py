@@ -3,6 +3,7 @@ import pytest
 
 from salab.core import ConfigError, NumericalError, seed_rng
 from salab.drift import (
+    Affine,
     ContractionSpec,
     DriftOperator,
     check_contraction,
@@ -14,6 +15,7 @@ from salab.drift import (
     grad_generic,
     grad_quadratic,
     linear,
+    NegatedLinear,
     quartic,
     quartic_sine,
 )
@@ -176,3 +178,34 @@ class TestConstruction:
         op = grad_generic(lambda x: x + 0.4 * x**3, root=[0.0])
         assert eval_drift(op, [1.0]) == pytest.approx(-1.4)
         assert derivative_at_root(op)[0, 0] == pytest.approx(-1.0, abs=1e-8)
+
+
+def ordered_rows(x, a, b=None):
+    """x A^T (+ b, else negated), one Python float operation at a time: the
+    sum over k for each row and column, in order of k."""
+    rows = []
+    for row in x:
+        values = []
+        for a_i, b_i in zip(a, np.zeros(len(a)) if b is None else b):
+            s = float(row[0]) * float(a_i[0])
+            for x_k, a_ik in zip(row[1:], a_i[1:]):
+                s = s + float(x_k) * float(a_ik)
+            values.append(-s if b is None else s + float(b_i))
+        rows.append(values)
+    return np.array(rows)
+
+
+class TestAffineSummationOrder:
+    # coefficients whose products and sums round, so the order shows
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_rows_equal_the_ordered_sum_for_any_row_count(self, d):
+        rng = seed_rng(21, d)
+        a = rng.standard_normal((d, d)) - 2.0 * np.eye(d)
+        b = rng.standard_normal(d)
+        x = rng.standard_normal((4097, d)) * 7.3
+        for fn, expect in ((Affine(a, b), ordered_rows(x, a, b)),
+                           (NegatedLinear(a), ordered_rows(x, a))):
+            for n in (1, 2, 4, 4097):
+                assert fn(x[:n]).tobytes() == expect[:n].tobytes(), (d, n)
+            # one state vector, as eval_drift passes the root
+            assert fn(x[5]).tobytes() == expect[5].tobytes()

@@ -82,20 +82,36 @@ def spread_over_threads(monkeypatch):
     return workers
 
 
-def assert_thread_and_group_invariance(cfg, monkeypatch):
-    """The same bytes for one wide group, groups of 7, and groups of 5 spread
-    over four threads, on whichever body runs cfg's drift."""
+def assert_thread_and_group_invariance(cfg, monkeypatch, sigma=None):
+    """The same bytes for one wide group, groups of 7, 2 and 1 chains, and
+    groups of 5 spread over four threads, on whichever body runs cfg's drift.
+
+    sigma is the noise covariance, [[1.0]] by default.
+    """
     alpha = 0.05
-    cfg = validate_config(replace(cfg, noise_sigma=[[1.0]], alphas=(alpha,), n_chains=24,
-                                  burn_in=700, thin=9, samples_per_chain=64, seed=5))
-    wide = run_ensemble(cfg, alpha)
-    monkeypatch.setattr(sim, "_CHAIN_GROUP", 7)
-    narrow = run_ensemble(cfg, alpha)
+    cfg = validate_config(replace(cfg, noise_sigma=sigma or [[1.0]], alphas=(alpha,),
+                                  n_chains=24, burn_in=700, thin=9, samples_per_chain=64,
+                                  seed=5))
+    wide = run_ensemble(cfg, alpha).samples.tobytes()
+    for width in (7, 2, 1):
+        monkeypatch.setattr(sim, "_CHAIN_GROUP", width)
+        assert run_ensemble(cfg, alpha).samples.tobytes() == wide, width
     monkeypatch.setattr(sim, "_CHAIN_GROUP", 5)
     workers = spread_over_threads(monkeypatch)
     multi = run_ensemble(cfg, alpha, threads=4)
     assert len(workers) >= 2 and threading.get_ident() not in workers
-    assert wide.samples.tobytes() == narrow.samples.tobytes() == multi.samples.tobytes()
+    assert multi.samples.tobytes() == wide
+
+
+#: 2-d and 3-d affine coefficients whose products and sums round, with the
+#: noise covariances that go with them
+ROUNDING_A = [[-1.3, 0.7], [0.2, -2.1]]
+ROUNDING_B = [0.1, -0.3]
+ROUNDING_H = [[0.9, 0.2], [0.2, 0.7]]
+ROUNDING_A3 = [[-1.3, 0.7, 0.1], [0.2, -2.1, 0.3], [-0.4, 0.6, -1.7]]
+ROUNDING_B3 = [0.1, -0.3, 0.7]
+SIGMA = {2: [[1.0, 0.3], [0.3, 0.5]],
+         3: [[1.0, 0.3, 0.1], [0.3, 0.5, 0.2], [0.1, 0.2, 0.8]]}
 
 
 class TestStepChain:
@@ -209,6 +225,19 @@ class TestRunEnsemble:
             ExperimentConfig(drift=drift, drift_params=params, noise_shape=shape,
                              scaling=0.5),
             monkeypatch)
+
+    @pytest.mark.parametrize("shape", ["rademacher", "gaussian", "uniform"])
+    @pytest.mark.parametrize("drift, params",
+                             [("linear", {"a": ROUNDING_A, "b": ROUNDING_B}),
+                              ("grad_quadratic", {"hessian": ROUNDING_H})],
+                             ids=["linear", "grad_quadratic"])
+    def test_affine_d2_thread_and_group_invariance(self, drift, params, shape, body,
+                                                   monkeypatch):
+        # products that round, so a sum whose order hangs on the row count shows
+        assert_thread_and_group_invariance(
+            ExperimentConfig(drift=drift, drift_params=params, noise_shape=shape,
+                             scaling=0.5),
+            monkeypatch, sigma=SIGMA[2])
 
     @pytest.mark.parametrize("shape", ["gaussian", "rademacher", "uniform"])
     def test_noise_shape_universality(self, shape):
@@ -448,6 +477,44 @@ class TestEngineMatchesReference:
     def test_diverging_linear_chains_agree_on_both_bodies(self, shape, monkeypatch):
         assert_diverging_chains_agree(linear([[-1.0]], [0.5]), make_noise(shape, [[1.0]]),
                                       3.0, 3.0, 1024, monkeypatch)
+
+    @pytest.mark.parametrize("op", [linear(ROUNDING_A, ROUNDING_B), grad_quadratic(ROUNDING_H),
+                                    linear(ROUNDING_A3, ROUNDING_B3)],
+                             ids=["linear-d2", "grad_quadratic-d2", "linear-d3"])
+    @pytest.mark.parametrize("shape, blocks", [("gaussian", "long"), ("gaussian", "short"),
+                                               ("uniform", "short"), ("noiseless", "short"),
+                                               ("rademacher", "long")],
+                             ids=["gaussian-long", "gaussian-short", "uniform-short",
+                                  "noiseless", "sign"])
+    def test_rounding_affine_chains_on_both_bodies(self, op, shape, blocks, body):
+        # Coefficients whose products round, started off the root.  Long
+        # blocks: burn-in ends 4 steps into the second noise block, and
+        # chains sit on both sides of the (narrow) noise tile edges.  Short
+        # blocks: one block of 160 steps, whose noise tiles are wider than a
+        # kernel tile, so chains sit on both sides of both edges.
+        d = op.dim
+        nm = make_noise(shape, np.zeros((d, d)) if shape == "noiseless" else SIGMA[d])
+        if blocks == "long":
+            tile = sim._tile_chains(sim._STEP_BLOCK, d)
+            n_chains = 2 * tile + 3
+            chains = {0, tile - 1, tile, 2 * tile - 1, 2 * tile, n_chains - 1}
+            sizes = dict(burn_in=4100, thin=13, samples_per_chain=20)
+        else:
+            tile = sim._tile_chains(160, d)
+            assert tile > KERNEL_TILE + 1
+            n_chains = tile + 5
+            chains = {0, KERNEL_TILE - 1, KERNEL_TILE, tile - 1, tile, n_chains - 1}
+            sizes = dict(burn_in=60, thin=5, samples_per_chain=20)
+        assert_chains_match_reference(op, nm, n_chains, sorted(chains), seed=16,
+                                      init=op.root + 3.0, **sizes)
+
+    # X <- (I + 3A) X + 3 (b + w), whose iteration matrix has the eigenvalue
+    # -2.11: 62 to 76 of the 100 chains pass 1e308 and overflow within 950 steps
+    @pytest.mark.parametrize("shape", ["gaussian", "uniform", "rademacher"])
+    def test_diverging_d2_linear_chains_agree_on_both_bodies(self, shape, monkeypatch):
+        assert_diverging_chains_agree(linear([[-0.9, 0.3], [0.2, -0.6]], ROUNDING_B),
+                                      make_noise(shape, SIGMA[2]), 3.0, 3.0, 950,
+                                      monkeypatch)
 
     @pytest.mark.parametrize(
         "op, shape, sigma",

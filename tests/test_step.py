@@ -14,7 +14,8 @@ import pytest
 
 import salab._step as step
 import salab.simulate as sim
-from salab.drift import grad_quadratic, linear, quartic, quartic_sine
+from salab.drift import (contractive_tanh, exp_square, grad_generic, grad_quadratic, linear,
+                         quartic, quartic_sine)
 from salab.noise import make_noise
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -44,6 +45,20 @@ burn_in = 4100
 thin = 13
 samples_per_chain = 16
 seed = 3
+"""
+
+#: the benchmark's 2-d `pipeline` config, whose A has exact products
+PIPELINE_CFG = """
+drift = linear
+drift.a = [[-1.0, 1.0], [0.0, -2.0]]
+drift.b = [0.0, 0.0]
+noise.shape = gaussian
+noise.sigma = [[1.0, 0.0], [0.0, 1.0]]
+alphas = 0.05, 0.005
+scaling = auto
+n_chains = 512
+thin = 50
+samples_per_chain = 512
 """
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -96,14 +111,17 @@ def test_source_compiles_without_warnings(tmp_path):
 
 
 def test_only_the_quartic_drift_takes_the_kernel(fresh_kernel):
-    # the quartic and the two affine drifts at d = 1; nothing else
+    # the quartic, and the two affine drifts at every d; nothing else
     assert sim.engine(quartic()) == "compiled"
     assert sim.engine(linear([[-1.0]])) == "compiled"
     assert sim.engine(linear([[-1.0]], [0.5])) == "compiled"
     assert sim.engine(grad_quadratic([[2.0]])) == "compiled"
-    assert sim.engine(linear([[-1.0, 0.5], [0.0, -2.0]])) == "numpy"
-    assert sim.engine(grad_quadratic(np.eye(2))) == "numpy"
-    assert sim.engine(quartic_sine()) == "numpy"
+    assert sim.engine(linear([[-1.0, 0.5], [0.0, -2.0]])) == "compiled"
+    assert sim.engine(linear(-np.eye(3), [0.1, 0.2, 0.3])) == "compiled"
+    assert sim.engine(grad_quadratic(np.eye(2))) == "compiled"
+    for op in (quartic_sine(), exp_square(), contractive_tanh(),
+               grad_generic(lambda x: x, root=[0.0])):
+        assert sim.engine(op) == "numpy", op.name
 
 
 def test_compiled_body_builds_no_step_major_noise(fresh_kernel, monkeypatch):
@@ -111,11 +129,19 @@ def test_compiled_body_builds_no_step_major_noise(fresh_kernel, monkeypatch):
         raise AssertionError("the compiled body laid the noise out step-major")
 
     monkeypatch.setattr(sim, "_shaped_chunks", step_major)
-    for op in (quartic(), grad_quadratic([[2.0]]), linear([[-1.0]], [0.5])):
-        for shape in ("gaussian", "uniform", "noiseless"):
-            ens = sim.run_chains(op, make_noise(shape, [[1.0]]), 0.01, 0.01, n_chains=10,
-                                 burn_in=10, thin=3, samples_per_chain=4, seed=1)
-            assert ens.samples.shape == (10, 4, 1)
+    ops = (quartic(), grad_quadratic([[2.0]]), linear([[-1.0]], [0.5]),
+           grad_quadratic([[0.9, 0.2], [0.2, 0.7]]),
+           linear([[-1.3, 0.7], [0.2, -2.1]], [0.1, -0.3]),
+           linear([[-1.3, 0.7, 0.1], [0.2, -2.1, 0.3], [-0.4, 0.6, -1.7]], [0.1, -0.3, 0.7]))
+    for op in ops:
+        d = op.dim
+        # scalar sign noise is packed words, not a noise tile; from d = 2 on it is a tile
+        shapes = ("gaussian", "uniform", "noiseless") + (("rademacher",) if d > 1 else ())
+        for shape in shapes:
+            nm = make_noise(shape, np.eye(d))
+            ens = sim.run_chains(op, nm, 0.01, 0.01, n_chains=10, burn_in=10, thin=3,
+                                 samples_per_chain=4, seed=1)
+            assert ens.samples.shape == (10, 4, d)
 
 
 def test_import_and_dry_run_build_nothing(tmp_path):
@@ -140,10 +166,11 @@ def test_import_and_dry_run_build_nothing(tmp_path):
 
 @pytest.mark.parametrize("failure", ["no-compiler", "unwritable-cache"])
 def test_fallback_writes_the_compiled_bytes(tmp_path, failure):
-    for name, text in (("q", QUARTIC_CFG), ("g", GRAD_CFG)):
+    for name, command, text in (("q", "simulate", QUARTIC_CFG), ("g", "simulate", GRAD_CFG),
+                                ("p", "pipeline", PIPELINE_CFG)):
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(text)
-        args = ["-m", "salab", "simulate", "--config", str(cfg), "--out"]
+        args = ["-m", "salab", command, "--config", str(cfg), "--out"]
         if failure == "no-compiler":
             empty = tmp_path / "empty"
             empty.mkdir(exist_ok=True)
@@ -170,7 +197,7 @@ def test_fallback_writes_the_compiled_bytes(tmp_path, failure):
 
 def test_kernel_rejects_buffers_it_cannot_step(fresh_kernel):
     kernel = fresh_kernel
-    cube = ("neg_cube", 0.0, 0.0, 0.1)
+    cube = ("neg_cube", None, None, 0.1)
     x, out = np.zeros((4, 1)), np.zeros((4, 3, 1))
     draws = np.zeros((4, 10, 1))
     kernel.step_tile(cube, x, draws, 0, out, burn_in=1, thin=3)
@@ -185,10 +212,29 @@ def test_kernel_rejects_buffers_it_cannot_step(fresh_kernel):
     with pytest.raises(ValueError, match="uint64"):
         kernel.step_signs(cube, x, np.zeros((1, 4)), 10, 0, -1.0, 1.0, out, burn_in=1, thin=3)
     with pytest.raises(ValueError, match="drift kind"):
-        kernel.step_tile(("cube", 0.0, 0.0, 0.1), x, draws, 0, out, burn_in=1, thin=3)
+        kernel.step_tile(("cube", None, None, 0.1), x, draws, 0, out, burn_in=1, thin=3)
     with pytest.raises(ValueError, match="schedule"):
         # steps 1..10 of a schedule that ends at step 1 + 3 * 3 = 10 fit; 2..11 do not
         kernel.step_tile(cube, x, draws, 1, out, burn_in=1, thin=3)
     with pytest.raises(ValueError, match="schedule"):
         kernel.step_signs(cube, x, np.zeros((1, 4), np.uint64), 10, 1, -1.0, 1.0, out,
+                          burn_in=1, thin=3)
+
+    # a 2-d affine drift: x, draws and out must end in an axis of d = 2
+    affine = ("affine", np.array([[-1.0, 0.5], [0.0, -2.0]]), np.array([0.1, 0.2]), 0.1)
+    x2, draws2, out2 = np.zeros((4, 2)), np.zeros((4, 10, 2)), np.zeros((4, 3, 2))
+    kernel.step_tile(affine, x2, draws2, 0, out2, burn_in=1, thin=3)
+    for args in ((x, draws2, out2), (x2, draws, out2), (x2, draws2, out),
+                 (np.zeros((4, 3)), draws2, out2)):
+        with pytest.raises(ValueError, match="shape"):
+            kernel.step_tile(affine, *args[:2], 0, args[2], burn_in=1, thin=3)
+    with pytest.raises(ValueError, match="shape"):
+        # b must have d entries, and a must be d x d
+        kernel.step_tile(("affine", affine[1], np.zeros(3), 0.1), x2, draws2, 0, out2,
+                         burn_in=1, thin=3)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        kernel.step_tile(("neg_scale", np.eye(2).T[:, ::-1], None, 0.1), x2, draws2, 0, out2,
+                         burn_in=1, thin=3)
+    with pytest.raises(ValueError, match="d = 1 only"):
+        kernel.step_signs(affine, x2, np.zeros((1, 4), np.uint64), 10, 0, -1.0, 1.0, out2,
                           burn_in=1, thin=3)
