@@ -43,7 +43,6 @@ from .lyapunov import (
 from .noise import NoiseModel, make_noise, sample_block
 from .scaling import (
     ScalingReport,
-    classify_limit,
     find_scaling_exponent,
     sample_limit_drift,
     scaled_drift,

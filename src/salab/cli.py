@@ -99,10 +99,7 @@ def _alpha_tag(alpha: float) -> str:
 def _load_config(args):
     if not args.config:
         raise ConfigError("this subcommand requires --config")
-    try:
-        cfg = parse_config_file(args.config)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}")
+    cfg = parse_config_file(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:
@@ -113,7 +110,10 @@ def _load_config(args):
 
 def _prepare_out(path_str: str) -> Path:
     out = Path(path_str)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}")
     return out
 
 
@@ -153,17 +153,7 @@ def _emit_logfit(fits, manifest):
                   "logfit.csv")
 
 
-def figure_manifest(name: str, out: Path, seed) -> _Manifest:
-    """The manifest of one figure's output directory, started now."""
-    spec = FIGURE_SPECS[name]
-    return _Manifest(
-        f"figure {name}", out, seed,
-        {"figure": name, "drift": spec.drift, "exponent": spec.exponent,
-         "alphas": list(spec.alphas)},
-    )
-
-
-def emit_figure(result: FigureResult, manifest: _Manifest) -> None:
+def _emit_figure(result: FigureResult, manifest: _Manifest) -> None:
     """Write a figure's density CSVs, its trend_check.csv and its logfit.csv."""
     manifest.engine = result.engine
     for alpha in result.alphas:
@@ -378,18 +368,37 @@ def _cmd_em_compare(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    if args.figure not in FIGURE_SPECS:
+    """Run the named figures on one shared ensemble cache.
+
+    One name writes into --out; several write one directory per figure,
+    --out/<name>, each with its own manifest.
+    """
+    names = sorted(FIGURE_SPECS) if args.figures == ["all"] else args.figures
+    unknown = [name for name in names if name not in FIGURE_SPECS]
+    if unknown:
         raise ConfigError(
-            f"unknown figure name {args.figure!r}; choose from "
-            f"{', '.join(sorted(FIGURE_SPECS))}"
+            f"unknown figure name {', '.join(map(repr, unknown))}; choose from "
+            f"{', '.join(sorted(FIGURE_SPECS))}, or all"
         )
     if args.dry_run:
-        print(f"figure {args.figure}: would simulate and write density CSVs")
+        for name in names:
+            print(f"figure {name}: would simulate and write density CSVs")
         return 0
     seed = args.seed if args.seed is not None else 0
-    manifest = figure_manifest(args.figure, _prepare_out(args.out or "out"), seed)
-    emit_figure(run_figure(args.figure, seed=seed, threads=args.threads), manifest)
-    manifest.finish()
+    root = Path(args.out or "out")
+    cache = {}
+    for name in names:
+        spec = FIGURE_SPECS[name]
+        manifest = _Manifest(
+            f"figure {name}",
+            _prepare_out(root if len(names) == 1 else root / name),
+            seed,
+            {"figure": name, "drift": spec.drift, "exponent": spec.exponent,
+             "alphas": list(spec.alphas)},
+        )
+        _emit_figure(run_figure(name, seed=seed, threads=args.threads, cache=cache),
+                     manifest)
+        manifest.finish()
     return 0
 
 
@@ -418,7 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
         p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument("--threads", type=_positive_int, default=1, help="worker threads")
@@ -436,11 +444,13 @@ def _build_parser() -> argparse.ArgumentParser:
          "find-scaling, simulate, predict and test, chained"),
     ]:
         p = sub.add_parser(name, help=desc)
+        p.add_argument("--config", help="path to a key = value config file")
         common(p)
         p.set_defaults(handler=fn)
 
-    p = sub.add_parser("figure", help="reproduce a named figure's data")
-    p.add_argument("figure", help=f"one of {', '.join(sorted(FIGURE_SPECS))}")
+    p = sub.add_parser("figure", help="reproduce named figures' data")
+    p.add_argument("figures", nargs="+", metavar="figure",
+                   help=f"one or more of {', '.join(sorted(FIGURE_SPECS))}, or all")
     common(p)
     p.set_defaults(handler=_cmd_figure)
     return parser

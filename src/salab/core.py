@@ -64,8 +64,15 @@ def stream_id(*labels: Any) -> int:
 # array helpers
 # ---------------------------------------------------------------------------
 
+def _as_float_array(x, name: str) -> np.ndarray:
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be numeric, got {x!r}") from None
+
+
 def as_vector(x, name: str = "vector") -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.atleast_1d(_as_float_array(x, name))
     if arr.ndim != 1 or arr.size < 1:
         raise ConfigError(f"{name} must be a 1-D array of length >= 1")
     if not np.all(np.isfinite(arr)):
@@ -74,7 +81,7 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
 
 
 def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
-    arr = np.atleast_2d(np.asarray(m, dtype=float))
+    arr = np.atleast_2d(_as_float_array(m, name))
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ConfigError(f"{name} must be square")
     if not np.all(np.isfinite(arr)):
@@ -317,7 +324,11 @@ def parse_config_file(path) -> ExperimentConfig:
     """Read a `key = value` config file into an ExperimentConfig."""
     cfg = ExperimentConfig()
     errors = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -328,7 +339,10 @@ def parse_config_file(path) -> ExperimentConfig:
         key = key.strip()
         parsed = _parse_value(value)
         if key == "alphas":
-            cfg.alphas = tuple(np.atleast_1d(parsed).astype(float))
+            try:
+                cfg.alphas = tuple(as_vector(parsed, "alphas"))
+            except ConfigError as exc:
+                errors.append(f"line {lineno}: {exc}")
         elif key == "noise.sigma":
             cfg.noise_sigma = parsed
         elif key.startswith("drift."):

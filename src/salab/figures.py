@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .core import NumericalError, PowerScaling
-from .drift import exp_square, quartic, quartic_sine
+from .drift import DriftOperator, from_config
 from .noise import make_noise
 from .simulate import engine, require_stable, run_chains
 from .stats import estimate_density, log_density_fit
@@ -40,12 +40,6 @@ DIFF_RATIO = 3.0
 _N_EFF_TARGET = 4000
 
 _FIGURE_ALPHAS = (1e-1, 1e-2, 1e-3, 1e-4)
-
-_DRIFTS = {
-    "quartic": quartic,
-    "exp_square": exp_square,
-    "quartic_sine": quartic_sine,
-}
 
 
 def _mixing_steps(drift_name: str, alpha: float) -> float:
@@ -151,22 +145,19 @@ def convergence_trend_check(curves, sigmas) -> TrendCheck:
 @dataclass(frozen=True)
 class FigureResult:
     name: str
-    exponent: float
     alphas: tuple
     densities: dict               # alpha -> DensityEstimate
-    sigmas: dict                  # alpha -> sample std of the scaled iterate
     trend: Optional[TrendCheck]
     fits: dict                    # q -> FitReport
     engine: str                   # simulate.engine of the figure's drift
 
 
-def _figure_samples(drift_name: str, run: FigureRun, seed: int, threads: int,
+def _figure_samples(op: DriftOperator, run: FigureRun, seed: int, threads: int,
                     cache: Optional[dict]) -> np.ndarray:
     """Raw (unscaled) stationary samples for one stepsize, cached by run key."""
-    key = (drift_name, run, seed)
+    key = (op.name, run, seed)
     if cache is not None and key in cache:
         return cache[key]
-    op = _DRIFTS[drift_name]()
     nm = make_noise("rademacher", np.eye(op.dim))
     raw = require_stable(run_chains(
         op,
@@ -197,13 +188,14 @@ def run_figure(
     if name not in FIGURE_SPECS:
         raise NumericalError(f"unknown figure name {name!r}")
     spec = FIGURE_SPECS[name]
+    op = from_config(spec.drift, {})
     scaling = PowerScaling(spec.exponent)
 
     scaled = {}
     sigmas = {}
     for alpha in spec.alphas:
         run = _figure_run(spec.drift, alpha)
-        x = _figure_samples(spec.drift, run, seed, threads, cache)
+        x = _figure_samples(op, run, seed, threads, cache)
         y = x / scaling(alpha)
         scaled[alpha] = y
         sigmas[alpha] = float(y.std(ddof=1))
@@ -229,11 +221,9 @@ def run_figure(
 
     return FigureResult(
         name=name,
-        exponent=spec.exponent,
         alphas=spec.alphas,
         densities=densities,
-        sigmas=sigmas,
         trend=trend,
         fits=fits,
-        engine=engine(_DRIFTS[spec.drift]()),
+        engine=engine(op),
     )

@@ -98,18 +98,6 @@ def _combine(trends: Sequence[ProbeTrend]) -> str:
     return VANISHES
 
 
-def classify_limit(
-    op: DriftOperator,
-    p: float,
-    probes: Optional[Sequence[float]] = None,
-    alpha_sequence: Optional[Sequence[float]] = None,
-) -> str:
-    """Classify the scaled-drift limit at exponent p over the probe set."""
-    probes = DEFAULT_PROBES if probes is None else tuple(probes)
-    alphas = _checked_alphas(alpha_sequence)
-    return _combine([_probe_trend(op, p, pr, alphas) for pr in probes])
-
-
 def _checked_alphas(alpha_sequence) -> np.ndarray:
     alphas = np.asarray(
         DEFAULT_ALPHA_SEQUENCE if alpha_sequence is None else alpha_sequence,

@@ -9,6 +9,7 @@ import pytest
 
 import salab._step as step
 from salab.cli import _write_csv, main
+from salab.figures import FIGURE_SPECS
 
 QUAD_CFG = """
 drift = grad_quadratic
@@ -137,6 +138,27 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", "/nonexistent/exp.cfg"]) == 2
         assert "cannot read config file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", [
+        b"drift = grad_quadratic\n# caf\xe9\n",
+        QUAD_CFG.replace("alphas = 0.1, 0.01", "alphas = abc").encode(),
+        QUAD_CFG.replace("alphas = 0.1, 0.01", "alphas = [[0.1]]").encode(),
+        QUAD_CFG.replace("noise.sigma = [[1.0]]", 'noise.sigma = "abc"').encode(),
+    ], ids=["not-utf8", "alphas-text", "alphas-nested", "sigma-text"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, body):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(body)
+        assert main(["simulate", "--config", str(cfg), "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, QUAD_CFG)
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["predict", "--config", cfg, "--out", str(out)]) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+
 
 class TestPredictCommand:
     def test_prediction_csv(self, tmp_path):
@@ -165,6 +187,43 @@ class TestFigureCommand:
     def test_unknown_name_exits_2(self, capsys):
         assert main(["figure", "fig99"]) == 2
         assert "unknown figure" in capsys.readouterr().err
+
+    def test_unknown_name_among_several_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "figs"
+        assert main(["figure", "fig5", "fig99", "--out", str(out)]) == 2
+        assert "unknown figure name 'fig99'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_all_dry_run_names_every_figure(self, tmp_path, capsys):
+        out = tmp_path / "figs"
+        assert main(["figure", "all", "--out", str(out), "--dry-run"]) == 0
+        printed = [line.split()[1].rstrip(":")
+                   for line in capsys.readouterr().out.splitlines()]
+        assert printed == sorted(FIGURE_SPECS)
+        assert not out.exists()
+
+    def test_config_is_rejected(self, tmp_path):
+        cfg = write_cfg(tmp_path, QUAD_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "fig5", "--config", cfg, "--dry-run"])
+        assert exc.value.code == 2
+
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["figure", "fig5", "--out", str(out)]) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+
+    def test_several_names_match_single_runs(self, tmp_path):
+        both = tmp_path / "both"
+        assert main(["figure", "fig5", "fig12", "--out", str(both), "--seed", "1"]) == 0
+        assert sorted(p.name for p in both.iterdir()) == ["fig12", "fig5"]
+        for name in ("fig5", "fig12"):
+            single = tmp_path / name
+            assert main(["figure", name, "--out", str(single), "--seed", "1"]) == 0
+            assert (both / name / "manifest.json").exists()
+            assert read_bytes(both / name) == read_bytes(single)
+            assert len(read_bytes(single)) == 2
 
     def test_fit_figure_outputs(self, tmp_path):
         out = tmp_path / "f5"

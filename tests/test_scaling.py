@@ -14,7 +14,6 @@ from salab.scaling import (
     BLOWS_UP,
     NONTRIVIAL,
     VANISHES,
-    classify_limit,
     find_scaling_exponent,
     sample_limit_drift,
     scaled_drift,
@@ -55,34 +54,41 @@ class TestScaledDrift:
 
 
 class TestClassifyLimit:
+    # the per-exponent labels of the search, on grids of the exponents checked
+    QUARTIC_GRID = (1 / 8, 1 / 4, 1 / 2)
+
     def test_quartic_quarter_nontrivial(self):
-        assert classify_limit(quartic(), 0.25) == NONTRIVIAL
+        labels = find_scaling_exponent(quartic(), grid=self.QUARTIC_GRID).classifications
+        assert labels[0.25] == NONTRIVIAL
 
     def test_quartic_half_vanishes(self):
-        assert classify_limit(quartic(), 0.5) == VANISHES
+        labels = find_scaling_exponent(quartic(), grid=self.QUARTIC_GRID).classifications
+        assert labels[0.5] == VANISHES
 
     def test_quartic_eighth_blows_up(self):
-        assert classify_limit(quartic(), 0.125) == BLOWS_UP
+        labels = find_scaling_exponent(quartic(), grid=self.QUARTIC_GRID).classifications
+        assert labels[0.125] == BLOWS_UP
 
     def test_exp_square_half_nontrivial(self):
-        assert classify_limit(exp_square(), 0.5) == NONTRIVIAL
+        assert find_scaling_exponent(exp_square()).classifications[0.5] == NONTRIVIAL
 
     def test_strongly_convex_sandwich(self):
         # the sigma/L pinch forces exponent 1/2: above it the limit dies,
         # below it the limit explodes
-        op = grad_quadratic()
+        grid = (0.25, 0.375, 0.45, 0.55, 0.625, 0.75)
+        labels = find_scaling_exponent(grad_quadratic(), grid=grid).classifications
         for p in (0.55, 0.625, 0.75):
-            assert classify_limit(op, p) == VANISHES
+            assert labels[p] == VANISHES
         for p in (0.45, 0.375, 0.25):
-            assert classify_limit(op, p) == BLOWS_UP
+            assert labels[p] == BLOWS_UP
 
     def test_alpha_sequence_validation(self):
         with pytest.raises(NumericalError, match="decreasing"):
-            classify_limit(quartic(), 0.25, alpha_sequence=[1e-3, 1e-2, 1e-4,
-                                                            1e-5, 1e-6, 1e-7])
+            find_scaling_exponent(quartic(), alpha_sequence=[1e-3, 1e-2, 1e-4,
+                                                             1e-5, 1e-6, 1e-7])
         with pytest.raises(NumericalError, match="4 decades"):
-            classify_limit(
-                quartic(), 0.25,
+            find_scaling_exponent(
+                quartic(),
                 alpha_sequence=[1e-2, 5e-3, 2e-3, 1e-3, 5e-4, 2e-4],
             )
 
