@@ -1,8 +1,9 @@
-/* Compiled step kernel of the chain engine, for three drifts:
+/* Compiled step kernel of the chain engine, for two drifts:
  *
- *   NEG_CUBE   F(x) = -x^3        d = 1   g = -(x*x*x)
- *   NEG_SCALE  F(x) = -(x H^T)    any d   g_i = -(x_0 h_i0 + ... + x_{d-1} h_i,d-1)
- *   AFFINE     F(x) = x A^T + b   any d   g_i = (x_0 a_i0 + ... + x_{d-1} a_i,d-1) + b_i
+ *   NEG_CUBE  F(x) = -x^3        d = 1   g = -(x*x*x)
+ *   AFFINE    F(x) = x A^T + b   any d   g_i = (x_0 a_i0 + ... + x_{d-1} a_i,d-1) + b_i
+ *
+ * Gradient descent on x^T H x / 2 is AFFINE with A = -H and b = 0.
  *
  * Every step is the numpy body's, operation for operation and rounding for
  * rounding:  g = F(x) for every coordinate before any coordinate moves;
@@ -12,17 +13,18 @@
  * with -ffast-math, so that each chain gives the same bits as the numpy
  * body.
  *
- * At d = 1 and d = 2 a tile of chains is stepped through the whole block
- * with the chain loop innermost: the chains are independent, so the loop
- * runs at the throughput of the arithmetic rather than at the latency of
- * one chain's dependent operations, and a full sign tile's constant width
- * lets the compiler vectorize it.  The drift kind and d are constants in
- * each such loop (see BY_KIND), so the branches on them stay outside the
- * hot loop.  At d > 2 each chain is stepped alone, with its d^2 products
- * to overlap.  Gaussian, uniform, noiseless and d >= 2 sign draws are read
- * chain-major, a noise tile at a time, from the buffer each chain drew them
- * into; no step-major copy is made.  Record r of a chain is its state after
- * step burn_in + (r + 1) * thin, written to out[chain, r].
+ * At every d a tile of chains is stepped through the whole block with the
+ * chain loop innermost: the chains are independent, so the loop runs at
+ * the throughput of the arithmetic rather than at the latency of one
+ * chain's dependent operations, and a full sign tile's constant width lets
+ * the compiler vectorize it.  The drift kind is a constant in each loop,
+ * and so is d at d = 1 and d = 2, so the branches on them stay outside the
+ * hot loop; above that d is a runtime value.  The tile's states live in a
+ * local array, so no store to a state can change the coefficients, which
+ * are read in place.  Gaussian, uniform, noiseless and d >= 2 sign draws
+ * are read chain-major, a noise tile at a time, from the buffer each chain
+ * drew them into; no step-major copy is made.  Record r of a chain is its
+ * state after step burn_in + (r + 1) * thin, written to out[chain, r].
  *
  * Arguments shared by both entry points:
  *   f        the drift and its coefficient dc
@@ -37,59 +39,35 @@
 #define TILE 64
 #define INLINE static inline __attribute__((always_inline))
 
-enum { NEG_CUBE, NEG_SCALE, AFFINE };
+enum { NEG_CUBE, AFFINE };
 
 struct drift {
     long kind, d;
-    const double *a; /* row-major d x d: A (AFFINE) or H (NEG_SCALE) */
+    const double *a; /* row-major d x d A (AFFINE) */
     const double *b; /* d entries (AFFINE) */
     double dc;
 };
 
-/* fn(kind, D, ...) with kind and D compile-time constants: one inlined loop
- * per kind at d = D, which is 1 or 2 (and 1 for NEG_CUBE). */
-#define BY_KIND(kind, D, fn, ...)                                           \
-    switch (kind) {                                                         \
-    case NEG_CUBE: fn(NEG_CUBE, 1, __VA_ARGS__); break;                     \
-    case NEG_SCALE: fn(NEG_SCALE, D, __VA_ARGS__); break;                   \
-    default: fn(AFFINE, D, __VA_ARGS__); break;                             \
-    }
-
-/* The coefficients of a drift at d = D <= 2, copied into locals so that no
- * store to a state can be taken to change them. */
-struct coef {
-    double a[4], b[2], dc;
-};
-
-INLINE struct coef coefs(long kind, long D, const struct drift *f)
-{
-    struct coef k = {{0.0}, {0.0}, f->dc};
-    if (kind != NEG_CUBE)
-        for (long i = 0; i < D * D; i++)
-            k.a[i] = f->a[i];
-    if (kind == AFFINE)
-        for (long i = 0; i < D; i++)
-            k.b[i] = f->b[i];
-    return k;
-}
-
 /* One step of chain c of a tile, whose coordinate i is xs[i * TILE + c]
- * and whose draw for it is w[i], in the numpy body's order. */
-INLINE void step(long kind, long D, const struct coef *k, double *xs, long c,
-                 const double *w)
+ * and whose draw for it is w[i], in the numpy body's order.  The D values
+ * of g go to a local pair at D <= 2 and to the caller's gd above that. */
+INLINE void step(long kind, long D, const struct drift *f, double *xs, long c,
+                 const double *w, double *gd)
 {
-    double g[2];
+    double g2[2];
+    double *g = D <= 2 ? g2 : gd;
     for (long i = 0; i < D; i++) {
         if (kind == NEG_CUBE) {
             double v = xs[c];
             g[i] = -(v * v * v);
         } else {
-            double s = xs[c] * k->a[i * D];
+            const double *ai = f->a + i * D;
+            double s = xs[c] * ai[0];
             for (long j = 1; j < D; j++)
-                s = s + xs[j * TILE + c] * k->a[i * D + j];
-            g[i] = kind == AFFINE ? s + k->b[i] : -s;
+                s = s + xs[j * TILE + c] * ai[j];
+            g[i] = s + f->b[i];
         }
-        g[i] = g[i] * k->dc;
+        g[i] = g[i] * f->dc;
     }
     for (long i = 0; i < D; i++) {
         double v = xs[i * TILE + c] + g[i];
@@ -131,46 +109,16 @@ static void store(const double *xs, double *x, long t, long d)
 /* t chains through m steps of chain-major noise: w[(c * m + s) * D + i]
  * for coordinate i of chain c. */
 INLINE void draws_tile(long kind, long D, const struct drift *f,
-                       double *restrict xs, long t, const double *restrict w,
-                       long m, long k0, double *out, long spc, long burn_in,
-                       long thin)
+                       double *restrict xs, double *restrict g, long t,
+                       const double *restrict w, long m, long k0, double *out,
+                       long spc, long burn_in, long thin)
 {
-    struct coef k = coefs(kind, D, f);
     long next = next_record(k0, burn_in, thin);
     for (long s = 0; s < m; s++) {
         for (long c = 0; c < t; c++)
-            step(kind, D, &k, xs, c, w + (c * m + s) * D);
+            step(kind, D, f, xs, c, w + (c * m + s) * D, g);
         if (k0 + s + 1 == next) {
             record(xs, t, D, out, spc, (next - burn_in) / thin - 1);
-            next += thin;
-        }
-    }
-}
-
-/* One chain at d > 2 through m steps of its noise, w[s * d + i]: all of
- * g = F(x) before any x[i] moves, then g *= dc; x += g; x += w. */
-static void draws_chain(const struct drift *f, double *restrict x,
-                        const double *restrict w, long m, long k0,
-                        double *restrict out, long burn_in, long thin)
-{
-    long d = f->d;
-    double g[d];
-    long next = next_record(k0, burn_in, thin);
-    for (long s = 0; s < m; s++, w += d) {
-        for (long i = 0; i < d; i++) {
-            const double *ai = f->a + i * d;
-            double sum = x[0] * ai[0];
-            for (long j = 1; j < d; j++)
-                sum = sum + x[j] * ai[j];
-            g[i] = f->kind == AFFINE ? sum + f->b[i] : -sum;
-            g[i] = g[i] * f->dc;
-        }
-        for (long i = 0; i < d; i++) {
-            double v = x[i] + g[i];
-            x[i] = v + w[i];
-        }
-        if (k0 + s + 1 == next) {
-            memcpy(out + ((next - burn_in) / thin - 1) * d, x, d * sizeof *x);
             next += thin;
         }
     }
@@ -179,13 +127,11 @@ static void draws_chain(const struct drift *f, double *restrict x,
 /* t chains through m steps of packed sign noise at d = 1.  The draw's
  * value is picked by masking bit patterns, not by a branch: the bits are
  * random, so a branch would be mispredicted every other draw. */
-INLINE void signs_tile(long kind, long D, const struct drift *f,
-                       double *restrict xs, long t,
-                       const uint64_t *restrict words, long n, long m, long k0,
-                       uint64_t lo_bits, uint64_t flip, double *out, long spc,
-                       long burn_in, long thin)
+INLINE void signs_tile(long kind, const struct drift *f, double *restrict xs,
+                       long t, const uint64_t *restrict words, long n, long m,
+                       long k0, uint64_t lo_bits, uint64_t flip, double *out,
+                       long spc, long burn_in, long thin)
 {
-    struct coef k = coefs(kind, D, f);
     long next = next_record(k0, burn_in, thin);
     for (long s = 0; s < m; s++) {
         const uint64_t *ws = words + (s >> 6) * n;
@@ -194,10 +140,10 @@ INLINE void signs_tile(long kind, long D, const struct drift *f,
             uint64_t pick = lo_bits ^ (flip & (0 - ((ws[c] >> bit) & 1)));
             double w;
             memcpy(&w, &pick, sizeof w);
-            step(kind, D, &k, xs, c, &w);
+            step(kind, 1, f, xs, c, &w, NULL);
         }
         if (k0 + s + 1 == next) {
-            record(xs, t, D, out, spc, (next - burn_in) / thin - 1);
+            record(xs, t, 1, out, spc, (next - burn_in) / thin - 1);
             next += thin;
         }
     }
@@ -210,29 +156,32 @@ void step_tile(const struct drift *f, double *restrict x, long n,
                double *restrict out, long spc, long burn_in, long thin)
 {
     long d = f->d;
-    if (d > 2) {
-        for (long c = 0; c < n; c++)
-            draws_chain(f, x + c * d, w + c * m * d, m, k0, out + c * spc * d,
-                        burn_in, thin);
-        return;
-    }
-    double xs[2 * TILE];
+    /* the tile's states, and its drift values above d = 2: linear in d */
+    double xs[(d > 2 ? d : 2) * TILE], g[d];
     for (long c0 = 0; c0 < n; c0 += TILE) {
         long t = n - c0 < TILE ? n - c0 : TILE;
+        const double *wt = w + c0 * m * d;
+        double *ot = out + c0 * spc * d;
         load(xs, x + c0 * d, t, d);
-        if (d == 1) {
-            BY_KIND(f->kind, 1, draws_tile, f, xs, t, w + c0 * m, m, k0,
-                    out + c0 * spc, spc, burn_in, thin);
-        } else {
-            BY_KIND(f->kind, 2, draws_tile, f, xs, t, w + c0 * m * 2, m, k0,
-                    out + c0 * spc * 2, spc, burn_in, thin);
-        }
+        if (f->kind == NEG_CUBE)
+            draws_tile(NEG_CUBE, 1, f, xs, g, t, wt, m, k0, ot, spc, burn_in, thin);
+        else if (d == 1)
+            draws_tile(AFFINE, 1, f, xs, g, t, wt, m, k0, ot, spc, burn_in, thin);
+        else if (d == 2)
+            draws_tile(AFFINE, 2, f, xs, g, t, wt, m, k0, ot, spc, burn_in, thin);
+        else
+            draws_tile(AFFINE, d, f, xs, g, t, wt, m, k0, ot, spc, burn_in, thin);
         store(xs, x + c0 * d, t, d);
     }
 }
 
 /* Packed sign noise at d = 1: draw s of the block is bit s % 64 of
- * words[(s / 64) * n + c]; a set bit adds hi, a clear one lo. */
+ * words[(s / 64) * n + c]; a set bit adds hi, a clear one lo.  A full
+ * tile's width is a constant, so its loop is vectorized. */
+#define SIGNS(kind, t)                                                      \
+    signs_tile(kind, f, xs, t, words + c0, n, m, k0, lo_bits, flip,         \
+               out + c0 * spc, spc, burn_in, thin)
+
 void step_signs(const struct drift *f, double *restrict x, long n,
                 const uint64_t *restrict words, long m, long k0, double lo,
                 double hi, double *restrict out, long spc, long burn_in,
@@ -246,13 +195,14 @@ void step_signs(const struct drift *f, double *restrict x, long n,
     for (long c0 = 0; c0 < n; c0 += TILE) {
         long t = n - c0 < TILE ? n - c0 : TILE;
         memcpy(xs, x + c0, t * sizeof *xs);
-        if (t == TILE) {
-            BY_KIND(f->kind, 1, signs_tile, f, xs, TILE, words + c0, n, m, k0, lo_bits,
-                    flip, out + c0 * spc, spc, burn_in, thin);
-        } else {
-            BY_KIND(f->kind, 1, signs_tile, f, xs, t, words + c0, n, m, k0, lo_bits,
-                    flip, out + c0 * spc, spc, burn_in, thin);
-        }
+        if (t == TILE && f->kind == NEG_CUBE)
+            SIGNS(NEG_CUBE, TILE);
+        else if (t == TILE)
+            SIGNS(AFFINE, TILE);
+        else if (f->kind == NEG_CUBE)
+            SIGNS(NEG_CUBE, t);
+        else
+            SIGNS(AFFINE, t);
         memcpy(x + c0, xs, t * sizeof *xs);
     }
 }

@@ -33,12 +33,12 @@ _long, _double, _ptr = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
 
 
 #: the drifts the kernel steps, in the order of _step.c's enum:
-#: F(x) = -x^3 (d = 1), -(x H^T) and x A^T + b (any d)
-KINDS = ("neg_cube", "neg_scale", "affine")
+#: F(x) = -x^3 (d = 1) and x A^T + b (any d)
+KINDS = ("neg_cube", "affine")
 
 
 class Drift(ctypes.Structure):
-    """The drift the kernel steps: its kind, d, its row-major a (A or H) and b, and dc."""
+    """The drift the kernel steps: its kind, d, its row-major A and b, and dc."""
 
     _fields_ = [("kind", _long), ("d", _long), ("a", _ptr), ("b", _ptr), ("dc", _double)]
 
@@ -58,8 +58,8 @@ def _drift(kind, a, b, dc) -> Drift:
     if kind == "neg_cube":
         return Drift(0, 1, None, None, dc)
     d = len(a)
-    b = None if kind == "neg_scale" else _data(b, np.float64, (d,))
-    return Drift(KINDS.index(kind), d, _data(a, np.float64, (d, d)), b, dc)
+    return Drift(KINDS.index(kind), d, _data(a, np.float64, (d, d)),
+                 _data(b, np.float64, (d,)), dc)
 
 
 def _records(out, n, d, k0, m, burn_in, thin) -> tuple:
@@ -75,10 +75,10 @@ class Kernel:
     """Steps n chains, state x of shape (n, d), through one block.
 
     drift is (kind, a, b, dc): a drift F of one of the KINDS, its
-    coefficients and dc.  a is the C-contiguous float64 (d, d) matrix (A or
-    H; None for neg_cube, whose d is 1) and b the (d,) vector (affine only,
-    else None).  k0 is the number of steps taken before the block; each
-    chain's record r, its state after step burn_in + (r + 1) * thin, goes to
+    coefficients and dc.  For affine, a is the C-contiguous float64 (d, d)
+    matrix A and b the (d,) vector; both are None for neg_cube, whose d is
+    1.  k0 is the number of steps taken before the block; each chain's
+    record r, its state after step burn_in + (r + 1) * thin, goes to
     out[chain, r].
     """
 

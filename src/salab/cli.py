@@ -153,13 +153,17 @@ def _emit_logfit(fits, manifest):
                   "logfit.csv")
 
 
+def _emit_density(est, alpha, manifest):
+    """Write density_<alpha>.csv from a density estimate, one row per grid point."""
+    manifest.emit(["y", "p_hat"], zip(est.grid, est.density),
+                  f"density_{_alpha_tag(alpha)}.csv")
+
+
 def _emit_figure(result: FigureResult, manifest: _Manifest) -> None:
     """Write a figure's density CSVs, its trend_check.csv and its logfit.csv."""
     manifest.engine = result.engine
     for alpha in result.alphas:
-        est = result.densities[alpha]
-        manifest.emit(["y", "p_hat"], list(zip(est.grid, est.density)),
-                      f"density_{_alpha_tag(alpha)}.csv")
+        _emit_density(result.densities[alpha], alpha, manifest)
     if result.trend is not None:
         t = result.trend
         rows = [("diff_small", t.diff_small), ("diff_large", t.diff_large),
@@ -257,11 +261,7 @@ def _run_tests_for(validated, manifest, scaling, threads) -> None:
             flat = ens.flat[:, 0]
             span = 4.6 * float(flat.std(ddof=1))
             est = estimate_density(flat, np.linspace(-span, span, 513))
-            manifest.emit(
-                ["y", "p_hat"],
-                list(zip(est.grid, est.density)),
-                f"density_{_alpha_tag(alpha)}.csv",
-            )
+            _emit_density(est, alpha, manifest)
     manifest.engine = engine(validated.op)
     smallest = validated.alphas[-1]
 

@@ -213,16 +213,6 @@ def _ordered_product(x, a):
 
 
 @dataclass(frozen=True, eq=False)
-class NegatedLinear:
-    """F(x) = -(x H^T): gradient descent on x^T H x / 2."""
-
-    h: np.ndarray
-
-    def __call__(self, x):
-        return -_ordered_product(x, self.h)
-
-
-@dataclass(frozen=True, eq=False)
 class Affine:
     """F(x) = x A^T + b."""
 
@@ -236,7 +226,10 @@ class Affine:
 
 
 def grad_quadratic(hessian=((1.0,),)) -> DriftOperator:
-    """Gradient descent field for f(x) = x^T H x / 2 with H symmetric PD."""
+    """Gradient descent field for f(x) = x^T H x / 2 with H symmetric PD.
+
+    F(x) = -H x is the affine field with A = -H and b = 0.
+    """
     h = as_square_matrix(hessian, "hessian")
     if not np.allclose(h, h.T):
         raise ConfigError("hessian must be symmetric")
@@ -247,7 +240,7 @@ def grad_quadratic(hessian=((1.0,),)) -> DriftOperator:
     return DriftOperator(
         name="grad_quadratic",
         dim=h.shape[0],
-        fn=NegatedLinear(h),
+        fn=Affine(-h, np.zeros(h.shape[0])),
         root=np.zeros(h.shape[0]),
         jacobian=-h,
         certificate=SmoothConvexCertificate(smoothness=big_l, strong_convexity=sig),

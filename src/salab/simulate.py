@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .core import NumericalError, PowerScaling, ValidatedConfig, seed_rng, stream_id
-from .drift import Affine, DriftOperator, NegatedLinear, _neg_cube
+from .drift import Affine, DriftOperator, _neg_cube
 from .noise import NoiseModel, decode_signs, sample_block, sign_table, sign_words
 
 #: chains simulated together in one vectorized group; grouping never affects
@@ -143,7 +143,7 @@ def _kernel_for(op: DriftOperator):
     """(kernel, (kind, a, b)) when the compiled step kernel runs op's update, else None.
 
     The kernel steps F(x) = -x^3 (drift.quartic, d = 1) and, at every d,
-    -(x H^T) and x A^T + b (grad_quadratic and linear), under every noise
+    x A^T + b (linear, and grad_quadratic with A = -H), under every noise
     shape; (kind, a, b) names the drift and holds its coefficients as
     C-contiguous float64 arrays.  Its module is imported, and the kernel
     built and loaded, on the first such call, never on import; it is None
@@ -152,8 +152,6 @@ def _kernel_for(op: DriftOperator):
     fn = op.fn
     if fn is _neg_cube and op.dim == 1:
         drift = ("neg_cube", None, None)
-    elif isinstance(fn, NegatedLinear):
-        drift = ("neg_scale", np.ascontiguousarray(fn.h, np.float64), None)
     elif isinstance(fn, Affine):
         drift = ("affine", np.ascontiguousarray(fn.a, np.float64),
                  np.ascontiguousarray(fn.b, np.float64))

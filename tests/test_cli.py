@@ -143,7 +143,9 @@ class TestSimulateCommand:
         QUAD_CFG.replace("alphas = 0.1, 0.01", "alphas = abc").encode(),
         QUAD_CFG.replace("alphas = 0.1, 0.01", "alphas = [[0.1]]").encode(),
         QUAD_CFG.replace("noise.sigma = [[1.0]]", 'noise.sigma = "abc"').encode(),
-    ], ids=["not-utf8", "alphas-text", "alphas-nested", "sigma-text"])
+        # nan would turn the stability check off: alpha = 5.0 is 50x grad_quadratic's limit
+        QUAD_CFG.replace("alphas = 0.1, 0.01", "alphas = 5.0\nalpha_max = nan").encode(),
+    ], ids=["not-utf8", "alphas-text", "alphas-nested", "sigma-text", "alpha-max-nan"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, body):
         cfg = tmp_path / "exp.cfg"
         cfg.write_bytes(body)

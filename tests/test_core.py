@@ -99,6 +99,28 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="strictly decreasing"):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"alphas": ((0.1,), (0.01,))}, "alphas must be a 1-D array"),
+        ({"alphas": (float("nan"),)}, "alphas must have finite entries"),
+        ({"alpha_max": "abc"}, "alpha_max must be finite and positive"),
+        # a non-finite threshold would turn the stability check off
+        ({"alphas": (5.0,), "alpha_max": float("nan")}, "alpha_max must be finite"),
+        ({"alphas": (5.0,), "alpha_max": float("inf")}, "alpha_max must be finite"),
+        ({"alpha_max": 0.0}, "alpha_max must be finite and positive"),
+    ], ids=["alphas-nested", "alphas-nan", "alpha-max-text", "alpha-max-nan",
+            "alpha-max-inf", "alpha-max-zero"])
+    def test_malformed_stepsizes_raise_config_error(self, fields, message):
+        cfg = ExperimentConfig(scaling=0.5, **fields)
+        with pytest.raises(ConfigError, match=message):
+            validate_config(cfg)
+
+    def test_unknown_drift_and_noise_shape_both_reported(self):
+        cfg = ExperimentConfig(drift="warp", noise_shape="pink")
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        text = "; ".join(err.value.errors)
+        assert "unknown drift id 'warp'" in text and "unknown noise shape 'pink'" in text
+
     def test_error_list_collects_everything(self):
         cfg = ExperimentConfig(
             drift="warp", alphas=(-1.0,), noise_sigma=[[1, 2], [2, 1]], n_chains=0

@@ -15,7 +15,6 @@ from salab.drift import (
     grad_generic,
     grad_quadratic,
     linear,
-    NegatedLinear,
     quartic,
     quartic_sine,
 )
@@ -203,8 +202,10 @@ class TestAffineSummationOrder:
         a = rng.standard_normal((d, d)) - 2.0 * np.eye(d)
         b = rng.standard_normal(d)
         x = rng.standard_normal((4097, d)) * 7.3
+        # grad_quadratic's F = -H x, with a symmetric positive definite H
+        h = a.T @ a + np.eye(d)
         for fn, expect in ((Affine(a, b), ordered_rows(x, a, b)),
-                           (NegatedLinear(a), ordered_rows(x, a))):
+                           (grad_quadratic(h).fn, ordered_rows(x, h))):
             for n in (1, 2, 4, 4097):
                 assert fn(x[:n]).tobytes() == expect[:n].tobytes(), (d, n)
             # one state vector, as eval_drift passes the root

@@ -508,6 +508,23 @@ class TestEngineMatchesReference:
         assert_chains_match_reference(op, nm, n_chains, sorted(chains), seed=16,
                                       init=op.root + 3.0, **sizes)
 
+    def test_wide_affine_chains_on_worker_threads(self, monkeypatch):
+        # d = 1100: the kernel's tile of states and drift values lives on the
+        # stack of each worker thread, linear in d; a d x d copy would not fit
+        if step.load() is None:
+            pytest.skip("no C compiler: the compiled kernel cannot be built")
+        d = 1100
+        # triangular, so the Hurwitz check is cheap; its products still round
+        a = np.triu(seed_rng(3, 0).standard_normal((d, d)), 1) / d - 1.3 * np.eye(d)
+        op, nm = linear(a, np.full(d, 0.1)), make_noise("gaussian", np.eye(d))
+        monkeypatch.setattr(sim, "_CHAIN_GROUP", 5)
+        sizes = dict(n_chains=10, burn_in=0, thin=1, samples_per_chain=2, seed=17, threads=2)
+        compiled = run_chains(op, nm, 0.01, 0.02, **sizes)
+        monkeypatch.setattr(step, "load", lambda: None)
+        numpy_body = run_chains(op, nm, 0.01, 0.02, **sizes)
+        assert compiled.n_diverged == 0
+        assert compiled.samples.tobytes() == numpy_body.samples.tobytes()
+
     # X <- (I + 3A) X + 3 (b + w), whose iteration matrix has the eigenvalue
     # -2.11: 62 to 76 of the 100 chains pass 1e308 and overflow within 950 steps
     @pytest.mark.parametrize("shape", ["gaussian", "uniform", "rademacher"])

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -108,6 +109,26 @@ def test_source_compiles_without_warnings(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert res.returncode == 0, res.stderr
+
+
+@needs_cc
+def test_sign_tile_is_vectorized_for_each_drift_kind(tmp_path):
+    # the full sign tile's chain loop, once per drift kind, is what makes
+    # fig3 fast; a VLA or an aliasing store in step() silently stops it
+    res = subprocess.run(
+        ["cc", *step.CFLAGS, "-fopt-info-vec-optimized", str(step.SOURCE),
+         "-o", str(tmp_path / "step.so")],
+        capture_output=True, text=True, timeout=120,
+    )
+    if res.returncode != 0 or "optimized:" not in res.stderr:
+        pytest.skip("cc does not report vectorized loops with -fopt-info-vec-optimized")
+    # signs_tile's body: from its signature to the next closing brace in column 0
+    lines = list(enumerate(step.SOURCE.read_text().splitlines(), 1))
+    start = next(i for i, line in lines if line.startswith("INLINE void signs_tile("))
+    end = next(i for i, line in lines if i > start and line == "}")
+    vectorized = [int(m.group(1)) for m in
+                  re.finditer(r"_step\.c:(\d+):\d+: optimized: loop vectorized", res.stderr)]
+    assert sum(start < n < end for n in vectorized) == len(step.KINDS), res.stderr
 
 
 def test_only_the_quartic_drift_takes_the_kernel(fresh_kernel):
@@ -233,7 +254,7 @@ def test_kernel_rejects_buffers_it_cannot_step(fresh_kernel):
         kernel.step_tile(("affine", affine[1], np.zeros(3), 0.1), x2, draws2, 0, out2,
                          burn_in=1, thin=3)
     with pytest.raises(ValueError, match="C-contiguous"):
-        kernel.step_tile(("neg_scale", np.eye(2).T[:, ::-1], None, 0.1), x2, draws2, 0, out2,
+        kernel.step_tile(("affine", np.eye(2).T[:, ::-1], affine[2], 0.1), x2, draws2, 0, out2,
                          burn_in=1, thin=3)
     with pytest.raises(ValueError, match="d = 1 only"):
         kernel.step_signs(affine, x2, np.zeros((1, 4), np.uint64), 10, 0, -1.0, 1.0, out2,
