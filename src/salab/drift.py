@@ -129,15 +129,21 @@ class HurwitzReport:
     max_real_part: float
 
 
-def check_hurwitz(m) -> HurwitzReport:
-    """Check that every eigenvalue of M has strictly negative real part."""
-    m = as_square_matrix(m, "M")
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
     try:
-        eigs = np.linalg.eigvals(m)
+        return np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed: {exc}")
+
+
+def _hurwitz_report(eigs: np.ndarray) -> HurwitzReport:
     max_real = float(eigs.real.max())
     return HurwitzReport(hurwitz=max_real < -HURWITZ_TOL, max_real_part=max_real)
+
+
+def check_hurwitz(m) -> HurwitzReport:
+    """Check that every eigenvalue of M has strictly negative real part."""
+    return _hurwitz_report(_eigenvalues(as_square_matrix(m, "M")))
 
 
 @dataclass(frozen=True)
@@ -281,11 +287,10 @@ def linear(a, b=None) -> DriftOperator:
     b = np.zeros(d) if b is None else as_vector(b, "b")
     if b.size != d:
         raise ConfigError("b dimension mismatch")
-    report = check_hurwitz(a)
-    if not report.hurwitz:
+    eigs = _eigenvalues(a)
+    if not _hurwitz_report(eigs).hurwitz:
         raise ConfigError("linear drift requires a Hurwitz matrix A")
     root = np.linalg.solve(a, -b)
-    eigs = np.linalg.eigvals(a)
     # exact AR stability is alpha < 2|Re l|/|l|^2 per eigenvalue; keep half
     exact = float((2.0 * (-eigs.real) / np.abs(eigs) ** 2).min())
     return DriftOperator(

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, as_square_matrix, require_spd
+from .drift import _ordered_product
 
 _SQRT3 = np.sqrt(3.0)
 
@@ -100,13 +101,15 @@ def _unit_variance_block(shape: str, rng: np.random.Generator, n: int, d: int) -
 def sample_block(nm: NoiseModel, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw n noise vectors with covariance Sigma, shape (n, dim).
 
-    At d = 1 each draw is scaled in place by the one Cholesky entry: a
-    single product, so the same bits as the matrix product, without its
-    overhead.
+    Row s is L z_s summed in one fixed order, as drift._ordered_product
+    sums (no fused multiply-add), so its bits never depend on n, as a BLAS
+    product's can, and the compiled kernel draws the same.  At d = 1 each
+    draw is scaled in place by the one Cholesky entry: the same single
+    product, without the overhead.
     """
     z = _unit_variance_block(nm.shape, rng, n, nm.dim)
     if nm.dim == 1:
         z *= nm.cholesky[0, 0]
         return z
-    return z @ nm.cholesky.T
+    return _ordered_product(z, nm.cholesky)
 

@@ -19,11 +19,12 @@ from .core import NumericalError, PowerScaling, ValidatedConfig, seed_rng, strea
 from .drift import Affine, DriftOperator, _neg_cube
 from .noise import NoiseModel, decode_signs, sample_block, sign_table, sign_words
 
-#: chains simulated together in one vectorized group; grouping never affects
-#: results (chains own their streams and update independently), only speed
+#: chains simulated together in one group, which bounds the numpy body's
+#: step-major noise block; grouping never affects results (chains own their
+#: streams and update independently), only speed
 _CHAIN_GROUP = 4096
 
-#: steps of noise pre-generated per chain at a time
+#: steps of noise the numpy body draws per chain at a time
 _STEP_BLOCK = 4096
 
 #: larger blocks for the compact sign-noise fast path (1 byte per draw)
@@ -144,7 +145,7 @@ def _kernel_for(op: DriftOperator):
 
     The kernel steps F(x) = -x^3 (drift.quartic, d = 1) and, at every d,
     x A^T + b (linear, and grad_quadratic with A = -H), under every noise
-    shape; (kind, a, b) names the drift and holds its coefficients as
+    shape, whose draws it makes itself; (kind, a, b) names the drift and holds its coefficients as
     C-contiguous float64 arrays.  Its module is imported, and the kernel
     built and loaded, on the first such call, never on import; it is None
     when that fails.
@@ -219,52 +220,42 @@ def _run_group(
     chain_ids: np.ndarray,
     burn_in: int,
     thin: int,
-    samples_per_chain: int,
+    out: np.ndarray,
     seed: int,
     label: tuple,
     init: np.ndarray,
-):
-    """Advance one group of chains in lockstep; returns (samples, alive).
+) -> None:
+    """Advance one group of chains in lockstep.
 
-    Chains consume noise from their own streams in a fixed block order, so
+    Record r of the group's chain j goes to out[j, r], of shape
+    (nc, samples_per_chain, d).
+
+    Chains consume noise from their own streams in a fixed order, so
     per-chain trajectories are independent of the grouping; the group width
-    only controls vectorization.  The state is one (nc, d) array for every
-    drift, and every noise shape feeds the same update body with rows that
-    already hold noise_coeff * w.  When stepper is not None (see
-    _kernel_for), the compiled kernel steps the chains instead of that body,
-    each noise tile straight from where its chains drew it, and makes the
-    same roundings in the same order.
+    only controls vectorization.  When stepper is not None (see
+    _kernel_for), one call of the compiled kernel draws each chain's noise
+    and steps the whole group.  Otherwise the state is one (nc, d) array
+    for every drift, and every noise shape feeds the same update body with
+    rows that already hold noise_coeff * w; the kernel makes the same
+    draws and the same roundings in the same order.
     """
     nc = chain_ids.size
     d = op.dim
     gens = [seed_rng(seed, stream_id(*label, int(c))) for c in chain_ids]
-    out = np.empty((nc, samples_per_chain, d))
-    total = burn_in + samples_per_chain * thin
+    total = burn_in + out.shape[1] * thin
     x = np.tile(init, (nc, 1))
-
-    # scalar sign noise stays packed, one bit per draw, until decoded
-    sign = nm.shape == "rademacher" and d == 1
-    if sign:
-        table = sign_table(noise_coeff * float(nm.cholesky[0, 0]))
-        blocks = _sign_word_blocks(gens, total)
-    else:
-        tiles = _noise_tiles(nm, gens, noise_coeff, total)
 
     if stepper is not None:
         kernel, coeffs = stepper
-        drift = (*coeffs, drift_coeff)
-        if sign:
-            k = 0
-            for words, block in blocks:
-                kernel.step_signs(drift, x, words, block, k, table[0, 0], table[1, 0],
-                                  out, burn_in, thin)
-                k += block
-        else:
-            for k, c0, draws in tiles:
-                c1 = c0 + len(draws)
-                kernel.step_tile(drift, x[c0:c1], draws, k, out[c0:c1], burn_in, thin)
+        noise = (nm.shape, np.ascontiguousarray(nm.cholesky, np.float64), noise_coeff)
+        kernel.run((*coeffs, drift_coeff), noise, gens, x, out, burn_in, thin)
     else:
-        chunks = _sign_chunks(blocks, table, nc) if sign else _shaped_chunks(tiles, nc, d, total)
+        # scalar sign noise stays packed, one bit per draw, until decoded
+        if nm.shape == "rademacher" and d == 1:
+            table = sign_table(noise_coeff * float(nm.cholesky[0, 0]))
+            chunks = _sign_chunks(_sign_word_blocks(gens, total), table, nc)
+        else:
+            chunks = _shaped_chunks(_noise_tiles(nm, gens, noise_coeff, total), nc, d, total)
         k = 0
         next_record = burn_in + thin
         with np.errstate(over="ignore", invalid="ignore"):
@@ -278,8 +269,6 @@ def _run_group(
                     if k == next_record:
                         out[:, (k - burn_in) // thin - 1] = x
                         next_record += thin
-    # the last record is the final state, so this also checks where chains end
-    return out, np.isfinite(out).all(axis=(1, 2))
 
 
 def run_chains(
@@ -312,23 +301,26 @@ def run_chains(
     all_ids = np.arange(n_chains)
     groups = [all_ids[i : i + _CHAIN_GROUP] for i in range(0, n_chains, _CHAIN_GROUP)]
     stepper = _kernel_for(op)
+    # every group records into its own rows of the one samples array
+    samples = np.empty((n_chains, samples_per_chain, op.dim))
 
     def work(ids):
-        return _run_group(
+        _run_group(
             op, stepper, nm, drift_coeff, noise_coeff, ids, burn_in, thin,
-            samples_per_chain, seed, label, init,
+            samples[ids[0] : ids[-1] + 1], seed, label, init,
         )
 
     if threads > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, groups))
+            list(pool.map(work, groups))
     else:
-        results = [work(ids) for ids in groups]
+        for ids in groups:
+            work(ids)
+    # the last record is the final state, so this also checks where chains end
+    alive = np.isfinite(samples).all(axis=(1, 2))
 
-    samples = np.concatenate([r[0] for r in results], axis=0)
-    alive = np.concatenate([r[1] for r in results], axis=0)
     return Ensemble(
-        samples=samples[alive],
+        samples=samples if alive.all() else samples[alive],
         chain_ids=all_ids[alive],
         n_chains=n_chains,
         n_diverged=int((~alive).sum()),

@@ -111,6 +111,18 @@ class TestCheckHurwitz:
             assert a.hurwitz == b.hurwitz
             assert a.max_real_part == pytest.approx(b.max_real_part, abs=1e-8)
 
+    def test_linear_computes_the_eigenvalues_once(self, monkeypatch):
+        # one eigenvalue solve serves the Hurwitz check and the stability limit
+        a = [[-1.0, 2.0], [0.5, -3.0]]
+        eigvals, calls = np.linalg.eigvals, []
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or eigvals(m))
+        op = linear(a)
+        assert len(calls) == 1
+        eigs = eigvals(np.array(a))
+        assert op.stability_limit == min(1.0, 0.5 * float((2.0 * (-eigs.real) / np.abs(eigs) ** 2).min()))
+        with pytest.raises(ConfigError, match="Hurwitz"):
+            linear([[0.0, 1.0], [-1.0, 0.0]])
+
 
 class TestCheckContraction:
     def test_half_scaling(self):

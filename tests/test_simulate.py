@@ -317,6 +317,8 @@ def reference_noise(nm, rng, n):
 
     Sign draw i of a block is bit i % 64 of raw word i // 64, mapped bit by
     bit; gaussian and uniform draws are the generator's own (n, d) blocks.
+    Each vector is L z summed in plain Python floats, in order of k:
+    (z_0 l_i0 + z_1 l_i1) + ...
     """
     d = nm.dim
     if nm.shape == "rademacher":
@@ -332,7 +334,15 @@ def reference_noise(nm, rng, n):
         z = np.zeros((n, d))
     else:
         z = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(n, d))
-    return z @ nm.cholesky.T
+    chol = nm.cholesky.tolist()
+    w = np.empty((n, d))
+    for s, zs in enumerate(z.tolist()):
+        for i in range(d):
+            acc = zs[0] * chol[i][0]
+            for k in range(1, d):
+                acc = acc + zs[k] * chol[i][k]
+            w[s, i] = acc
+    return w
 
 
 def reference_chain(op, nm, drift_coeff, noise_coeff, c, *, burn_in, thin,

@@ -1,9 +1,9 @@
 """The compiled step kernel: its build, its dispatch and its numpy fallback."""
 
 import functools
-import hashlib
 import json
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -15,6 +15,7 @@ import pytest
 
 import salab._step as step
 import salab.simulate as sim
+from salab.core import seed_rng
 from salab.drift import (contractive_tanh, exp_square, grad_generic, grad_quadratic, linear,
                          quartic, quartic_sine)
 from salab.noise import make_noise
@@ -96,39 +97,50 @@ def fresh_kernel(tmp_path, monkeypatch):
     return kernel
 
 
+@pytest.fixture
+def kernel():
+    """The kernel the engine loads, from its usual cache."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    kernel = step.load()
+    assert kernel is not None
+    return kernel
+
+
 def csv_bytes(out):
     return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
 
 
 @needs_cc
 def test_source_compiles_without_warnings(tmp_path):
-    # the production flags plus every common warning, as errors
-    res = subprocess.run(
-        ["cc", *step.CFLAGS, "-Wall", "-Wextra", "-Werror", str(step.SOURCE),
-         "-o", str(tmp_path / "step.so")],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert res.returncode == 0, res.stderr
+    # the production build plus every common warning, as errors
+    res = step.compile_source(step.SOURCE.read_bytes(), tmp_path / "step.so",
+                              "-Wall", "-Wextra", "-Werror")
+    assert res.returncode == 0, res.stderr.decode()
 
 
 @needs_cc
 def test_sign_tile_is_vectorized_for_each_drift_kind(tmp_path):
-    # the full sign tile's chain loop, once per drift kind, is what makes
-    # fig3 fast; a VLA or an aliasing store in step() silently stops it
-    res = subprocess.run(
-        ["cc", *step.CFLAGS, "-fopt-info-vec-optimized", str(step.SOURCE),
-         "-o", str(tmp_path / "step.so")],
-        capture_output=True, text=True, timeout=120,
-    )
-    if res.returncode != 0 or "optimized:" not in res.stderr:
+    # the full sign tile's chain loop, once per drift kind and once per
+    # clone of the kernel, is what makes fig3 fast; a VLA or an aliasing
+    # store in step() silently stops it
+    res = step.compile_source(step.SOURCE.read_bytes(), tmp_path / "step.so",
+                              "-fopt-info-vec-optimized")
+    stderr = res.stderr.decode()
+    if res.returncode != 0 or "optimized:" not in stderr:
         pytest.skip("cc does not report vectorized loops with -fopt-info-vec-optimized")
+    # x86-64 with glibc builds an AVX2 clone beside the baseline one
+    avx2 = platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc"
     # signs_tile's body: from its signature to the next closing brace in column 0
     lines = list(enumerate(step.SOURCE.read_text().splitlines(), 1))
     start = next(i for i, line in lines if line.startswith("INLINE void signs_tile("))
     end = next(i for i, line in lines if i > start and line == "}")
-    vectorized = [int(m.group(1)) for m in
-                  re.finditer(r"_step\.c:(\d+):\d+: optimized: loop vectorized", res.stderr)]
-    assert sum(start < n < end for n in vectorized) == len(step.KINDS), res.stderr
+    widths = [int(m.group(2)) for m in re.finditer(
+        r"<stdin>:(\d+):\d+: optimized: loop vectorized using (\d+) byte vectors", stderr)
+        if start < int(m.group(1)) < end]
+    assert len(widths) == len(step.KINDS) * (2 if avx2 else 1), stderr
+    if avx2:
+        assert widths.count(32) == len(step.KINDS), stderr
 
 
 def test_only_the_quartic_drift_takes_the_kernel(fresh_kernel):
@@ -145,24 +157,89 @@ def test_only_the_quartic_drift_takes_the_kernel(fresh_kernel):
         assert sim.engine(op) == "numpy", op.name
 
 
-def test_compiled_body_builds_no_step_major_noise(fresh_kernel, monkeypatch):
-    def step_major(*args):
-        raise AssertionError("the compiled body laid the noise out step-major")
+def test_compiled_body_draws_no_noise_in_python(fresh_kernel, monkeypatch):
+    def in_python(*args):
+        raise AssertionError("the compiled body drew or laid out noise in Python")
 
-    monkeypatch.setattr(sim, "_shaped_chunks", step_major)
+    for name in ("_shaped_chunks", "_noise_tiles", "_sign_word_blocks", "sample_block",
+                 "sign_words"):
+        monkeypatch.setattr(sim, name, in_python)
     ops = (quartic(), grad_quadratic([[2.0]]), linear([[-1.0]], [0.5]),
            grad_quadratic([[0.9, 0.2], [0.2, 0.7]]),
            linear([[-1.3, 0.7], [0.2, -2.1]], [0.1, -0.3]),
            linear([[-1.3, 0.7, 0.1], [0.2, -2.1, 0.3], [-0.4, 0.6, -1.7]], [0.1, -0.3, 0.7]))
     for op in ops:
         d = op.dim
-        # scalar sign noise is packed words, not a noise tile; from d = 2 on it is a tile
-        shapes = ("gaussian", "uniform", "noiseless") + (("rademacher",) if d > 1 else ())
-        for shape in shapes:
+        for shape in ("gaussian", "uniform", "noiseless", "rademacher"):
             nm = make_noise(shape, np.eye(d))
             ens = sim.run_chains(op, nm, 0.01, 0.01, n_chains=10, burn_in=10, thin=3,
                                  samples_per_chain=4, seed=1)
             assert ens.samples.shape == (10, 4, d)
+
+
+#: chains per tile of the kernel (TILE in _step.c)
+KERNEL_TILE = 64
+
+
+@pytest.mark.parametrize("seed", [3, 41, 2024])
+@pytest.mark.parametrize(
+    "shape, d, steps",
+    [
+        # the kernel draws SUB_DRAWS = 64 values per chain at a time, so
+        # 64 // d steps: two full sub-blocks and a partial one
+        ("gaussian", 1, 2 * 64 + 7),
+        ("gaussian", 3, 2 * 21 + 1),
+        ("uniform", 1, 64 + 1),
+        ("uniform", 2, 2 * 32 + 5),
+        # packed sign words, 4096 steps at a time: across the numpy body's
+        # 16384-step block, ending in a partial word
+        ("rademacher", 1, 16384 + 64 + 5),
+        # 63 sign bits per sub-block, so words straddle the sub-blocks
+        ("rademacher", 3, 2 * 21 + 7),
+    ],
+)
+def test_kernel_draws_are_numpys(kernel, seed, shape, d, steps):
+    # With F(x) = -x, dc = 1, L = I and coeff = 1 each step lands on its
+    # unit draw: x + (-x) = 0, then 0 + z = z.  So the records are the draws.
+    n = KERNEL_TILE + 6
+    gens = [seed_rng(seed, c) for c in range(n)]
+    x, out = np.ones((n, d)), np.empty((n, steps, d))
+    kernel.run(("affine", -np.eye(d), np.zeros(d), 1.0), (shape, np.eye(d), 1.0),
+               gens, x, out, burn_in=0, thin=1)
+    for c in (0, KERNEL_TILE - 1, KERNEL_TILE, n - 1):
+        rng = seed_rng(seed, c)
+        if shape == "gaussian":
+            z = rng.standard_normal((steps, d))
+        elif shape == "uniform":
+            z = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), (steps, d))
+        else:
+            words = rng.bit_generator.random_raw(-(-steps * d // 64))
+            bits = np.unpackbits(words.view(np.uint8), bitorder="little")[: steps * d]
+            z = (2.0 * bits - 1.0).reshape(steps, d)
+        assert out[c].tobytes() == z.tobytes(), c
+        # and the stream is left where numpy leaves it
+        assert gens[c].bit_generator.random_raw(3).tobytes() == \
+            rng.bit_generator.random_raw(3).tobytes(), c
+
+
+@pytest.mark.parametrize("missing", ["archive", "header"])
+def test_missing_numpy_random_falls_back_to_the_numpy_body(fresh_kernel, tmp_path,
+                                                           monkeypatch, missing):
+    cases = ((quartic(), make_noise("rademacher", [[0.5]])),
+             (linear([[-1.3, 0.7], [0.2, -2.1]], [0.1, -0.3]),
+              make_noise("gaussian", [[1.0, 0.3], [0.3, 0.5]])))
+    sizes = dict(n_chains=70, burn_in=300, thin=7, samples_per_chain=5, seed=8)
+    compiled = [sim.run_chains(op, nm, 0.01, 0.02, **sizes) for op, nm in cases]
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "other-cache"))
+    monkeypatch.setattr(step, "load", functools.cache(step.load.__wrapped__))
+    if missing == "archive":
+        monkeypatch.setattr(step, "LIBRARY", tmp_path / "libnpyrandom.a")
+    else:
+        monkeypatch.setattr(step, "_includes", lambda: [f"-I{tmp_path}"])
+    for (op, nm), ens in zip(cases, compiled):
+        assert sim.engine(op) == "numpy"
+        assert sim.run_chains(op, nm, 0.01, 0.02, **sizes).samples.tobytes() == \
+            ens.samples.tobytes()
 
 
 def test_import_and_dry_run_build_nothing(tmp_path):
@@ -211,51 +288,50 @@ def test_fallback_writes_the_compiled_bytes(tmp_path, failure):
         if shutil.which("cc") is not None:
             manifest = json.loads((tmp_path / f"{name}-compiled" / "manifest.json").read_text())
             assert manifest["engine"] == "compiled"
-            digest = hashlib.sha256(step.SOURCE.read_bytes()).hexdigest()
+            key = step.cache_key(step.SOURCE.read_bytes(), step.LIBRARY.read_bytes())
             built = sorted(p.name for p in (cache / "salab").glob("*.so"))
-            assert built == [f"step-{digest}.so"]
+            assert built == [f"step-{key}.so"]
 
 
 def test_kernel_rejects_buffers_it_cannot_step(fresh_kernel):
     kernel = fresh_kernel
     cube = ("neg_cube", None, None, 0.1)
+    signs = ("rademacher", np.eye(1), 0.1)
+    gens = [seed_rng(1, c) for c in range(4)]
     x, out = np.zeros((4, 1)), np.zeros((4, 3, 1))
-    draws = np.zeros((4, 10, 1))
-    kernel.step_tile(cube, x, draws, 0, out, burn_in=1, thin=3)
+    kernel.run(cube, signs, gens, x, out, burn_in=1, thin=3)
     with pytest.raises(ValueError, match="shape"):
-        kernel.step_tile(cube, x, draws[:3], 0, out, burn_in=1, thin=3)
+        # four states for three generators
+        kernel.run(cube, signs, gens[:3], x, out, burn_in=1, thin=3)
     with pytest.raises(ValueError, match="C-contiguous"):
-        kernel.step_tile(cube, np.zeros((4, 2))[:, :1], draws, 0, out, burn_in=1, thin=3)
+        kernel.run(cube, signs, gens, np.zeros((4, 2))[:, :1], out, burn_in=1, thin=3)
     with pytest.raises(ValueError, match="C-contiguous"):
-        # a step-major block's tile of chains is not what the kernel reads
-        kernel.step_tile(cube, x, np.zeros((10, 4, 1)).transpose(1, 0, 2), 0, out,
-                         burn_in=1, thin=3)
-    with pytest.raises(ValueError, match="uint64"):
-        kernel.step_signs(cube, x, np.zeros((1, 4)), 10, 0, -1.0, 1.0, out, burn_in=1, thin=3)
+        kernel.run(cube, signs, gens, x, np.zeros((3, 4, 1)).transpose(1, 0, 2),
+                   burn_in=1, thin=3)
+    with pytest.raises(ValueError, match="float64"):
+        kernel.run(cube, signs, gens, x.astype(np.float32), out, burn_in=1, thin=3)
     with pytest.raises(ValueError, match="drift kind"):
-        kernel.step_tile(("cube", None, None, 0.1), x, draws, 0, out, burn_in=1, thin=3)
-    with pytest.raises(ValueError, match="schedule"):
-        # steps 1..10 of a schedule that ends at step 1 + 3 * 3 = 10 fit; 2..11 do not
-        kernel.step_tile(cube, x, draws, 1, out, burn_in=1, thin=3)
-    with pytest.raises(ValueError, match="schedule"):
-        kernel.step_signs(cube, x, np.zeros((1, 4), np.uint64), 10, 1, -1.0, 1.0, out,
-                          burn_in=1, thin=3)
+        kernel.run(("cube", None, None, 0.1), signs, gens, x, out, burn_in=1, thin=3)
+    with pytest.raises(ValueError, match="noise shape"):
+        kernel.run(cube, ("cauchy", np.eye(1), 0.1), gens, x, out, burn_in=1, thin=3)
+    for burn_in, thin in ((1, 0), (-1, 3)):
+        with pytest.raises(ValueError, match="schedule"):
+            kernel.run(cube, signs, gens, x, out, burn_in=burn_in, thin=thin)
 
-    # a 2-d affine drift: x, draws and out must end in an axis of d = 2
+    # a 2-d affine drift: x, out and the Cholesky factor must be those of d = 2
     affine = ("affine", np.array([[-1.0, 0.5], [0.0, -2.0]]), np.array([0.1, 0.2]), 0.1)
-    x2, draws2, out2 = np.zeros((4, 2)), np.zeros((4, 10, 2)), np.zeros((4, 3, 2))
-    kernel.step_tile(affine, x2, draws2, 0, out2, burn_in=1, thin=3)
-    for args in ((x, draws2, out2), (x2, draws, out2), (x2, draws2, out),
-                 (np.zeros((4, 3)), draws2, out2)):
+    gauss = ("gaussian", np.eye(2), 0.1)
+    x2, out2 = np.zeros((4, 2)), np.zeros((4, 3, 2))
+    kernel.run(affine, gauss, gens, x2, out2, burn_in=1, thin=3)
+    for xa, outa, noise in ((x, out2, gauss), (x2, out, gauss),
+                            (x2, out2, ("gaussian", np.eye(1), 0.1)),
+                            (np.zeros((4, 3)), out2, gauss)):
         with pytest.raises(ValueError, match="shape"):
-            kernel.step_tile(affine, *args[:2], 0, args[2], burn_in=1, thin=3)
+            kernel.run(affine, noise, gens, xa, outa, burn_in=1, thin=3)
     with pytest.raises(ValueError, match="shape"):
         # b must have d entries, and a must be d x d
-        kernel.step_tile(("affine", affine[1], np.zeros(3), 0.1), x2, draws2, 0, out2,
-                         burn_in=1, thin=3)
+        kernel.run(("affine", affine[1], np.zeros(3), 0.1), gauss, gens, x2, out2,
+                   burn_in=1, thin=3)
     with pytest.raises(ValueError, match="C-contiguous"):
-        kernel.step_tile(("affine", np.eye(2).T[:, ::-1], affine[2], 0.1), x2, draws2, 0, out2,
-                         burn_in=1, thin=3)
-    with pytest.raises(ValueError, match="d = 1 only"):
-        kernel.step_signs(affine, x2, np.zeros((1, 4), np.uint64), 10, 0, -1.0, 1.0, out2,
-                          burn_in=1, thin=3)
+        kernel.run(("affine", np.eye(2).T[:, ::-1], affine[2], 0.1), gauss, gens, x2, out2,
+                   burn_in=1, thin=3)
