@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from salab.core import ExperimentConfig, validate_config
-from salab.drift import derivative_at_root
 from salab.lyapunov import predict_stationary
 from salab.simulate import run_ensemble
 from salab.stats import cf_residual, gaussian_gof
@@ -43,7 +42,7 @@ def main() -> int:
         ens = run_ensemble(cfg, alpha)
         prediction = predict_stationary(cfg.op, cfg.noise)
         gof = gaussian_gof(ens.flat, prediction.sigma_y)
-        cf = cf_residual(ens.flat, derivative_at_root(cfg.op), cfg.noise.sigma)
+        cf = cf_residual(ens.flat, cfg.op.jacobian, cfg.noise.sigma)
         cf_ratio = float(np.max(
             np.hypot(cf.residual_real, cf.residual_imag) / cf.se))
         ok = gof.passed and cf_ratio <= 5.0

@@ -18,17 +18,12 @@ from .core import (
     validate_config,
 )
 from .drift import (
-    ContractionReport,
     DriftOperator,
     HurwitzReport,
-    SmoothConvexCertificate,
-    check_contraction,
     check_hurwitz,
     contractive_tanh,
-    derivative_at_root,
     eval_drift,
     exp_square,
-    grad_generic,
     grad_quadratic,
     linear,
     quartic,

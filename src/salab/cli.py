@@ -26,7 +26,7 @@ from .core import (
     parse_config_file,
     validate_config,
 )
-from .drift import check_hurwitz, derivative_at_root
+from .drift import check_hurwitz
 from .figures import FIGURE_SPECS, FigureResult, run_figure
 from .lyapunov import predict_stationary
 from .scaling import find_scaling_exponent
@@ -265,7 +265,7 @@ def _run_tests_for(validated, manifest, scaling, threads) -> None:
     manifest.engine = engine(validated.op)
     smallest = validated.alphas[-1]
 
-    m = derivative_at_root(validated.op)
+    m = validated.op.jacobian
     if check_hurwitz(m).hurwitz and abs(scaling.exponent - 0.5) < 1e-9:
         sol = _emit_prediction(validated, manifest)
 

@@ -1,16 +1,17 @@
 """Catalog of drift fields F with analytic roots and derivative data.
 
-Every operator stores the Jacobian of F at the root (when analytically
-known), which is exactly the matrix appearing in the stationary-covariance
-Lyapunov equation: -Hessian for gradient descent on f, A for affine fields
-Ax + b, and J - I for fixed-point fields T(x) - x.  One solver therefore
-serves all three families.
+Every operator stores the Jacobian of F at the root, which is exactly the
+matrix appearing in the stationary-covariance Lyapunov equation: -Hessian
+for gradient descent on f, A for affine fields Ax + b, and J - I for
+fixed-point fields T(x) - x.  One solver therefore serves all three
+families.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -22,9 +23,6 @@ from .core import (
     as_vector,
 )
 
-#: central finite-difference step; balances truncation and round-off
-FD_STEP = 1e-5
-
 #: eigenvalue real parts above -HURWITZ_TOL are treated as unstable
 HURWITZ_TOL = 1e-10
 
@@ -32,29 +30,8 @@ _OVERFLOW_LIMIT = 1e150
 
 
 @dataclass(frozen=True)
-class SmoothConvexCertificate:
-    """Smoothness / strong-convexity constants (L, sigma) for gradient drifts."""
-
-    smoothness: float
-    strong_convexity: float
-
-    def __post_init__(self):
-        if not (0.0 < self.strong_convexity <= self.smoothness):
-            raise ConfigError("certificate requires 0 < sigma <= L")
-
-
-@dataclass(frozen=True)
-class ContractionSpec:
-    """Fixed-point operator T with the weights of its contraction norm."""
-
-    operator: Callable[[np.ndarray], np.ndarray]
-    weights: np.ndarray
-    modulus: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class DriftOperator:
-    """Drift field F with root x*, derivative data, and stability metadata.
+    """Drift field F with root x*, its Jacobian there, and a stepsize limit.
 
     ``fn`` must be vectorized over leading axes: it maps arrays of shape
     (..., d) to arrays of the same shape.  Immutable and shareable across
@@ -65,9 +42,7 @@ class DriftOperator:
     dim: int
     fn: Callable[[np.ndarray], np.ndarray]
     root: np.ndarray
-    jacobian: Optional[np.ndarray] = None
-    certificate: Optional[SmoothConvexCertificate] = None
-    contraction: Optional[ContractionSpec] = None
+    jacobian: np.ndarray
     stability_limit: float = 0.25
 
     def __post_init__(self):
@@ -75,11 +50,10 @@ class DriftOperator:
         object.__setattr__(self, "root", root)
         if root.size != self.dim:
             raise ConfigError(f"root dimension {root.size} != {self.dim}")
-        if self.jacobian is not None:
-            jac = as_square_matrix(self.jacobian, "jacobian")
-            if jac.shape[0] != self.dim:
-                raise ConfigError("jacobian dimension mismatch")
-            object.__setattr__(self, "jacobian", jac)
+        jac = as_square_matrix(self.jacobian, "jacobian")
+        if jac.shape[0] != self.dim:
+            raise ConfigError("jacobian dimension mismatch")
+        object.__setattr__(self, "jacobian", jac)
         residual = float(np.linalg.norm(eval_drift(self, root)))
         if residual > ROOT_TOL:
             raise ConfigError(
@@ -97,30 +71,6 @@ def eval_drift(op: DriftOperator, x) -> np.ndarray:
     if not np.all(np.isfinite(value)) or np.abs(value).max(initial=0.0) > _OVERFLOW_LIMIT:
         raise NumericalError("drift overflow")
     return value
-
-
-def derivative_at_root(op: DriftOperator, fd_step: float = FD_STEP) -> np.ndarray:
-    """Jacobian of F at the root: the Lyapunov matrix M of the drift.
-
-    With M so defined the predicted stationary covariance solves
-    M S + S M^T + Sigma = 0 for every catalog family.  Falls back to
-    central finite differences when no analytic derivative is stored.
-    """
-    if op.jacobian is not None:
-        return op.jacobian.copy()
-    return _fd_jacobian(op, op.root, fd_step)
-
-
-def _fd_jacobian(op: DriftOperator, x: np.ndarray, h: float) -> np.ndarray:
-    cols = []
-    for i in range(op.dim):
-        e = np.zeros(op.dim)
-        e[i] = h
-        try:
-            cols.append((eval_drift(op, x + e) - eval_drift(op, x - e)) / (2 * h))
-        except NumericalError:
-            raise NumericalError(f"drift {op.name!r} not differentiable at the root")
-    return np.column_stack(cols)
 
 
 @dataclass(frozen=True)
@@ -144,56 +94,6 @@ def _hurwitz_report(eigs: np.ndarray) -> HurwitzReport:
 def check_hurwitz(m) -> HurwitzReport:
     """Check that every eigenvalue of M has strictly negative real part."""
     return _hurwitz_report(_eigenvalues(as_square_matrix(m, "M")))
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    gamma_hat: float
-    contractive: bool
-
-
-def check_contraction(
-    op: DriftOperator,
-    n_probes: int = 1000,
-    radius: float = 2.0,
-    rng: Optional[np.random.Generator] = None,
-) -> ContractionReport:
-    """Empirically certify the contraction modulus of the fixed-point operator.
-
-    gamma_hat is the largest ratio ||T(x1)-T(x2)||_mu / ||x1-x2||_mu over
-    random probe pairs in the ball of the given radius around the root;
-    zero-distance pairs are resampled.
-    """
-    if op.contraction is None:
-        raise ConfigError(f"drift {op.name!r} has no contraction operator")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    spec = op.contraction
-    w = np.sqrt(as_vector(spec.weights, "weights"))
-
-    def mu_norm(v):
-        return float(np.linalg.norm(w * v))
-
-    gamma_hat = 0.0
-    drawn = 0
-    while drawn < n_probes:
-        x1, x2 = op.root + _ball_point(rng, op.dim, radius), op.root + _ball_point(
-            rng, op.dim, radius
-        )
-        dist = mu_norm(x1 - x2)
-        if dist == 0.0:
-            continue
-        gamma_hat = max(gamma_hat, mu_norm(spec.operator(x1) - spec.operator(x2)) / dist)
-        drawn += 1
-    return ContractionReport(gamma_hat=gamma_hat, contractive=gamma_hat < 1.0)
-
-
-def _ball_point(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
-    direction = rng.standard_normal(dim)
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:
-        return np.zeros(dim)
-    return direction / norm * radius * rng.uniform() ** (1.0 / dim)
 
 
 # ---------------------------------------------------------------------------
@@ -243,40 +143,20 @@ def grad_quadratic(hessian=((1.0,),)) -> DriftOperator:
     if eigs.min() <= 0:
         raise ConfigError("hessian must be positive definite")
     sig, big_l = float(eigs.min()), float(eigs.max())
+    # L^2 is 0.0 when it underflows; as sigma <= L, sigma / L^2 < 1 only
+    # when L^2 > sigma > 0
+    try:
+        l_sq = big_l**2
+    except OverflowError:
+        l_sq = math.inf
     return DriftOperator(
         name="grad_quadratic",
         dim=h.shape[0],
         fn=Affine(-h, np.zeros(h.shape[0])),
         root=np.zeros(h.shape[0]),
         jacobian=-h,
-        certificate=SmoothConvexCertificate(smoothness=big_l, strong_convexity=sig),
-        # conservative default threshold for certified gradient drifts
-        stability_limit=0.1 * min(1.0, sig / big_l**2),
-    )
-
-
-def grad_generic(
-    gradient: Callable[[np.ndarray], np.ndarray],
-    root,
-    hessian=None,
-    certificate: Optional[SmoothConvexCertificate] = None,
-    stability_limit: float = 0.1,
-) -> DriftOperator:
-    """Descent field F(x) = -grad f(x) for a user-supplied gradient.
-
-    The minimizer must be known; the Jacobian at the root is -hessian when
-    an analytic Hessian is given, otherwise finite differences apply.
-    """
-    root = as_vector(root, "root")
-    hess = None if hessian is None else as_square_matrix(hessian, "hessian")
-    return DriftOperator(
-        name="grad_generic",
-        dim=root.size,
-        fn=lambda x: -np.asarray(gradient(x)),
-        root=root,
-        jacobian=None if hess is None else -hess,
-        certificate=certificate,
-        stability_limit=stability_limit,
+        # conservative threshold 0.1 min(1, sigma / L^2) for gradient drifts
+        stability_limit=0.1 * (1.0 if sig >= l_sq else sig / l_sq),
     )
 
 
@@ -303,20 +183,20 @@ def linear(a, b=None) -> DriftOperator:
     )
 
 
-def contractive_tanh(gain: float = 0.9, weights=None) -> DriftOperator:
+def contractive_tanh(gain: float = 0.9) -> DriftOperator:
     """Fixed-point field T(x) - x for the scalar contraction T(x) = tanh(g x)."""
-    gain = float(gain)
+    try:
+        gain = float(gain)
+    except (TypeError, ValueError):
+        raise ConfigError(f"contractive_tanh gain must be a number, got {gain!r}") from None
     if not (0.0 < gain < 1.0):
         raise ConfigError("contractive_tanh gain must lie in (0, 1)")
-    w = np.ones(1) if weights is None else as_vector(weights, "weights")
-    t = lambda x: np.tanh(gain * x)
     return DriftOperator(
         name="contractive_tanh",
         dim=1,
-        fn=lambda x: t(x) - x,
+        fn=lambda x: np.tanh(gain * x) - x,
         root=np.zeros(1),
         jacobian=np.array([[gain - 1.0]]),
-        contraction=ContractionSpec(operator=t, weights=w, modulus=gain),
         stability_limit=0.5,
     )
 
@@ -373,7 +253,7 @@ def from_config(drift_id: str, params: dict) -> DriftOperator:
             raise ConfigError("linear drift requires drift.a")
         op = linear(params.pop("a"), params.pop("b", None))
     elif drift_id == "contractive_tanh":
-        op = contractive_tanh(params.pop("gain", 0.9), params.pop("weights", None))
+        op = contractive_tanh(params.pop("gain", 0.9))
     elif drift_id == "quartic":
         op = quartic()
     elif drift_id == "exp_square":

@@ -13,7 +13,7 @@ from functools import cache
 import numpy as np
 
 from .core import NumericalError, as_square_matrix, require_spd
-from .drift import DriftOperator, check_hurwitz, derivative_at_root
+from .drift import DriftOperator, check_hurwitz
 
 #: certificate: ||M S + S M^T + Sigma||_F must not exceed this times ||Sigma||_F
 RESIDUAL_REL_TOL = 1e-10
@@ -145,7 +145,7 @@ def predict_stationary(op: DriftOperator, nm) -> LyapunovSolution:
     strongly convex gradient descent (-Hessian), stable affine fields (A)
     and contractions (J - I).
     """
-    m = derivative_at_root(op)
+    m = op.jacobian
     if not check_hurwitz(m).hurwitz:
         raise NumericalError(
             f"drift {op.name!r}: Lyapunov matrix is not Hurwitz, no Gaussian "

@@ -110,32 +110,25 @@ def moment_summary(ens: Ensemble) -> MomentSummary:
     )
 
 
-def _sign_word_blocks(gens, total: int):
-    """Each chain's packed sign words for all total steps, a block at a time.
+def _sign_chunks(gens, table: np.ndarray, total: int):
+    """Rows of table values for each chain's packed sign words, all total steps.
 
     Each chain draws a block's words from its own stream, _SIGN_STEP_BLOCK
-    steps at a time, so draw s of a block is bit s % 64 of its word s // 64.
-    Yields (words, block): words[i, j] is word i of chain j.  The word block
-    is refilled in place.
+    steps at a time, so draw s of a block is bit s % 64 of its word s // 64;
+    words[i, j] is word i of chain j, and the word block is refilled in
+    place.  A word row is decoded into 64 contiguous rows only when the
+    update loop reaches it; that buffer is reused too, so it never holds
+    more than 64 steps.
     """
-    words = np.empty(((min(_SIGN_STEP_BLOCK, total) + 63) // 64, len(gens)), np.uint64)
+    n = len(gens)
+    words = np.empty(((min(_SIGN_STEP_BLOCK, total) + 63) // 64, n), np.uint64)
+    rows = np.empty((64, n))
     for k in range(0, total, _SIGN_STEP_BLOCK):
         block = min(_SIGN_STEP_BLOCK, total - k)
         n_words = (block + 63) // 64
         for j, g in enumerate(gens):
             words[:n_words, j] = sign_words(g, block)
-        yield words[:n_words], block
-
-
-def _sign_chunks(word_blocks, table: np.ndarray, n: int):
-    """Rows of table values for the packed words, one 64-step word at a time.
-
-    A word row is decoded into 64 contiguous rows only when the update loop
-    reaches it; the buffer is reused, so it never holds more than 64 steps.
-    """
-    rows = np.empty((64, n))
-    for words, block in word_blocks:
-        for w, word_row in enumerate(words):
+        for w, word_row in enumerate(words[:n_words]):
             np.copyto(rows, decode_signs(word_row, table).T)
             yield rows[: block - 64 * w]
 
@@ -174,41 +167,29 @@ def _tile_chains(block: int, d: int) -> int:
     return max(1, _TILE_BYTES // (8 * block * d))
 
 
-def _noise_tiles(nm: NoiseModel, gens, coeff: float, total: int):
-    """Noise for all total steps from each chain's stream, scaled by coeff once.
+def _shaped_chunks(nm: NoiseModel, gens, coeff: float, total: int):
+    """The step-major (block, n, d) noise of each block, scaled by coeff once.
 
-    Each chain draws _STEP_BLOCK steps of noise at a time, and consecutive
-    chains draw into one contiguous tile of about _TILE_BYTES.  Yields
-    (k, c0, draws) with draws[j, s] the noise of chain c0 + j at step
-    k + s + 1; the tiles of one block come in chain order.  The tile is
-    refilled in place, so one tile of noise is held at a time.
+    Each chain draws _STEP_BLOCK steps of noise at a time from its own
+    stream, and consecutive chains draw into one contiguous tile of about
+    _TILE_BYTES, draws[j, s] the noise of chain c0 + j at the block's step
+    s.  Each tile is copied into the block at once: every block row then
+    receives tile * d adjacent values per copy instead of d values per
+    chain.  The tile and the block are refilled in place.
     """
     n, d = len(gens), nm.dim
     steps = min(_STEP_BLOCK, total)
     width = min(n, _tile_chains(steps, d))
     buf = np.empty(width * steps * d)
+    noise = np.empty((steps, n, d))
     for k in range(0, total, steps):
         block = min(steps, total - k)
         for c0 in range(0, n, width):
             draws = buf[: min(width, n - c0) * block * d].reshape(-1, block, d)
             for j, g in enumerate(gens[c0 : c0 + len(draws)]):
                 np.multiply(sample_block(nm, g, block), coeff, out=draws[j])
-            yield k, c0, draws
-
-
-def _shaped_chunks(tiles, n: int, d: int, total: int):
-    """The step-major (block, n, d) noise of each block, for the numpy body.
-
-    Each tile is copied into the block at once: every block row then
-    receives tile * d adjacent values per copy instead of d values per
-    chain.  The block is refilled in place.
-    """
-    noise = np.empty((min(_STEP_BLOCK, total), n, d))
-    for _, c0, draws in tiles:
-        block = draws.shape[1]
-        noise[:block, c0 : c0 + len(draws)] = draws.transpose(1, 0, 2)
-        if c0 + len(draws) == n:
-            yield noise[:block]
+            noise[:block, c0 : c0 + len(draws)] = draws.transpose(1, 0, 2)
+        yield noise[:block]
 
 
 def _run_group(
@@ -253,9 +234,9 @@ def _run_group(
         # scalar sign noise stays packed, one bit per draw, until decoded
         if nm.shape == "rademacher" and d == 1:
             table = sign_table(noise_coeff * float(nm.cholesky[0, 0]))
-            chunks = _sign_chunks(_sign_word_blocks(gens, total), table, nc)
+            chunks = _sign_chunks(gens, table, total)
         else:
-            chunks = _shaped_chunks(_noise_tiles(nm, gens, noise_coeff, total), nc, d, total)
+            chunks = _shaped_chunks(nm, gens, noise_coeff, total)
         k = 0
         next_record = burn_in + thin
         with np.errstate(over="ignore", invalid="ignore"):

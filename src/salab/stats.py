@@ -120,7 +120,6 @@ class CfResidualReport:
     residual_real: np.ndarray
     residual_imag: np.ndarray
     se: np.ndarray              # combined Monte-Carlo SE per t
-    max_abs_residual: float
 
 
 def _sample_matrix(samples) -> np.ndarray:
@@ -174,6 +173,8 @@ def cf_residual(samples, m_lyap, sigma, t_grid=None) -> CfResidualReport:
     t_grid = np.atleast_2d(np.asarray(t_grid, dtype=float))
     if t_grid.shape[1] != d:
         raise NumericalError("t grid dimension mismatch")
+    if n < 2:
+        raise NumericalError("cf residual needs at least 2 samples")
 
     res_re = np.empty(t_grid.shape[0])
     res_im = np.empty(t_grid.shape[0])
@@ -188,13 +189,11 @@ def cf_residual(samples, m_lyap, sigma, t_grid=None) -> CfResidualReport:
         se_re = batch_means_se(summand.real)
         se_im = batch_means_se(summand.imag)
         ses[j] = np.hypot(se_re, se_im)
-    max_abs = float(np.hypot(res_re, res_im).max())
     return CfResidualReport(
         t_grid=t_grid,
         residual_real=res_re,
         residual_imag=res_im,
         se=ses,
-        max_abs_residual=max_abs,
     )
 
 
@@ -226,6 +225,8 @@ def gaussian_gof(samples, sigma_y) -> GofReport:
     sigma_y = require_spd(sigma_y, "Sigma_Y")
     if sigma_y.shape[0] != d:
         raise NumericalError("Sigma_Y dimension mismatch")
+    if n < 2:
+        raise NumericalError("Gaussian goodness of fit needs at least 2 samples")
 
     n_eff = min(effective_sample_size(samples[:, i]) for i in range(d))
 

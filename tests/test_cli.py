@@ -24,6 +24,15 @@ seed = 7
 """
 
 
+TANH_CFG = """
+drift = contractive_tanh
+drift.gain = 0.9
+noise.sigma = [[1.0]]
+alphas = 0.1
+scaling = 0.5
+"""
+
+
 def write_cfg(tmp_path, body, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(body)
@@ -145,7 +154,13 @@ class TestSimulateCommand:
         QUAD_CFG.replace("noise.sigma = [[1.0]]", 'noise.sigma = "abc"').encode(),
         # nan would turn the stability check off: alpha = 5.0 is 50x grad_quadratic's limit
         QUAD_CFG.replace("alphas = 0.1, 0.01", "alphas = 5.0\nalpha_max = nan").encode(),
-    ], ids=["not-utf8", "alphas-text", "alphas-nested", "sigma-text", "alpha-max-nan"])
+        TANH_CFG.replace("drift.gain = 0.9", "drift.gain = [0.5]").encode(),
+        TANH_CFG.replace("drift.gain = 0.9", 'drift.gain = {"a": 1}').encode(),
+        TANH_CFG.replace("drift.gain = 0.9", "drift.weights = [1.0, 2.0, 3.0]").encode(),
+        # L^2 = 1e400 overflows: the stability limit is 0, below every alpha
+        QUAD_CFG.replace("[[1.0]]", "[[1e200]]", 1).encode(),
+    ], ids=["not-utf8", "alphas-text", "alphas-nested", "sigma-text", "alpha-max-nan",
+            "gain-list", "gain-dict", "weights-unknown", "hessian-huge"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, body):
         cfg = tmp_path / "exp.cfg"
         cfg.write_bytes(body)
@@ -312,6 +327,25 @@ class TestPipelineCommand:
         cfg = write_cfg(tmp_path, QUAD_CFG)
         assert main(["pipeline", "--config", cfg]) == 2
         assert "requires scaling = auto" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, scaling", [("test", "0.5"), ("pipeline", "auto")])
+    def test_one_retained_sample_exits_3(self, tmp_path, capsys, command, scaling):
+        # one chain with one record: no covariance and no verdict to write
+        body = f"""
+        drift = linear
+        drift.a = [[-1.0, 0.5], [0.0, -2.0]]
+        noise.sigma = [[1.0, 0.0], [0.0, 1.0]]
+        alphas = 0.1
+        scaling = {scaling}
+        n_chains = 1
+        samples_per_chain = 1
+        """
+        cfg = write_cfg(tmp_path, body)
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: Gaussian goodness of fit needs at least 2 samples\n"
+        assert not (out / "gof.csv").exists()
 
 
 class TestEmCompareCommand:

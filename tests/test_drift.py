@@ -1,18 +1,14 @@
 import numpy as np
 import pytest
 
-from salab.core import ConfigError, NumericalError, seed_rng
+from salab.core import ConfigError, ExperimentConfig, NumericalError, seed_rng, validate_config
 from salab.drift import (
     Affine,
-    ContractionSpec,
     DriftOperator,
-    check_contraction,
     check_hurwitz,
     contractive_tanh,
-    derivative_at_root,
     eval_drift,
     exp_square,
-    grad_generic,
     grad_quadratic,
     linear,
     quartic,
@@ -28,6 +24,17 @@ CATALOG = [
     exp_square(),
     quartic_sine(),
 ]
+
+#: central finite-difference step; balances truncation and round-off
+FD_STEP = 1e-5
+
+
+def fd_jacobian(op):
+    """Central finite differences of F at the root, one column per coordinate."""
+    cols = []
+    for e in np.eye(op.dim) * FD_STEP:
+        cols.append((eval_drift(op, op.root + e) - eval_drift(op, op.root - e)) / (2 * FD_STEP))
+    return np.column_stack(cols)
 
 
 class TestEvalDrift:
@@ -61,29 +68,20 @@ class TestEvalDrift:
 
 class TestDerivativeAtRoot:
     def test_unit_quadratic(self):
-        assert derivative_at_root(grad_quadratic()) == pytest.approx(np.array([[-1.0]]))
+        assert grad_quadratic().jacobian == pytest.approx(np.array([[-1.0]]))
 
     def test_linear_returns_a(self):
         a = np.array([[-1.0, 2.0], [0.0, -3.0]])
-        assert np.allclose(derivative_at_root(linear(a)), a)
+        assert np.allclose(linear(a).jacobian, a)
 
     def test_quartic_sine_is_minus_one(self):
         # the sine-squared well contributes curvature 1 at the root,
         # the quartic term contributes nothing
-        assert derivative_at_root(quartic_sine()) == pytest.approx(
-            np.array([[-1.0]])
-        )
+        assert quartic_sine().jacobian == pytest.approx(np.array([[-1.0]]))
 
     @pytest.mark.parametrize("op", CATALOG, ids=lambda o: o.name)
     def test_matches_finite_differences(self, op):
-        analytic = derivative_at_root(op)
-        fd = derivative_at_root(
-            DriftOperator(
-                name=op.name + "_fd", dim=op.dim, fn=op.fn, root=op.root,
-                jacobian=None,
-            )
-        )
-        assert np.abs(analytic - fd).max() < 1e-6
+        assert np.abs(op.jacobian - fd_jacobian(op)).max() < 1e-6
 
 
 class TestCheckHurwitz:
@@ -125,36 +123,13 @@ class TestCheckHurwitz:
 
 
 class TestCheckContraction:
-    def test_half_scaling(self):
-        t = lambda x: 0.5 * x
-        op = DriftOperator(
-            name="half", dim=1, fn=lambda x: t(x) - x, root=np.zeros(1),
-            contraction=ContractionSpec(operator=t, weights=np.ones(1)),
-        )
-        rep = check_contraction(op, n_probes=50, radius=2.0, rng=seed_rng(1, 0))
-        assert rep.gamma_hat == pytest.approx(0.5)
-        assert rep.contractive
-
-    def test_translation_is_not_contractive(self):
-        t = lambda x: x + 1.0
-        op = DriftOperator(
-            name="shift", dim=1, fn=lambda x: -np.ones_like(x) * 0.0, root=np.zeros(1),
-            contraction=ContractionSpec(operator=t, weights=np.ones(1)),
-        )
-        rep = check_contraction(op, n_probes=50, radius=2.0, rng=seed_rng(2, 0))
-        assert rep.gamma_hat == pytest.approx(1.0)
-        assert not rep.contractive
-
     def test_tanh_bounded_by_gain(self):
-        rep = check_contraction(
-            contractive_tanh(0.9), n_probes=500, radius=2.0, rng=seed_rng(3, 0)
-        )
-        assert rep.gamma_hat <= 0.9 + 1e-12
-        assert rep.contractive
-
-    def test_requires_contraction_spec(self):
-        with pytest.raises(ConfigError):
-            check_contraction(quartic())
+        # T(x) = tanh(g x) is g-Lipschitz: |T(x1) - T(x2)| <= g |x1 - x2|
+        gain = 0.9
+        t = lambda x: contractive_tanh(gain).fn(x) + x
+        rng = seed_rng(3, 0)
+        x1, x2 = rng.uniform(-2.0, 2.0, (2, 500, 1))
+        assert np.all(np.abs(t(x1) - t(x2)) <= gain * np.abs(x1 - x2) + 1e-12)
 
 
 class TestCertificateSandwich:
@@ -163,32 +138,50 @@ class TestCertificateSandwich:
     )
     def test_drift_norm_between_sigma_and_l(self, hessian):
         op = grad_quadratic(hessian)
-        cert = op.certificate
+        # strong convexity and smoothness of x^T H x / 2
+        eigs = np.linalg.eigvalsh(hessian)
+        sigma, big_l = eigs.min(), eigs.max()
         rng = seed_rng(5, 0)
         for _ in range(1000):
             x = op.root + rng.standard_normal(op.dim) * 3.0
             dist = np.linalg.norm(x - op.root)
             norm = np.linalg.norm(eval_drift(op, x))
-            assert cert.strong_convexity * dist <= norm + 1e-9
-            assert norm <= cert.smoothness * dist + 1e-9
+            assert sigma * dist <= norm + 1e-9
+            assert norm <= big_l * dist + 1e-9
 
 
 class TestConstruction:
     def test_rejects_nonzero_root(self):
         with pytest.raises(ConfigError, match="exceeds"):
             DriftOperator(
-                name="bad", dim=1, fn=lambda x: x + 1.0, root=np.zeros(1)
+                name="bad", dim=1, fn=lambda x: x + 1.0, root=np.zeros(1),
+                jacobian=np.array([[1.0]]),
             )
 
     def test_contractive_tanh_jacobian(self):
         op = contractive_tanh(0.9)
-        assert derivative_at_root(op) == pytest.approx(np.array([[-0.1]]))
+        assert op.jacobian == pytest.approx(np.array([[-0.1]]))
 
-    def test_grad_generic_wraps_a_gradient(self):
-        # f(x) = x^2/2 + x^4/10: gradient x + 0.4 x^3, curvature 1 at 0
-        op = grad_generic(lambda x: x + 0.4 * x**3, root=[0.0])
-        assert eval_drift(op, [1.0]) == pytest.approx(-1.4)
-        assert derivative_at_root(op)[0, 0] == pytest.approx(-1.0, abs=1e-8)
+    @pytest.mark.parametrize("gain", [[0.5], {"a": 1}, "fast"])
+    def test_non_numeric_gain_is_a_config_error(self, gain):
+        with pytest.raises(ConfigError, match="gain must be a number"):
+            contractive_tanh(gain)
+
+    def test_tiny_hessian_validates(self):
+        # L^2 = 1e-400 underflows to 0; sigma / L^2 is then far above 1
+        cfg = validate_config(ExperimentConfig(
+            drift="grad_quadratic", drift_params={"hessian": [[1e-200]]},
+            alphas=(0.01,), scaling=0.5,
+        ))
+        assert cfg.alpha_max == 0.1
+
+    @pytest.mark.parametrize("hessian, limit", [
+        ([[0.5, 0.0], [0.0, 4.0]], 0.1 * (0.5 / 4.0**2)),
+        # L^2 = 1e400 overflows; sigma / L^2 is then 0 to double precision
+        ([[1e200]], 0.0),
+    ], ids=["sigma-over-l-squared", "huge"])
+    def test_gradient_stability_limit(self, hessian, limit):
+        assert grad_quadratic(hessian).stability_limit == limit
 
 
 def ordered_rows(x, a, b=None):

@@ -14,7 +14,8 @@ STANDARD = make_noise("gaussian", [[1.0]])
 
 
 def zero_drift() -> DriftOperator:
-    return DriftOperator(name="zero", dim=1, fn=np.zeros_like, root=np.zeros(1))
+    return DriftOperator(name="zero", dim=1, fn=np.zeros_like, root=np.zeros(1),
+                         jacobian=np.zeros((1, 1)))
 
 
 def em_records(op, dt, x0, n, seed):

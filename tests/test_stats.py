@@ -102,6 +102,10 @@ class TestCfResidual:
         with pytest.raises(NumericalError, match="dimension"):
             cf_residual(np.array([[0.3, -0.2, 0.5]]), [[-1.0]], [[1.0]])
 
+    def test_one_sample_is_too_few(self):
+        with pytest.raises(NumericalError, match="at least 2 samples"):
+            cf_residual(np.array([[0.3, -0.2]]), -np.eye(2), np.eye(2))
+
     def test_default_grid_shapes(self):
         assert default_t_grid(1).shape == (8, 1)
         assert default_t_grid(3).shape == (4 * 3 + 8, 3)
@@ -131,6 +135,10 @@ class TestGaussianGof:
         # one 3-d sample, not three scalar ones: Sigma_Y is 1 x 1
         with pytest.raises(NumericalError, match="dimension"):
             gaussian_gof(np.array([[0.3, -0.2, 0.5]]), [[1.0]])
+
+    def test_one_sample_is_too_few(self):
+        with pytest.raises(NumericalError, match="at least 2 samples"):
+            gaussian_gof(np.array([[0.3, -0.2]]), np.eye(2))
 
     def test_pass_rate_over_repetitions(self):
         passes = 0

@@ -16,7 +16,7 @@ import pytest
 import salab._step as step
 import salab.simulate as sim
 from salab.core import seed_rng
-from salab.drift import (contractive_tanh, exp_square, grad_generic, grad_quadratic, linear,
+from salab.drift import (DriftOperator, contractive_tanh, exp_square, grad_quadratic, linear,
                          quartic, quartic_sine)
 from salab.noise import make_noise
 
@@ -153,7 +153,7 @@ def test_only_the_quartic_drift_takes_the_kernel(fresh_kernel):
     assert sim.engine(linear(-np.eye(3), [0.1, 0.2, 0.3])) == "compiled"
     assert sim.engine(grad_quadratic(np.eye(2))) == "compiled"
     for op in (quartic_sine(), exp_square(), contractive_tanh(),
-               grad_generic(lambda x: x, root=[0.0])):
+               DriftOperator("plain", 1, lambda x: -x, np.zeros(1), np.array([[-1.0]]))):
         assert sim.engine(op) == "numpy", op.name
 
 
@@ -161,8 +161,7 @@ def test_compiled_body_draws_no_noise_in_python(fresh_kernel, monkeypatch):
     def in_python(*args):
         raise AssertionError("the compiled body drew or laid out noise in Python")
 
-    for name in ("_shaped_chunks", "_noise_tiles", "_sign_word_blocks", "sample_block",
-                 "sign_words"):
+    for name in ("_shaped_chunks", "_sign_chunks", "sample_block", "sign_words"):
         monkeypatch.setattr(sim, name, in_python)
     ops = (quartic(), grad_quadratic([[2.0]]), linear([[-1.0]], [0.5]),
            grad_quadratic([[0.9, 0.2], [0.2, 0.7]]),
