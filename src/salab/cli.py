@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  All data
 files are CSV (UTF-8, comma delimiter, headers in row 1) and byte-identical
 across reruns with the same seed; the JSON manifest additionally records
-wall-clock durations, which are the one intentionally non-reproducible item.
+wall-clock durations and the runtime (versions, CPUs, thread counts), the
+intentionally non-reproducible items.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -48,14 +51,42 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
+# chains formatted into one string per write of samples_<alpha>.csv
+_SAMPLE_BLOCK = 1024
+
+
+def _write_samples(path: Path, ens) -> None:
+    """samples_<alpha>.csv: a `chain,step,y_1..y_d` row per chain and record.
+
+    These are the bytes `_write_csv` writes for `[c, step, *y]` rows: its
+    str() of a float is repr(), no number is ever quoted, and each line ends
+    in "\\r\\n".  Rows are formatted a block of chains at a time into one
+    string, so no per-row list is built and memory stays bounded.
+    """
+    n_records, d = ens.samples.shape[1:]
+    steps = [ens.burn_in + (r + 1) * ens.thin for r in range(n_records)]
+    header = ["chain", "step"] + [f"y_{i + 1}" for i in range(d)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(ens.chain_ids), _SAMPLE_BLOCK):
+            hi = lo + _SAMPLE_BLOCK
+            prefixes = [f"{c},{step}," for c in ens.chain_ids[lo:hi].tolist()
+                        for step in steps]
+            values = map(repr, ens.samples[lo:hi].ravel().tolist())
+            rows = map(",".join, zip(*[values] * d))   # d values per row
+            fh.write("".join([p + y + "\r\n" for p, y in zip(prefixes, rows)]))
+
+
 class _Manifest:
     """Collects emitted files and durations for one subcommand invocation."""
 
-    def __init__(self, command: str, out_dir: Path, seed, config_snapshot):
+    def __init__(self, command: str, out_dir: Path, seed, config_snapshot,
+                 threads: int):
         self.command = command
         self.out_dir = out_dir
         self.seed = seed
         self.config = config_snapshot
+        self.threads = threads
         self.files = []
         self.durations = {}
         self.notes = []
@@ -87,9 +118,23 @@ class _Manifest:
             "notes": self.notes,
             "engine": self.engine,
             "durations": self.durations,
+            "runtime": _runtime(self.threads),
         }
         path.write_text(json.dumps(payload, indent=2, default=str), encoding="utf-8")
         return path
+
+
+def _runtime(threads: int) -> dict:
+    """What a run's speed depends on and its bytes do not: kept out of the CSVs."""
+    affinity = getattr(os, "sched_getaffinity", None)   # not on macOS or Windows
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "nproc": len(affinity(0)) if affinity else os.cpu_count(),
+        "threads": threads,
+        # set to "1" by importing salab unless the caller set it first
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
 
 
 def _alpha_tag(alpha: float) -> str:
@@ -196,21 +241,16 @@ def _cmd_simulate(args) -> int:
         print(f"simulate: {len(validated.alphas)} stepsize(s), no files written")
         return 0
     out = _prepare_out(validated.out_dir)
-    manifest = _Manifest("simulate", out, validated.seed, dataclasses.asdict(cfg))
+    manifest = _Manifest("simulate", out, validated.seed, dataclasses.asdict(cfg),
+                         args.threads)
     scaling, _ = _resolve_scaling(validated)
     for alpha in validated.alphas:
         t0 = time.perf_counter()
         ens = run_ensemble(validated, alpha, scaling, threads=args.threads)
         tag = _alpha_tag(alpha)
-        d = ens.samples.shape[-1]
-        header = ["chain", "step"] + [f"y_{i + 1}" for i in range(d)]
-        steps = [ens.burn_in + (r + 1) * ens.thin for r in range(ens.samples.shape[1])]
-        rows = (
-            [c, step, *y]
-            for c, chain in zip(ens.chain_ids.tolist(), ens.samples.tolist())
-            for step, y in zip(steps, chain)
-        )
-        manifest.emit(header, rows, f"samples_{tag}.csv")
+        path = out / f"samples_{tag}.csv"
+        _write_samples(path, ens)
+        manifest.add(path)
         mom = moment_summary(ens)
         mrows = [("alpha", alpha), ("n_samples", mom.count),
                  ("n_diverged", ens.n_diverged),
@@ -230,7 +270,8 @@ def _cmd_predict(args) -> int:
         print("predict: would write prediction.csv")
         return 0
     out = _prepare_out(validated.out_dir)
-    manifest = _Manifest("predict", out, validated.seed, dataclasses.asdict(cfg))
+    manifest = _Manifest("predict", out, validated.seed, dataclasses.asdict(cfg),
+                         args.threads)
     _emit_prediction(validated, manifest)
     manifest.finish()
     return 0
@@ -242,7 +283,8 @@ def _cmd_find_scaling(args) -> int:
         print("find-scaling: would write scaling_report.csv")
         return 0
     out = _prepare_out(validated.out_dir)
-    manifest = _Manifest("find-scaling", out, validated.seed, dataclasses.asdict(cfg))
+    manifest = _Manifest("find-scaling", out, validated.seed, dataclasses.asdict(cfg),
+                         args.threads)
     _emit_scaling_report(validated.op, manifest)
     manifest.finish()
     return 0
@@ -301,7 +343,8 @@ def _cmd_test(args) -> int:
         print("test: would simulate and write verification CSVs")
         return 0
     out = _prepare_out(validated.out_dir)
-    manifest = _Manifest("test", out, validated.seed, dataclasses.asdict(cfg))
+    manifest = _Manifest("test", out, validated.seed, dataclasses.asdict(cfg),
+                         args.threads)
     scaling, _ = _resolve_scaling(validated)
     _run_tests_for(validated, manifest, scaling, args.threads)
     manifest.finish()
@@ -316,7 +359,8 @@ def _cmd_pipeline(args) -> int:
         print("pipeline: would run find-scaling, simulate, predict, test")
         return 0
     out = _prepare_out(validated.out_dir)
-    manifest = _Manifest("pipeline", out, validated.seed, dataclasses.asdict(cfg))
+    manifest = _Manifest("pipeline", out, validated.seed, dataclasses.asdict(cfg),
+                         args.threads)
     report = _emit_scaling_report(validated.op, manifest)
     scaling = PowerScaling(report.exponent)
     _run_tests_for(validated, manifest, scaling, args.threads)
@@ -336,7 +380,8 @@ def _cmd_em_compare(args) -> int:
         print("em-compare: would write em_compare.csv")
         return 0
     out = _prepare_out(validated.out_dir)
-    manifest = _Manifest("em-compare", out, validated.seed, dataclasses.asdict(cfg))
+    manifest = _Manifest("em-compare", out, validated.seed, dataclasses.asdict(cfg),
+                         args.threads)
     alpha, *not_run = validated.alphas
     if not_run:
         manifest.note("em-compare runs the first alpha only; not run: "
@@ -395,6 +440,7 @@ def _cmd_figure(args) -> int:
             seed,
             {"figure": name, "drift": spec.drift, "exponent": spec.exponent,
              "alphas": list(spec.alphas)},
+            args.threads,
         )
         _emit_figure(run_figure(name, seed=seed, threads=args.threads, cache=cache),
                      manifest)

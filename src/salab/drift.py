@@ -171,8 +171,13 @@ def linear(a, b=None) -> DriftOperator:
     if not _hurwitz_report(eigs).hurwitz:
         raise ConfigError("linear drift requires a Hurwitz matrix A")
     root = np.linalg.solve(a, -b)
-    # exact AR stability is alpha < 2|Re l|/|l|^2 per eigenvalue; keep half
-    exact = float((2.0 * (-eigs.real) / np.abs(eigs) ** 2).min())
+    # exact AR stability is alpha < 2|Re l|/|l|^2 per eigenvalue; keep half.
+    # |l|^2 overflows to inf for |l| > 1.3e154, giving 0; past |Re l| > 9e307
+    # 2|Re l| overflows too and inf / inf is nan, where the true ratio is
+    # below 2.3e-308, so that is taken as 0.  Every other ratio keeps its bits.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = 2.0 * (-eigs.real) / np.abs(eigs) ** 2
+    exact = float(np.nan_to_num(ratios, nan=0.0).min())
     return DriftOperator(
         name="linear",
         dim=d,

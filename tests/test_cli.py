@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import salab._step as step
+import salab.cli as cli
 from salab.cli import _write_csv, main
 from salab.figures import FIGURE_SPECS
+from salab.simulate import Ensemble
 
 QUAD_CFG = """
 drift = grad_quadratic
@@ -64,6 +66,28 @@ class TestWriteCsv:
         assert path.read_bytes() == "".join(f"{line}\r\n" for line in lines).encode()
 
 
+class TestWriteSamples:
+    # chain 2 diverged and was dropped, which leaves a gap in the ids
+    EDGES = (float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 1e-5,
+             0.1 + 0.2)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("block", [2, 1024])
+    def test_bytes_equal_the_row_writer(self, tmp_path, monkeypatch, d, block):
+        n_records = 4
+        values = np.resize(np.array(self.EDGES), (5, n_records, d))
+        ens = Ensemble(samples=values, chain_ids=np.array([0, 1, 3, 4, 5]), n_chains=6,
+                       n_diverged=1, burn_in=7, thin=3)
+        monkeypatch.setattr(cli, "_SAMPLE_BLOCK", block)
+        cli._write_samples(tmp_path / "bulk.csv", ens)
+        steps = [7 + (r + 1) * 3 for r in range(n_records)]
+        rows = ([c, step, *y] for c, chain in zip(ens.chain_ids.tolist(), values.tolist())
+                for step, y in zip(steps, chain))
+        _write_csv(tmp_path / "rows.csv", ["chain", "step", *(f"y_{i + 1}" for i in range(d))],
+                   rows)
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 class TestSimulateCommand:
     def test_writes_samples_moments_manifest(self, tmp_path):
         cfg = write_cfg(tmp_path, QUAD_CFG)
@@ -76,6 +100,11 @@ class TestSimulateCommand:
         }
         manifest = json.loads((out / "manifest.json").read_text())
         assert sorted(manifest["files"]) == sorted(n for n in names if n != "manifest.json")
+        runtime = manifest["runtime"]
+        assert set(runtime) == {"python", "numpy", "nproc", "threads",
+                                "openblas_num_threads"}
+        assert runtime["threads"] == 1 and runtime["numpy"] == np.__version__
+        assert runtime["openblas_num_threads"] == os.environ["OPENBLAS_NUM_THREADS"]
         header, first, second = (out / "samples_0.1.csv").read_text().splitlines()[:3]
         assert header == "chain,step,y_1"
         # auto burn-in ceil(10 / 0.1) = 100, auto thin ceil(1 / 0.1) = 10
@@ -395,12 +424,61 @@ class TestEmCompareCommand:
         assert notes == ["em-compare runs the first alpha only; not run: 0.01, 0.005"]
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_salab_process(args, openblas=None, **kwargs):
+    """A fresh interpreter on ./src, with OPENBLAS_NUM_THREADS unset or set."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**env, "PYTHONPATH": SRC}, timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("a", ["-1e200", "-1e308"])
+def test_overflowing_linear_stability_limit_exits_2_without_warning(tmp_path, a):
+    # |l|^2 overflows at -1e200, and 2|Re l| too at -1e308 (inf / inf)
+    cfg = write_cfg(tmp_path, f"drift = linear\ndrift.a = [[{a}]]\nnoise.sigma = [[1.0]]\n"
+                              "alphas = 0.01\nscaling = 0.5\n")
+    out = run_salab_process(["-m", "salab", "predict", "--config", cfg, "--dry-run"])
+    assert out.returncode == 2
+    assert out.stderr == "config error: alpha 0.01 above stability threshold 0\n"
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_importing_salab_runs_blas_on_one_thread_unless_set(preset, expected):
+    code = "import salab, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = run_salab_process(["-c", code], openblas=preset, check=True)
+    assert out.stdout.strip() == expected
+
+
+def test_pipeline_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 16,384 two-d records: enough rows that OpenBLAS splits the cf residual's
+    # gemv across two threads
+    cfg = write_cfg(tmp_path, """
+    drift = linear
+    drift.a = [[-1.0, 1.0], [0.0, -2.0]]
+    noise.shape = gaussian
+    noise.sigma = [[1.0, 0.0], [0.0, 1.0]]
+    alphas = 0.05
+    scaling = auto
+    n_chains = 64
+    thin = 5
+    samples_per_chain = 256
+    seed = 13
+    """)
+    outs = {}
+    for blas in ("1", "2"):
+        outs[blas] = tmp_path / f"blas{blas}"
+        run_salab_process(["-m", "salab", "pipeline", "--config", cfg,
+                           "--out", str(outs[blas])], openblas=blas, check=True)
+    assert "cf_residual.csv" in read_bytes(outs["1"])
+    assert read_bytes(outs["1"]) == read_bytes(outs["2"])
+
+
 def test_importing_the_cli_loads_no_scipy():
     # scipy costs more than a second of start-up; only the statistics load it
     code = "import sys, salab.cli; print(any(m.startswith('scipy') for m in sys.modules))"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src}, timeout=60,
-    )
+    out = run_salab_process(["-c", code], check=True)
     assert out.stdout.strip() == "False"
