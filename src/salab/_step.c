@@ -6,13 +6,21 @@
  * Gradient descent on x^T H x / 2 is AFFINE with A = -H and b = 0.
  *
  * One call runs a group of chains through their whole schedule.  Each
- * chain draws its own noise from its own bit generator (numpy's bitgen_t,
- * through numpy's C distributions), in the order the numpy body draws it:
- * gaussian and uniform draws are numpy's standard_normal and
- * uniform(-sqrt 3, sqrt 3), sign draws are the bits of the raw words,
- * least significant first.  Each unit draw z is scaled as
- * noise.sample_block scales it: w_i = (z_0 l_i0 + ... + z_{d-1} l_i,d-1)
- * * coeff, with L the lower Cholesky factor of Sigma.
+ * chain draws its own noise from its own Philox4x64-10 stream, which the
+ * kernel runs itself from the chain's key, word for word as a fresh
+ * np.random.Philox(key=key) gives them, in the order the numpy body draws
+ * it: sign draws are the bits of the words, least significant first;
+ * uniform draws are numpy's uniform(-sqrt 3, sqrt 3); gaussian draws are
+ * numpy's standard_normal, whose ziggurat fast path (about 99% of draws)
+ * runs inline.  A draw the fast path rejects rewinds the stream one word
+ * and is made again by numpy's own random_standard_normal, from
+ * libnpyrandom.a, reading the same stream.  numpy's ziggurat tables are
+ * local symbols of that archive, so init() reads them back through
+ * random_standard_normal before the first run, and _step.load() then
+ * checks a few thousand draws of every shape against numpy's.  Each
+ * unit draw z is scaled as noise.sample_block scales it: w_i = (z_0 l_i0
+ * + ... + z_{d-1} l_i,d-1) * coeff, with L the lower Cholesky factor of
+ * Sigma.
  *
  * Every step is the numpy body's, operation for operation and rounding for
  * rounding:  g = F(x) for every coordinate before any coordinate moves;
@@ -53,6 +61,7 @@
 /* the double nearest sqrt(3), numpy's np.sqrt(3.0) */
 #define SQRT3 1.7320508075688772
 #define INLINE static inline __attribute__((always_inline))
+#define TWO_M53 (1.0 / 9007199254740992.0)
 
 #if defined(__x86_64__) && defined(__GLIBC__) && (defined(__GNUC__) || defined(__clang__))
 #define CLONES __attribute__((target_clones("avx2", "default")))
@@ -75,6 +84,161 @@ struct noise {
     const double *l; /* row-major d x d lower Cholesky factor of Sigma */
     double coeff;
 };
+
+/* A chain's Philox4x64-10 stream (Salmon et al., SC 2011), as a fresh
+ * np.random.Philox(key=key) gives it: the counter starts at 0 and is
+ * incremented before each block of four words, so word j is word j % 4 of
+ * block j / 4 + 1.  Only the counter's low word moves; its carry would
+ * take 2^64 blocks. */
+struct stream {
+    uint64_t key[2], ctr, buf[4];
+    int pos; /* words of buf already read */
+};
+
+static void stream_init(struct stream *s, const uint64_t *key)
+{
+    s->key[0] = key[0];
+    s->key[1] = key[1];
+    s->ctr = 0;
+    s->pos = 4;
+}
+
+/* hi:lo = a b, 64 x 64 -> 128 bits; a compiler without a 128-bit integer
+ * fails the build, which leaves the numpy body in charge */
+INLINE uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi)
+{
+    unsigned __int128 p = (unsigned __int128)a * b;
+    *hi = (uint64_t)(p >> 64);
+    return (uint64_t)p;
+}
+
+/* The stream's next block of four words: ten rounds, the key bumped
+ * between rounds.  The rounds are unrolled, so each round's multiplies
+ * can start as soon as their inputs are ready. */
+static void refill(struct stream *s)
+{
+    uint64_t c0 = ++s->ctr, c1 = 0, c2 = 0, c3 = 0;
+    uint64_t k0 = s->key[0], k1 = s->key[1], hi0, hi1, lo0, lo1;
+#pragma GCC unroll 10
+    for (int r = 0; r < 10; r++) {
+        lo0 = mulhilo(0xD2E7470EE14C6C93u, c0, &hi0);
+        lo1 = mulhilo(0xCA5A826395121157u, c2, &hi1);
+        c0 = hi1 ^ c1 ^ k0;
+        c1 = lo1;
+        c2 = hi0 ^ c3 ^ k1;
+        c3 = lo0;
+        k0 += 0x9E3779B97F4A7C15u;
+        k1 += 0xBB67AE8584CAA73Bu;
+    }
+    s->buf[0] = c0;
+    s->buf[1] = c1;
+    s->buf[2] = c2;
+    s->buf[3] = c3;
+    s->pos = 0;
+}
+
+/* The stream's next word: numpy's next_uint64 and next_raw. */
+INLINE uint64_t next_word(struct stream *s)
+{
+    if (s->pos == 4)
+        refill(s);
+    return s->buf[s->pos++];
+}
+
+/* numpy's next_double: the word's top 53 bits times 2^-53 */
+INLINE double unit_double(struct stream *s)
+{
+    return (double)(int64_t)(next_word(s) >> 11) * TWO_M53;
+}
+
+static uint64_t stream_uint64(void *s)
+{
+    return next_word(s);
+}
+
+static double stream_double(void *s)
+{
+    return unit_double(s);
+}
+
+/* numpy's ziggurat tables wi_double and ki_double, which init() reads */
+static double wi[256];
+static uint64_t ki[256];
+
+/* numpy's standard_normal from the stream: the ziggurat's fast path, and
+ * numpy's own random_standard_normal from the same word on; it never
+ * calls next_uint32. */
+INLINE double gauss(struct stream *s)
+{
+    uint64_t r = next_word(s), rabs = (r >> 9) & 0x000fffffffffffff, bits;
+    int idx = (int)(r & 0xff);
+    double x = (double)(int64_t)rabs * wi[idx];
+    /* numpy negates x when bit 8 is set: flip its sign bit, which no
+     * branch has to guess */
+    memcpy(&bits, &x, sizeof x);
+    bits ^= (r & 0x100) << 55;
+    memcpy(&x, &bits, sizeof x);
+    if (rabs < ki[idx])
+        return x;
+    s->pos--;
+    bitgen_t bg = {s, stream_uint64, NULL, stream_double, stream_uint64};
+    return random_standard_normal(&bg);
+}
+
+/* init()'s generator: next_uint64 gives word, then 0 (idx 0, rabs 0, which
+ * the fast path takes); next_double gives 0.0, then 0.5, which the wedge
+ * and the tail take at once.  calls counts the reads of both. */
+struct probe {
+    uint64_t word;
+    int calls;
+};
+
+static uint64_t probe_uint64(void *p)
+{
+    struct probe *pr = p;
+    return pr->calls++ ? 0 : pr->word;
+}
+
+static double probe_double(void *p)
+{
+    struct probe *pr = p;
+    return pr->calls++ == 1 ? 0.0 : 0.5;
+}
+
+/* random_standard_normal of the word with index idx and rabs, no sign;
+ * *calls is the number of reads it made. */
+static double probe(int idx, uint64_t rabs, int *calls)
+{
+    struct probe pr = {(rabs << 9) | (uint64_t)idx, 0};
+    bitgen_t bg = {&pr, probe_uint64, NULL, probe_double, probe_uint64};
+    double x = random_standard_normal(&bg);
+    *calls = pr.calls;
+    return x;
+}
+
+/* Reads numpy's ziggurat tables back through random_standard_normal:
+ * wi[i] is the value of rabs = 1, and ki[i] the smallest rabs that takes a
+ * second read.  Returns 0, or -1 when a value is not a table's. */
+int init(void)
+{
+    int calls;
+    for (int i = 0; i < 256; i++) {
+        wi[i] = probe(i, 1, &calls);
+        uint64_t lo = 0, hi = (uint64_t)1 << 52;
+        while (lo < hi) {
+            uint64_t mid = lo + (hi - lo) / 2;
+            probe(i, mid, &calls);
+            if (calls > 1)
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        ki[i] = lo;
+        if (!(wi[i] > 0.0))
+            return -1;
+    }
+    return 0;
+}
 
 /* One step of chain c of a tile at D <= 2, whose coordinate i is
  * xs[i * TILE + c] and whose draw for it is w[i * ws], in the numpy body's
@@ -163,12 +327,12 @@ static void store(const double *xs, double *x, long t, long d)
 }
 
 /* The next m steps of scaled noise of the t chains of a tile, each drawn
- * from its chain's generator: w[(s * d + i) * TILE + c] is coordinate i of
+ * from its chain's stream: w[(s * d + i) * TILE + c] is coordinate i of
  * chain c at step s.  u holds one chain's m * d unit draws, and z all the
  * tile's, laid out as w is; L z is then summed for the whole tile at once,
  * with the chain loop innermost.  word and left carry each chain's partly
  * used sign word and its unused bits from one sub-block to the next. */
-INLINE void draw(const struct noise *nz, long d, bitgen_t *const *gens, long t, long m,
+INLINE void draw(const struct noise *nz, long d, struct stream *ss, long t, long m,
                  double *restrict u, double *restrict z, double *restrict w,
                  uint64_t *word, int *left)
 {
@@ -182,16 +346,18 @@ INLINE void draw(const struct noise *nz, long d, bitgen_t *const *gens, long t, 
         return;
     }
     for (long c = 0; c < t; c++) {
-        bitgen_t *bg = gens[c];
+        struct stream *s = ss + c;
         if (nz->shape == GAUSSIAN) {
-            random_standard_normal_fill(bg, n, u);
-        } else if (nz->shape == UNIFORM) {
             for (long j = 0; j < n; j++)
-                u[j] = random_uniform(bg, -SQRT3, 2 * SQRT3);
+                u[j] = gauss(s);
+        } else if (nz->shape == UNIFORM) {
+            /* numpy's random_uniform(-sqrt 3, 2 sqrt 3) */
+            for (long j = 0; j < n; j++)
+                u[j] = -SQRT3 + 2 * SQRT3 * unit_double(s);
         } else {
             for (long j = 0; j < n; j++) {
                 if (left[c] == 0) {
-                    word[c] = bg->next_raw(bg->state);
+                    word[c] = next_word(s);
                     left[c] = 64;
                 }
                 u[j] = word[c] & 1 ? 1.0 : -1.0;
@@ -271,12 +437,13 @@ INLINE void signs_tile(long kind, const struct drift *f, double *restrict xs,
 /* Sign noise at d = 1: a set bit adds hi = l_00 coeff, a clear one lo =
  * -hi. */
 INLINE void run_signs(const struct drift *f, const struct noise *nz,
-                      bitgen_t *const *gens, double *restrict x, long n,
+                      const uint64_t *keys, double *restrict x, long n,
                       double *restrict out, long spc, long burn_in, long thin)
 {
     long total = burn_in + spc * thin;
     double xs[TILE], hi = nz->l[0] * nz->coeff, lo = -hi;
     uint64_t words[SIGN_WORDS * TILE] = {0}, lo_bits, flip;
+    struct stream ss[TILE];
     memcpy(&lo_bits, &lo, sizeof lo);
     memcpy(&flip, &hi, sizeof hi);
     flip ^= lo_bits;
@@ -284,13 +451,13 @@ INLINE void run_signs(const struct drift *f, const struct noise *nz,
         long t = n - c0 < TILE ? n - c0 : TILE;
         memset(xs, 0, sizeof xs);
         memcpy(xs, x + c0, t * sizeof *xs);
+        for (long c = 0; c < t; c++)
+            stream_init(ss + c, keys + 2 * (c0 + c));
         for (long k = 0; k < total; k += 64 * SIGN_WORDS) {
             long m = total - k < 64 * SIGN_WORDS ? total - k : 64 * SIGN_WORDS;
-            for (long c = 0; c < t; c++) {
-                bitgen_t *bg = gens[c0 + c];
+            for (long c = 0; c < t; c++)
                 for (long j = 0; j < (m + 63) / 64; j++)
-                    words[j * TILE + c] = bg->next_raw(bg->state);
-            }
+                    words[j * TILE + c] = next_word(ss + c);
             if (f->kind == NEG_CUBE)
                 signs_tile(NEG_CUBE, f, xs, t, words, m, k, lo_bits, flip,
                            out + c0 * spc, spc, burn_in, thin);
@@ -303,12 +470,13 @@ INLINE void run_signs(const struct drift *f, const struct noise *nz,
 }
 
 /* Runs the n chains whose states are the (n, d) rows of x through
- * burn_in + spc * thin steps, drawing chain c's noise from gens[c], and
- * writes their (n, spc, d) records to out.  Returns 0, or -1 when its
- * buffers cannot be allocated.  Every tile is stepped at its full width,
- * so its loops have a constant trip count; the lanes past the last chain
- * start at 0 and are never stored. */
-CLONES int run(const struct drift *drift, const struct noise *nz, bitgen_t *const *gens,
+ * burn_in + spc * thin steps, drawing chain c's noise from the Philox
+ * stream of key (keys[2 c], keys[2 c + 1]), and writes their (n, spc, d)
+ * records to out.  Returns 0, or -1 when its buffers cannot be allocated.
+ * Every tile is stepped at its full width, so its loops have a constant
+ * trip count; the lanes past the last chain start at 0 and are never
+ * stored. */
+CLONES int run(const struct drift *drift, const struct noise *nz, const uint64_t *keys,
                double *restrict x, long n, double *restrict out, long spc,
                long burn_in, long thin)
 {
@@ -316,7 +484,7 @@ CLONES int run(const struct drift *drift, const struct noise *nz, bitgen_t *cons
     const struct drift local = *drift, *f = &local;
     long d = f->d, total = burn_in + spc * thin;
     if (nz->shape == RADEMACHER && d == 1) {
-        run_signs(f, nz, gens, x, n, out, spc, burn_in, thin);
+        run_signs(f, nz, keys, x, n, out, spc, burn_in, thin);
         return 0;
     }
     /* steps per sub-block; the buffers are linear in d */
@@ -329,15 +497,18 @@ CLONES int run(const struct drift *drift, const struct noise *nz, bitgen_t *cons
            *u = z + sub * d * TILE;
     uint64_t word[TILE];
     int left[TILE];
+    struct stream ss[TILE];
     for (long c0 = 0; c0 < n; c0 += TILE) {
         long t = n - c0 < TILE ? n - c0 : TILE;
         double *ot = out + c0 * spc * d;
         memset(left, 0, sizeof left);
+        for (long c = 0; c < t; c++)
+            stream_init(ss + c, keys + 2 * (c0 + c));
         memset(xs, 0, dx * TILE * sizeof *xs);
         load(xs, x + c0 * d, t, d);
         for (long k = 0; k < total; k += sub) {
             long m = total - k < sub ? total - k : sub;
-            draw(nz, d, gens + c0, t, m, u, z, w, word, left);
+            draw(nz, d, ss, t, m, u, z, w, word, left);
             if (f->kind == NEG_CUBE)
                 draws_tile(NEG_CUBE, 1, f, xs, g, t, w, m, k, ot, spc, burn_in, thin);
             else if (d == 1)

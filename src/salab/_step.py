@@ -1,16 +1,21 @@
 """The compiled step kernel (_step.c), built on first use and loaded with ctypes.
 
-The source is compiled with the local ``cc`` and linked against numpy's
-static ``numpy/random/lib/libnpyrandom.a``, whose C distributions draw the
-noise inside the kernel, into
+The kernel runs each chain's Philox stream itself, from the chain's key,
+and the fast path of numpy's gaussian ziggurat inline.  The source is
+compiled with the local ``cc`` and linked against numpy's static
+``numpy/random/lib/libnpyrandom.a``, whose random_standard_normal makes the
+draws the fast path rejects and gives back numpy's ziggurat tables, into
 ``${XDG_CACHE_HOME:-~/.cache}/salab/step-<key>.so``.  The key is a sha256
 of everything the build reads: the source, CFLAGS, the numpy version and
 the bytes of libnpyrandom.a.  The build writes a temporary file and renames
 it into place while holding a lock, so concurrent first uses never load a
 half-written library.  ctypes releases the GIL for the length of each call.
-Without a compiler, numpy's archive or a header, or when the cache cannot
-be written, load() returns None and the engine keeps its numpy body, which
-writes the same bytes.
+On loading, the kernel reads the tables (init) and then draws a few
+thousand values of every noise shape, which must be numpy's bit for bit
+(_self_check).  Without a compiler, numpy's archive or a header, when the
+cache cannot be written, or when the tables or the self-check fail, load()
+returns None and the engine keeps its numpy body, which writes the same
+bytes.
 """
 
 from __future__ import annotations
@@ -37,11 +42,6 @@ SOURCE = Path(__file__).with_name("_step.c")
 LIBRARY = Path(np.__file__).with_name("random") / "lib" / "libnpyrandom.a"
 
 _long, _double, _ptr = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
-
-#: the bitgen_t * of a numpy BitGenerator, read from its capsule
-_capsule_pointer = ctypes.PYFUNCTYPE(_ptr, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
-
 
 #: the drifts the kernel steps, in the order of _step.c's enum:
 #: F(x) = -x^3 (d = 1) and x A^T + b (any d)
@@ -104,26 +104,27 @@ class Kernel:
         lib.run.argtypes = [ctypes.POINTER(Drift), ctypes.POINTER(Noise), _ptr, _ptr,
                             _long, _ptr, _long, _long, _long]
         lib.run.restype = ctypes.c_int
+        lib.init.argtypes = []
+        lib.init.restype = ctypes.c_int
         self._lib = lib
 
-    def run(self, drift, noise, gens, x, out, burn_in, thin) -> None:
+    def run(self, drift, noise, keys, x, out, burn_in, thin) -> None:
         """Steps chain c from state x[c] through burn_in + spc * thin steps.
 
-        Chain c draws its noise from the numpy Generator gens[c], which no
-        other thread may use during the call and which is left where the
-        numpy body would leave it.  Record r, the state after step
-        burn_in + (r + 1) * thin, goes to out[c, r]; x ends at the final
-        state.
+        keys is the C-contiguous uint64 (n, 2) array of the chains' Philox
+        keys: chain c draws its noise from a fresh
+        np.random.Philox(key=keys[c]), as Generator draws it.  Record r,
+        the state after step burn_in + (r + 1) * thin, goes to out[c, r];
+        x ends at the final state.
         """
         f = _drift(*drift)
         nz = _noise(*noise, f.d)
-        n = len(gens)
+        n = len(keys)
         spc = out.shape[1] if out.ndim == 3 else 0
         if thin < 1 or burn_in < 0:
             raise ValueError(f"no schedule of burn-in {burn_in} and thin {thin}")
-        bitgens = np.array([_capsule_pointer(g.bit_generator.capsule, b"BitGenerator")
-                            for g in gens], np.uintp)
-        status = self._lib.run(f, nz, bitgens.ctypes.data, _data(x, np.float64, (n, f.d)), n,
+        status = self._lib.run(f, nz, _data(keys, np.uint64, (n, 2)),
+                               _data(x, np.float64, (n, f.d)), n,
                                _data(out, np.float64, (n, spc, f.d)), spc, burn_in, thin)
         if status != 0:
             raise MemoryError("step kernel could not allocate its buffers")
@@ -180,9 +181,43 @@ def _build(source: bytes, target: Path) -> None:
                 os.remove(tmp)
 
 
+def _self_check(kernel: Kernel) -> bool:
+    """Whether the kernel's draws of every noise shape are numpy's, bit for bit.
+
+    Two chains make about 1,024 unit draws each, per shape and d, with
+    F(x) = -x, dc = 1, L = I and coeff = 1, so that each record is a draw
+    (x + (-x) = 0, then 0 + z = z).
+    """
+    from .core import philox_key, seed_rng
+
+    keys = np.array([philox_key(20240917, c) for c in range(2)], np.uint64)
+    for shape, d in (("gaussian", 1), ("gaussian", 2), ("uniform", 1), ("uniform", 2),
+                     ("rademacher", 1), ("rademacher", 3), ("noiseless", 1)):
+        steps = 1024 // d
+        x, out = np.ones((2, d)), np.empty((2, steps, d))
+        kernel.run(("affine", -np.eye(d), np.zeros(d), 1.0), (shape, np.eye(d), 1.0),
+                   keys, x, out, burn_in=0, thin=1)
+        for c, key in enumerate(keys):
+            rng = seed_rng(*key)
+            if shape == "gaussian":
+                z = rng.standard_normal((steps, d))
+            elif shape == "uniform":
+                z = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), (steps, d))
+            elif shape == "rademacher":
+                words = rng.bit_generator.random_raw(-(-steps * d // 64))
+                bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+                z = 2.0 * bits[: steps * d].reshape(steps, d) - 1.0
+            else:
+                z = np.zeros((steps, d))
+            if out[c].tobytes() != z.tobytes():
+                return False
+    return True
+
+
 @cache
 def load() -> Optional[Kernel]:
-    """The kernel, built on the first call; None when it cannot be built or loaded."""
+    """The kernel, built on the first call; None when it cannot be built or
+    loaded, or when it does not draw numpy's bits."""
     try:
         source = SOURCE.read_bytes()
         key = cache_key(source, LIBRARY.read_bytes())
@@ -190,6 +225,10 @@ def load() -> Optional[Kernel]:
         target = Path(cache_dir) / "salab" / f"step-{key}.so"
         if not target.exists():
             _build(source, target)
-        return Kernel(ctypes.CDLL(str(target)))
+        lib = ctypes.CDLL(str(target))
+        kernel = Kernel(lib)
+        if lib.init() != 0 or not _self_check(kernel):
+            return None
+        return kernel
     except (OSError, ImportError, AttributeError, subprocess.SubprocessError):
         return None

@@ -91,10 +91,21 @@ class _Manifest:
         self.durations = {}
         self.notes = []
         self.engine = None        # simulate.engine of the chains run, if any
+        self.ensembles = {}       # per alpha tag: its chains and their speed
         self._t0 = time.perf_counter()
 
     def add(self, path: Path) -> None:
         self.files.append(path.name)
+
+    def add_ensemble(self, tag: str, ens, seconds: float) -> None:
+        """Record an ensemble's chain counts, chain-steps and chain-steps per second."""
+        chain_steps = ens.n_chains * (ens.burn_in + ens.samples.shape[1] * ens.thin)
+        self.ensembles[tag] = {
+            "n_chains": ens.n_chains,
+            "n_diverged": ens.n_diverged,
+            "chain_steps": chain_steps,
+            "chain_steps_per_s": chain_steps / seconds,
+        }
 
     def note(self, text: str) -> None:
         self.notes.append(text)
@@ -120,6 +131,8 @@ class _Manifest:
             "durations": self.durations,
             "runtime": _runtime(self.threads),
         }
+        if self.ensembles:
+            payload["ensembles"] = self.ensembles
         path.write_text(json.dumps(payload, indent=2, default=str), encoding="utf-8")
         return path
 
@@ -248,6 +261,7 @@ def _cmd_simulate(args) -> int:
         t0 = time.perf_counter()
         ens = run_ensemble(validated, alpha, scaling, threads=args.threads)
         tag = _alpha_tag(alpha)
+        manifest.add_ensemble(tag, ens, time.perf_counter() - t0)
         path = out / f"samples_{tag}.csv"
         _write_samples(path, ens)
         manifest.add(path)

@@ -43,6 +43,11 @@ class NumericalError(RuntimeError):
 # random streams
 # ---------------------------------------------------------------------------
 
+def philox_key(seed: int, stream: int = 0) -> tuple:
+    """The Philox key of stream `stream` of `seed`: both taken modulo 2^64."""
+    return int(seed) & _MASK64, int(stream) & _MASK64
+
+
 def seed_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Independent reproducible stream keyed by (seed, stream).
 
@@ -50,7 +55,7 @@ def seed_rng(seed: int, stream: int = 0) -> np.random.Generator:
     statistically independent sequences and the same pair always yields the
     identical sequence, independent of how work is scheduled.
     """
-    key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
+    key = np.array(philox_key(seed, stream), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -3,7 +3,10 @@
 Each chain follows X <- X + alpha (F(X) + w) from X0 = x*, discards a
 burn-in prefix, then records the centered scaled iterate
 Y = (X - x*) / g(alpha) every ``thin`` steps.  Chains own disjoint Philox
-streams, so results are bit-identical for any worker-thread count.
+streams, keyed by core.philox_key(seed, stream_id(label, chain)), so
+results are bit-identical for any worker-thread count.  The numpy body
+draws from a numpy Generator per chain; the compiled kernel (_step) gets
+only the keys and runs the same streams itself, to the same bits.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import NumericalError, PowerScaling, ValidatedConfig, seed_rng, stream_id
+from .core import NumericalError, PowerScaling, ValidatedConfig, philox_key, seed_rng, stream_id
 from .drift import Affine, DriftOperator, _neg_cube
 from .noise import NoiseModel, decode_signs, sample_block, sign_table, sign_words
 
@@ -215,22 +218,24 @@ def _run_group(
     per-chain trajectories are independent of the grouping; the group width
     only controls vectorization.  When stepper is not None (see
     _kernel_for), one call of the compiled kernel draws each chain's noise
-    and steps the whole group.  Otherwise the state is one (nc, d) array
-    for every drift, and every noise shape feeds the same update body with
-    rows that already hold noise_coeff * w; the kernel makes the same
-    draws and the same roundings in the same order.
+    from its Philox key and steps the whole group.  Otherwise the state is
+    one (nc, d) array for every drift, and every noise shape feeds the same
+    update body with rows that already hold noise_coeff * w; the kernel
+    makes the same draws and the same roundings in the same order.
     """
     nc = chain_ids.size
     d = op.dim
-    gens = [seed_rng(seed, stream_id(*label, int(c))) for c in chain_ids]
+    streams = [stream_id(*label, int(c)) for c in chain_ids]
     total = burn_in + out.shape[1] * thin
     x = np.tile(init, (nc, 1))
 
     if stepper is not None:
         kernel, coeffs = stepper
+        keys = np.array([philox_key(seed, s) for s in streams], np.uint64)
         noise = (nm.shape, np.ascontiguousarray(nm.cholesky, np.float64), noise_coeff)
-        kernel.run((*coeffs, drift_coeff), noise, gens, x, out, burn_in, thin)
+        kernel.run((*coeffs, drift_coeff), noise, keys, x, out, burn_in, thin)
     else:
+        gens = [seed_rng(seed, s) for s in streams]
         # scalar sign noise stays packed, one bit per draw, until decoded
         if nm.shape == "rademacher" and d == 1:
             table = sign_table(noise_coeff * float(nm.cholesky[0, 0]))

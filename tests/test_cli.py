@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from math import ceil
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,23 @@ class TestSimulateCommand:
         assert header == "chain,step,y_1"
         # auto burn-in ceil(10 / 0.1) = 100, auto thin ceil(1 / 0.1) = 10
         assert [first.split(",")[:2], second.split(",")[:2]] == [["0", "110"], ["0", "120"]]
+
+    def test_manifest_records_each_ensemble(self, tmp_path):
+        cfg = write_cfg(tmp_path, QUAD_CFG)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        ensembles = json.loads((out / "manifest.json").read_text())["ensembles"]
+        assert set(ensembles) == {"0.1", "0.01"}
+        for tag, alpha in (("0.1", 0.1), ("0.01", 0.01)):
+            rec = ensembles[tag]
+            assert set(rec) == {"n_chains", "n_diverged", "chain_steps", "chain_steps_per_s"}
+            assert rec["n_chains"] == 8 and rec["n_diverged"] == 0
+            # n_chains (burn_in + samples_per_chain thin), auto burn-in and thin
+            assert rec["chain_steps"] == 8 * (ceil(10 / alpha) + 32 * ceil(1 / alpha))
+            assert rec["chain_steps_per_s"] > 0
+        # and none of it reaches a CSV
+        for path in out.glob("*.csv"):
+            assert "chain_steps" not in path.read_text()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, QUAD_CFG)

@@ -63,22 +63,23 @@ def one_step(op, nm, alpha, x0, seed):
 
 
 def spread_over_threads(monkeypatch):
-    """The set of threads that seed chains, each held until a second one starts.
+    """The set of threads that name chains' streams, each held until a second one starts.
 
-    Groups of a few chains finish in microseconds on the compiled kernel,
-    so one worker could otherwise run them all before another starts.
+    Both bodies call stream_id once per chain.  Groups of a few chains
+    finish in microseconds on the compiled kernel, so one worker could
+    otherwise run them all before another starts.
     """
     workers, second = set(), threading.Event()
 
-    def seed_rng_noting_thread(*args):
+    def stream_id_noting_thread(*args):
         workers.add(threading.get_ident())
         if len(workers) >= 2:
             second.set()
         elif not second.wait(timeout=10):
             second.set()          # no second worker: fail on the count, not here
-        return seed_rng(*args)
+        return stream_id(*args)
 
-    monkeypatch.setattr(sim, "seed_rng", seed_rng_noting_thread)
+    monkeypatch.setattr(sim, "stream_id", stream_id_noting_thread)
     return workers
 
 
@@ -545,6 +546,21 @@ class TestEngineMatchesReference:
         assert_diverging_chains_agree(linear([[-0.9, 0.3], [0.2, -0.6]], ROUNDING_B),
                                       make_noise(shape, SIGMA[2]), 3.0, 3.0, 950,
                                       monkeypatch)
+
+    @pytest.mark.parametrize("seed", [-3, 2**64 + 5], ids=["negative", "past-2^64"])
+    @pytest.mark.parametrize("op, shape", [(quartic(), "rademacher"),
+                                           (linear(ROUNDING_A, ROUNDING_B), "gaussian")],
+                             ids=["sign-d1", "gaussian-d2"])
+    def test_seeds_are_keyed_modulo_2_64_on_both_bodies(self, op, shape, seed, monkeypatch):
+        if step.load() is None:
+            pytest.skip("no C compiler: the compiled kernel cannot be built")
+        nm = make_noise(shape, SIGMA.get(op.dim, [[1.0]]))
+        sizes = dict(n_chains=KERNEL_TILE + 3, burn_in=200, thin=7, samples_per_chain=6)
+        compiled = run_chains(op, nm, 0.01, 0.02, seed=seed, **sizes).samples.tobytes()
+        assert run_chains(op, nm, 0.01, 0.02, seed=seed % 2**64, **sizes).samples.tobytes() \
+            == compiled
+        monkeypatch.setattr(step, "load", lambda: None)
+        assert run_chains(op, nm, 0.01, 0.02, seed=seed, **sizes).samples.tobytes() == compiled
 
     @pytest.mark.parametrize(
         "op, shape, sigma",
