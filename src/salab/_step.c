@@ -45,8 +45,12 @@
  * AVX2 and for the baseline, and picks one when the library is loaded.
  * Both clones are compiled from this source with the same flags, and
  * neither may use FMA, so they write the same bits.
+ *
+ * The library also prints the rows of samples_<alpha>.csv as csv.writer
+ * and repr() would (format_samples, at the end of this file).
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -216,12 +220,18 @@ static double probe(int idx, uint64_t rabs, int *calls)
     return x;
 }
 
+/* 10^k, k <= 21, which init() fills for fmt_value */
+static unsigned __int128 pow10_128[22];
+
 /* Reads numpy's ziggurat tables back through random_standard_normal:
  * wi[i] is the value of rabs = 1, and ki[i] the smallest rabs that takes a
  * second read.  Returns 0, or -1 when a value is not a table's. */
 int init(void)
 {
     int calls;
+    pow10_128[0] = 1;
+    for (int k = 1; k < 22; k++)
+        pow10_128[k] = pow10_128[k - 1] * 10;
     for (int i = 0; i < 256; i++) {
         wi[i] = probe(i, 1, &calls);
         uint64_t lo = 0, hi = (uint64_t)1 << 52;
@@ -522,4 +532,190 @@ CLONES int run(const struct drift *drift, const struct noise *nz, const uint64_t
     }
     free(xs);
     return 0;
+}
+
+/* ------------------------------------------------------------------------
+ * The rows of samples_<alpha>.csv, "chain,step,y_1,...,y_d\r\n", byte for
+ * byte as csv.writer writes them, with each y_i as repr() prints it.
+ *
+ * fmt_value prints a double of magnitude in [1e-4, 1e16), or +-0, as
+ * repr() does there: in fixed notation, the shortest digits that read back
+ * as the double (Steele & White, PLDI 1990; Adams, PLDI 2018), and of
+ * those the nearest to it, ties to the even digit.  It computes with exact
+ * integers.  Let v = m 2^e with m the 53-bit significand.  What reads back
+ * as v lies between the half-way points to its neighbours, L = (4m - 2)
+ * 2^(e-2), or (4m - 1) 2^(e-2) when m = 2^52, and U = (4m + 2) 2^(e-2),
+ * both included when m is even, as reading rounds half to even.  In this
+ * range -66 <= e <= 1.  Counted in units of 10^-k with
+ * k = floor(-e log10 2) + 2, so k <= 21, an ulp 2^e is 10 to 100 units,
+ * v is below 2^60 units, and L, v and U are 4m 10^k +- a few 10^k over
+ * 2^(2 - e), numerators of at most 125 bits.
+ * ------------------------------------------------------------------------ */
+
+typedef unsigned __int128 u128;
+
+/* the longest value fmt_value prints: a sign, "0.000" and 19 digits */
+#define VALUE_MAX 25
+/* the longest row of d values: two int64s, the values, commas and "\r\n" */
+#define ROW_MAX(d) (2 * 21 + (d) * (VALUE_MAX + 1) + 2)
+
+/* "00", "01", ..., "99" */
+static const char PAIRS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* Whether fmt_value prints v. */
+static int formattable(double v)
+{
+    double a = fabs(v);
+    return (a >= 1e-4 && a < 1e16) || a == 0.0;
+}
+
+/* Prints v, which must be formattable, to p as repr() does; returns the end. */
+static char *fmt_value(double v, char *p)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    if (bits >> 63)
+        *p++ = '-';
+    bits &= ~((uint64_t)1 << 63);
+    if (bits == 0) {
+        memcpy(p, "0.0", 3);
+        return p + 3;
+    }
+    uint64_t m = (bits & (((uint64_t)1 << 52) - 1)) | ((uint64_t)1 << 52);
+    int e = (int)(bits >> 52) - 1075, s = 2 - e;
+    /* floor(-e log10 2) + 2; the product is exact for -e <= 1650 */
+    int k = e <= 0 ? (int)(((uint32_t)-e * 78913) >> 18) + 2 : 1;
+    u128 t = pow10_128[k], mask = ((u128)1 << s) - 1;
+    /* v, U and L in units of 10^-k, times 2^s */
+    u128 vn = ((u128)m * t) << 2, un = vn + (t << 1),
+         ln = vn - (m == (uint64_t)1 << 52 ? t : t << 1);
+    int inside = !(m & 1);                     /* L and U read back as v */
+    /* lo..hi: the whole units from L to U */
+    uint64_t lo = (uint64_t)(ln >> s) + ((ln & mask) != 0 || !inside);
+    uint64_t hi = (uint64_t)(un >> s) - ((un & mask) == 0 && !inside);
+    /* the largest 10^j units of which a multiple lies in lo..hi; lo..hi
+     * then count those multiples in units of 10^j */
+    uint64_t pj = 1;
+    int j = 0;
+    while ((lo + 9) / 10 <= hi / 10) {
+        lo = (lo + 9) / 10;
+        hi /= 10;
+        pj *= 10;
+        j++;
+    }
+    /* v rounded to a multiple of 10^j units, half to even, then the
+     * multiple in lo..hi nearest to it */
+    uint64_t vr = (uint64_t)(vn >> s), q = vr / pj;
+    u128 twice = ((((u128)(vr % pj)) << s) | (vn & mask)) << 1, whole = (u128)pj << s;
+    q += twice > whole || (twice == whole && (q & 1));
+    q = q < lo ? lo : q > hi ? hi : q;
+    /* the n digits of q end at dig + 20, two at a time */
+    char dig[20], *d = dig + 20;
+    for (; q >= 100; q /= 100) {
+        d -= 2;
+        memcpy(d, PAIRS + 2 * (q % 100), 2);
+    }
+    if (q >= 10) {
+        d -= 2;
+        memcpy(d, PAIRS + 2 * q, 2);
+    } else {
+        *--d = (char)('0' + q);
+    }
+    int n = (int)(dig + 20 - d);
+    /* v = 0.d_1 ... d_n times 10^point */
+    int point = n + j - k;
+    if (point <= 0) {
+        *p++ = '0';
+        *p++ = '.';
+        for (int i = point; i < 0; i++)
+            *p++ = '0';
+        for (int i = 0; i < n; i++)
+            *p++ = d[i];
+        return p;
+    }
+    for (int i = 0; i < n; i++) {
+        if (i == point)
+            *p++ = '.';
+        *p++ = d[i];
+    }
+    if (point >= n) {
+        for (int i = n; i < point; i++)
+            *p++ = '0';
+        *p++ = '.';
+        *p++ = '0';
+    }
+    return p;
+}
+
+/* Prints i to p as str() does; returns the end. */
+static char *fmt_int(int64_t i, char *p)
+{
+    uint64_t u = (uint64_t)i;
+    if (i < 0) {
+        *p++ = '-';
+        u = 0 - u;
+    }
+    char dig[20];
+    int n = 0;
+    do {
+        dig[n++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    while (n)
+        *p++ = dig[--n];
+    return p;
+}
+
+/* Prints rows row, row + 1, ... up to row end of a samples CSV into buf,
+ * sets *used to the bytes printed and returns the first row it did not
+ * reach.  Row r is chain ids[r / spc] at step steps[r % spc], with values
+ * y[r d] .. y[r d + d - 1].  A row with a value that fmt_value does not
+ * print is left out: its index goes to holes[2 h] and the offset in buf
+ * where it belongs to holes[2 h + 1], for h < *n_holes.  So is a row that
+ * might not fit in the cap bytes of an empty buf.  It stops before a row
+ * that might not fit in what is left of buf, and before a row to leave
+ * out once max_holes are.  It touches no Python object, so ctypes runs it
+ * without the GIL. */
+long format_samples(const int64_t *ids, const int64_t *steps, long spc, const double *y,
+                    long d, long row, long end, char *buf, long cap, int64_t *holes,
+                    long max_holes, long *used, long *n_holes)
+{
+    char *p = buf;
+    long h = 0;
+    *used = *n_holes = 0;
+    if (row >= end)
+        return row;
+    long c = row / spc, r = row % spc;
+    for (; row < end; row++, r = r + 1 < spc ? r + 1 : (c++, 0)) {
+        const double *yr = y + row * d;
+        long i = 0;
+        while (i < d && formattable(yr[i]))
+            i++;
+        int fits = cap - (p - buf) >= ROW_MAX(d);
+        if (!fits && p > buf)
+            break;
+        if (i < d || !fits) {
+            if (h == max_holes)
+                break;
+            holes[2 * h] = row;
+            holes[2 * h + 1] = p - buf;
+            h++;
+            continue;
+        }
+        p = fmt_int(ids[c], p);
+        *p++ = ',';
+        p = fmt_int(steps[r], p);
+        for (i = 0; i < d; i++) {
+            *p++ = ',';
+            p = fmt_value(yr[i], p);
+        }
+        *p++ = '\r';
+        *p++ = '\n';
+    }
+    *used = p - buf;
+    *n_holes = h;
+    return row;
 }

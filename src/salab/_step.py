@@ -1,7 +1,8 @@
 """The compiled step kernel (_step.c), built on first use and loaded with ctypes.
 
 The kernel runs each chain's Philox stream itself, from the chain's key,
-and the fast path of numpy's gaussian ziggurat inline.  The source is
+and the fast path of numpy's gaussian ziggurat inline.  The same library
+prints the rows of samples_<alpha>.csv (format_samples).  The source is
 compiled with the local ``cc`` and linked against numpy's static
 ``numpy/random/lib/libnpyrandom.a``, whose random_standard_normal makes the
 draws the fast path rejects and gives back numpy's ziggurat tables, into
@@ -10,12 +11,13 @@ of everything the build reads: the source, CFLAGS, the numpy version and
 the bytes of libnpyrandom.a.  The build writes a temporary file and renames
 it into place while holding a lock, so concurrent first uses never load a
 half-written library.  ctypes releases the GIL for the length of each call.
-On loading, the kernel reads the tables (init) and then draws a few
+On loading, the kernel reads the tables (init), then draws a few
 thousand values of every noise shape, which must be numpy's bit for bit
-(_self_check).  Without a compiler, numpy's archive or a header, when the
-cache cannot be written, or when the tables or the self-check fail, load()
-returns None and the engine keeps its numpy body, which writes the same
-bytes.
+(_self_check), and prints about a thousand values, which must be repr()'s
+(_format_check).  Without a compiler, numpy's archive or a header, when the
+cache cannot be written, or when the tables or either check fail, load()
+returns None: the engine keeps its numpy body and samples_<alpha>.csv its
+Python writer, which write the same bytes.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ KINDS = ("neg_cube", "affine")
 
 #: the noise shapes the kernel draws, in the order of _step.c's enum
 SHAPES = ("gaussian", "uniform", "rademacher", "noiseless")
+
+#: format_samples prints the values of magnitude in [lo, hi), and +-0.0:
+#: those repr() prints in fixed notation
+FORMAT_RANGE = (1e-4, 1e16)
 
 
 class Drift(ctypes.Structure):
@@ -90,7 +96,8 @@ def _noise(shape, cholesky, coeff, d) -> Noise:
 
 
 class Kernel:
-    """Runs a group of chains through their whole schedule in one call.
+    """Runs a group of chains through their whole schedule in one call (run),
+    and prints the rows of samples CSVs (format_samples).
 
     drift is (kind, a, b, dc): a drift F of one of the KINDS, its
     coefficients and dc.  For affine, a is the C-contiguous float64 (d, d)
@@ -106,6 +113,10 @@ class Kernel:
         lib.run.restype = ctypes.c_int
         lib.init.argtypes = []
         lib.init.restype = ctypes.c_int
+        lib.format_samples.argtypes = [_ptr, _ptr, _long, _ptr, _long, _long, _long, _ptr,
+                                       _long, _ptr, _long, ctypes.POINTER(_long),
+                                       ctypes.POINTER(_long)]
+        lib.format_samples.restype = _long
         self._lib = lib
 
     def run(self, drift, noise, keys, x, out, burn_in, thin) -> None:
@@ -128,6 +139,33 @@ class Kernel:
                                _data(out, np.float64, (n, spc, f.d)), spc, burn_in, thin)
         if status != 0:
             raise MemoryError("step kernel could not allocate its buffers")
+
+    def format_samples(self, chain_ids, steps, samples, row, buf, holes) -> tuple:
+        """Prints rows row, row + 1, ... of a samples CSV into buf.
+
+        samples is the C-contiguous float64 (n, spc, d) array of records,
+        chain_ids the (n,) and steps the (spc,) int64 arrays of their chains
+        and steps, buf a C-contiguous uint8 array and holes a C-contiguous
+        int64 (k, 2) one.  Row r is `chain,step,y_1..y_d\\r\\n` for record
+        r % spc of chain r // spc, the bytes csv.writer writes for it.  A
+        row with a value outside FORMAT_RANGE (nan, inf, too small or too
+        large), or one that might not fit in an empty buf, is left out, and
+        holes[h] is (its row, the offset in buf where it belongs).  Printing
+        stops before a row that might not fit in what is left of buf, and
+        before a row to leave out once k are.  Returns the first row not
+        reached, the number of bytes printed and the number of holes.
+        """
+        n, spc, d = samples.shape
+        if not 0 <= row <= n * spc:
+            raise ValueError(f"no row {row} among {n * spc}")
+        used, n_holes = _long(), _long()
+        row = self._lib.format_samples(
+            _data(chain_ids, np.int64, (n,)), _data(steps, np.int64, (spc,)), spc,
+            _data(samples, np.float64, (n, spc, d)), d, row, n * spc,
+            _data(buf, np.uint8, buf.shape), buf.size,
+            _data(holes, np.int64, (len(holes), 2)), len(holes),
+            ctypes.byref(used), ctypes.byref(n_holes))
+        return row, used.value, n_holes.value
 
 
 def _includes() -> list:
@@ -214,10 +252,56 @@ def _self_check(kernel: Kernel) -> bool:
     return True
 
 
+def _format_probes() -> np.ndarray:
+    """About a thousand values that format_samples must print as repr() does.
+
+    The edges of FORMAT_RANGE and their neighbours, +-0.0, ties between
+    two shortest digit strings (2**50 + 0.25 prints as ...624.2 and
+    2**50 + 0.75 as ...624.8), the neighbours of each power of two in
+    range, whose lower neighbour is nearer than the upper one, and random
+    bit patterns, in the range and anywhere (nan, inf, subnormals).
+    """
+    lo, hi = FORMAT_RANGE
+    edges = np.array([lo, hi, 0.0, 0.1, 1.0, 2.0**50 + 0.25, 2.0**50 + 0.75,
+                      2.0**49 + 0.25, 2.0**49 + 0.75, 5e-324, np.inf, np.nan])
+    edges = np.concatenate([edges, np.nextafter(edges[:2], 0), np.nextafter(edges[:2], np.inf)])
+    powers = np.ldexp(1.0, np.arange(-15, 56))
+    rng = np.random.default_rng(20240917)
+    bits = np.array([lo, hi]).view(np.uint64)
+    in_range = rng.integers(bits[0], bits[1], 256, dtype=np.uint64).view(np.float64)
+    anywhere = rng.integers(0, 2**64, 64, dtype=np.uint64, endpoint=False).view(np.float64)
+    values = np.concatenate([edges, np.nextafter(powers, 0), powers,
+                             np.nextafter(powers, np.inf), in_range, anywhere])
+    return np.concatenate([values, -values])
+
+
+def _format_check(kernel: Kernel) -> bool:
+    """Whether the kernel prints each of _format_probes() as repr() does, and
+    leaves out exactly the rows of those outside FORMAT_RANGE."""
+    values = _format_probes()
+    n = len(values)
+    samples = values.reshape(n, 1, 1)
+    ids, steps = np.arange(n, dtype=np.int64), np.zeros(1, np.int64)
+    lines = [f"{i},0,{v!r}\r\n".encode() for i, v in enumerate(values.tolist())]
+    # room for every row and every hole, so one call reaches them all
+    buf, holes = np.empty(128 * n, np.uint8), np.empty((n, 2), np.int64)
+    row, used, n_holes = kernel.format_samples(ids, steps, samples, 0, buf, holes)
+    text, start = [], 0
+    for r, at in holes[:n_holes].tolist():
+        text += [buf[start:at].tobytes(), lines[r]]
+        start = at
+    text.append(buf[start:used].tobytes())
+    lo, hi = FORMAT_RANGE
+    outside = [i for i, v in enumerate(values.tolist()) if not (lo <= abs(v) < hi or v == 0)]
+    return (row == n and holes[:n_holes, 0].tolist() == outside
+            and b"".join(text) == b"".join(lines))
+
+
 @cache
 def load() -> Optional[Kernel]:
     """The kernel, built on the first call; None when it cannot be built or
-    loaded, or when it does not draw numpy's bits."""
+    loaded, when it does not draw numpy's bits, or when it does not print
+    repr()'s."""
     try:
         source = SOURCE.read_bytes()
         key = cache_key(source, LIBRARY.read_bytes())
@@ -227,7 +311,7 @@ def load() -> Optional[Kernel]:
             _build(source, target)
         lib = ctypes.CDLL(str(target))
         kernel = Kernel(lib)
-        if lib.init() != 0 or not _self_check(kernel):
+        if lib.init() != 0 or not _self_check(kernel) or not _format_check(kernel):
             return None
         return kernel
     except (OSError, ImportError, AttributeError, subprocess.SubprocessError):

@@ -51,30 +51,71 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-# chains formatted into one string per write of samples_<alpha>.csv
-_SAMPLE_BLOCK = 1024
+# rows of samples_<alpha>.csv formatted into one string per write by Python
+_SAMPLE_ROWS = 1 << 15
+
+# bytes of samples_<alpha>.csv the compiled formatter prints per call, and
+# the rows it may leave to Python per call
+_FORMAT_BYTES = 1 << 20
+_FORMAT_HOLES = 4096
+
+
+def _sample_lines(chain_ids, steps, flat, rows) -> list:
+    """The lines of samples_<alpha>.csv rows `rows`, as a list of str.
+
+    Row r is record r % spc of chain chain_ids[r // spc], taken at step
+    steps[r % spc], with values flat[r].  These are the bytes `_write_csv`
+    writes for `[c, step, *y]` rows: its str() of a float is repr(), no
+    number is ever quoted, and each line ends in "\\r\\n".
+    """
+    spc, d = len(steps), flat.shape[1]
+    prefixes = [f"{c},{step}," for c, step in zip(chain_ids[rows // spc].tolist(),
+                                                   steps[rows % spc].tolist())]
+    ys = map(repr, flat[rows].ravel().tolist())
+    return [p + y + "\r\n" for p, y in zip(prefixes, map(",".join, zip(*[ys] * d)))]
 
 
 def _write_samples(path: Path, ens) -> None:
     """samples_<alpha>.csv: a `chain,step,y_1..y_d` row per chain and record.
 
-    These are the bytes `_write_csv` writes for `[c, step, *y]` rows: its
-    str() of a float is repr(), no number is ever quoted, and each line ends
-    in "\\r\\n".  Rows are formatted a block of chains at a time into one
-    string, so no per-row list is built and memory stays bounded.
+    The compiled library prints the rows into a buffer of _FORMAT_BYTES
+    without the GIL.  It leaves out each row it cannot print (a value it
+    does not format), whose line `_sample_lines` then puts in its place.
+    When the library is not loaded, `_sample_lines` writes every row,
+    _SAMPLE_ROWS at a time, so memory stays bounded.
     """
     n_records, d = ens.samples.shape[1:]
-    steps = [ens.burn_in + (r + 1) * ens.thin for r in range(n_records)]
+    steps = ens.burn_in + ens.thin * np.arange(1, n_records + 1, dtype=np.int64)
+    ids = np.ascontiguousarray(ens.chain_ids, np.int64)
+    samples = np.ascontiguousarray(ens.samples, np.float64)
+    flat = samples.reshape(-1, d)
     header = ["chain", "step"] + [f"y_{i + 1}" for i in range(d)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, len(ens.chain_ids), _SAMPLE_BLOCK):
-            hi = lo + _SAMPLE_BLOCK
-            prefixes = [f"{c},{step}," for c in ens.chain_ids[lo:hi].tolist()
-                        for step in steps]
-            values = map(repr, ens.samples[lo:hi].ravel().tolist())
-            rows = map(",".join, zip(*[values] * d))   # d values per row
-            fh.write("".join([p + y + "\r\n" for p, y in zip(prefixes, rows)]))
+    from . import _step
+
+    kernel = _step.load()
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        if kernel is None:
+            for lo in range(0, len(flat), _SAMPLE_ROWS):
+                rows = np.arange(lo, min(lo + _SAMPLE_ROWS, len(flat)))
+                fh.write("".join(_sample_lines(ids, steps, flat, rows)).encode())
+            return
+        buf, holes = np.empty(_FORMAT_BYTES, np.uint8), np.empty((_FORMAT_HOLES, 2), np.int64)
+        row = 0
+        while row < len(flat):
+            row, used, n_holes = kernel.format_samples(ids, steps, samples, row, buf, holes)
+            if n_holes == 0:
+                fh.write(buf.data[:used])
+                continue
+            # the lines left out, each put in at its offset in the printed text
+            left, at = holes[:n_holes].T
+            text, parts, start = buf[:used].tobytes().decode(), [], 0
+            for offset, line in zip(at.tolist(), _sample_lines(ids, steps, flat, left)):
+                parts.append(text[start:offset])
+                parts.append(line)
+                start = offset
+            parts.append(text[start:])
+            fh.write("".join(parts).encode())
 
 
 class _Manifest:
@@ -263,7 +304,9 @@ def _cmd_simulate(args) -> int:
         tag = _alpha_tag(alpha)
         manifest.add_ensemble(tag, ens, time.perf_counter() - t0)
         path = out / f"samples_{tag}.csv"
+        t1 = time.perf_counter()
         _write_samples(path, ens)
+        manifest.durations[f"samples_{tag}_s"] = time.perf_counter() - t1
         manifest.add(path)
         mom = moment_summary(ens)
         mrows = [("alpha", alpha), ("n_samples", mom.count),
@@ -312,7 +355,9 @@ def _run_tests_for(validated, manifest, scaling, threads) -> None:
     """
     ens = est = None
     for alpha in validated.alphas:
+        t0 = time.perf_counter()
         ens = run_ensemble(validated, alpha, scaling, threads=threads)
+        manifest.add_ensemble(_alpha_tag(alpha), ens, time.perf_counter() - t0)
         if validated.op.dim == 1:
             flat = ens.flat[:, 0]
             span = 4.6 * float(flat.std(ddof=1))

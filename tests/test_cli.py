@@ -68,18 +68,38 @@ class TestWriteCsv:
 
 
 class TestWriteSamples:
-    # chain 2 diverged and was dropped, which leaves a gap in the ids
-    EDGES = (float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 1e-5,
-             0.1 + 0.2)
+    # values the compiled formatter leaves out, which Python writes
+    OUTSIDE = (float("nan"), float("inf"), -float("inf"), 5e-324, 1e16, 1e-5)
 
-    @pytest.mark.parametrize("d", [1, 3])
-    @pytest.mark.parametrize("block", [2, 1024])
-    def test_bytes_equal_the_row_writer(self, tmp_path, monkeypatch, d, block):
+    @pytest.fixture(params=["compiled", "python"])
+    def writer(self, request, monkeypatch):
+        if request.param == "python":
+            monkeypatch.setattr(step, "load", lambda: None)
+        elif step.load() is None:
+            pytest.skip("the compiled library is not loaded")
+        return request.param
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("block", ["small", "large"])
+    def test_bytes_equal_the_row_writer(self, tmp_path, monkeypatch, writer, d, block):
+        # chain 2 diverged and was dropped, which leaves a gap in the ids
         n_records = 4
-        values = np.resize(np.array(self.EDGES), (5, n_records, d))
+        values = np.random.default_rng(d).normal(size=(5, n_records, d))
+        flat = values.reshape(-1)
+        # out-of-range values in the first and last rows, in two rows in a
+        # row and mid-block, beside -0.0 and 0.1 + 0.2, which both writers print
+        for at, v in zip((0, d * 5, d * 6, d * 9 + d - 1, d * 13, flat.size - 1), self.OUTSIDE):
+            flat[at] = v
+        flat[d * 2], flat[-2] = -0.0, 0.1 + 0.2
         ens = Ensemble(samples=values, chain_ids=np.array([0, 1, 3, 4, 5]), n_chains=6,
                        n_diverged=1, burn_in=7, thin=3)
-        monkeypatch.setattr(cli, "_SAMPLE_BLOCK", block)
+        if block == "small":
+            # three rows per Python write; room for one or two rows at a
+            # time in the compiled formatter's buffer, and for one row left
+            # to Python
+            monkeypatch.setattr(cli, "_SAMPLE_ROWS", 3)
+            monkeypatch.setattr(cli, "_FORMAT_BYTES", 140)
+            monkeypatch.setattr(cli, "_FORMAT_HOLES", 1)
         cli._write_samples(tmp_path / "bulk.csv", ens)
         steps = [7 + (r + 1) * 3 for r in range(n_records)]
         rows = ([c, step, *y] for c, chain in zip(ens.chain_ids.tolist(), values.tolist())
@@ -115,8 +135,14 @@ class TestSimulateCommand:
         cfg = write_cfg(tmp_path, QUAD_CFG)
         out = tmp_path / "run"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-        ensembles = json.loads((out / "manifest.json").read_text())["ensembles"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        ensembles = manifest["ensembles"]
         assert set(ensembles) == {"0.1", "0.01"}
+        assert set(manifest["durations"]) == {"total_s", "alpha_0.1_s", "alpha_0.01_s",
+                                              "samples_0.1_s", "samples_0.01_s"}
+        for tag in ("0.1", "0.01"):
+            assert 0 < manifest["durations"][f"samples_{tag}_s"] < \
+                manifest["durations"][f"alpha_{tag}_s"]
         for tag, alpha in (("0.1", 0.1), ("0.01", 0.01)):
             rec = ensembles[tag]
             assert set(rec) == {"n_chains", "n_diverged", "chain_steps", "chain_steps_per_s"}
@@ -369,6 +395,21 @@ class TestPipelineCommand:
         assert main(["pipeline", "--config", cfg, "--out", str(out)]) == 0
         assert "sigma_y_1_1,0.25" in (out / "prediction.csv").read_text()
         assert "passed,True" in (out / "gof.csv").read_text()
+
+    @pytest.mark.parametrize("command, scaling", [("test", "0.5"), ("pipeline", "auto")])
+    def test_manifest_records_each_ensemble(self, tmp_path, command, scaling):
+        # 32 chains x 32 records: the density estimate needs 1000 samples
+        body = QUAD_CFG.replace("scaling = 0.5", f"scaling = {scaling}")
+        cfg = write_cfg(tmp_path, body.replace("n_chains = 8", "n_chains = 32"))
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        ensembles = json.loads((out / "manifest.json").read_text())["ensembles"]
+        assert set(ensembles) == {"0.1", "0.01"}
+        for tag, alpha in (("0.1", 0.1), ("0.01", 0.01)):
+            rec = ensembles[tag]
+            assert rec["n_chains"] == 32 and rec["n_diverged"] == 0
+            assert rec["chain_steps"] == 32 * (ceil(10 / alpha) + 32 * ceil(1 / alpha))
+            assert rec["chain_steps_per_s"] > 0
 
     def test_pipeline_requires_auto_scaling(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUAD_CFG)

@@ -232,6 +232,119 @@ def test_kernel_gaussians_are_numpys_through_the_tail(kernel):
     assert (np.abs(out) > 3.6541528853610088).any()
 
 
+def printed(kernel, values, per_row=100):
+    """format_samples' text of each of values, per_row values to a row."""
+    values = np.asarray(values, np.float64)
+    rows = -(-len(values) // per_row)
+    samples = np.zeros(rows * per_row)
+    samples[: len(values)] = values
+    samples = samples.reshape(rows, 1, per_row)
+    ids, steps = np.arange(rows, dtype=np.int64), np.zeros(1, np.int64)
+    buf, holes = np.empty(1 << 20, np.uint8), np.empty((1, 2), np.int64)
+    text, row = [], 0
+    while row < rows:
+        row, used, n_holes = kernel.format_samples(ids, steps, samples, row, buf, holes)
+        assert n_holes == 0, f"format_samples left out row {holes[0, 0]}"
+        text.append(buf[:used].tobytes())
+    lines = b"".join(text).decode().split("\r\n")
+    assert lines.pop() == ""
+    return [v for line in lines for v in line.split(",")[2:]][: len(values)]
+
+
+def in_range(values):
+    a = np.abs(values)
+    return values[(a >= 1e-4) & (a < 1e16)]
+
+
+def test_format_samples_prints_what_repr_prints(kernel):
+    rng = np.random.default_rng(20261019)
+    lo, hi = np.array([1e-4, np.nextafter(1e16, 0)]).view(np.uint64)
+    random_bits = rng.integers(lo, hi, 300_000, dtype=np.uint64, endpoint=True).view(np.float64)
+    gaussian = in_range(rng.normal(0.0, 0.7, 300_000))
+    # the lower neighbour of a power of two is nearer than the upper one
+    powers = np.ldexp(1.0, np.arange(-13, 54))
+    near_powers = [np.nextafter(p, 0.0) * (1.0 + j * 2.0**-52) for p in powers
+                   for j in range(-40, 41)]
+    short = in_range(np.array([float(f"{i}e{e}") for i in range(1, 10_000, 3)
+                               for e in range(-8, 16)]))
+    integers = rng.integers(0, 2**53, 200_000).astype(np.float64)
+    # two shortest digit strings equally near: 2**k + 0.25 and + 0.75
+    ties = [2.0**k + f for k in range(0, 54) for f in (0.25, 0.75)]
+    edges = [1e-4, np.nextafter(1e-4, 1.0), np.nextafter(1e16, 0.0), 2.0**53 - 1, 2.0**53 + 2,
+             0.0, 0.1, 0.1 + 0.2, 1.0 / 3.0]
+    values = np.concatenate([random_bits, gaussian, near_powers, short, integers, ties, edges])
+    values = np.concatenate([values, -values])
+    assert len(values) >= 1_000_000
+    got, want = printed(kernel, values), list(map(repr, values.tolist()))
+    wrong = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not wrong, wrong[:10]
+    assert printed(kernel, [2.0**50 + 0.25, 2.0**50 + 0.75, -0.0]) == \
+        ["1125899906842624.2", "1125899906842624.8", "-0.0"]
+
+
+@pytest.mark.parametrize("value", [np.nextafter(1e-4, 0.0), 1e-5, 1e16, np.nextafter(1e16, np.inf),
+                                   5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                                   np.inf, -np.inf, np.nan])
+def test_format_samples_leaves_out_rows_with_a_value_it_does_not_print(kernel, value):
+    # rows of 2 values: the rows holding value and -value are left out, and
+    # each hole says where its row belongs
+    samples = np.array([[1.0, 2.0], [3.0, value], [-value, 4.0], [5.0, 6.0]]).reshape(4, 1, 2)
+    ids, steps = np.arange(4, dtype=np.int64), np.array([7], np.int64)
+    buf, holes = np.empty(1024, np.uint8), np.empty((2, 2), np.int64)
+    row, used, n_holes = kernel.format_samples(ids, steps, samples, 0, buf, holes)
+    assert (row, buf[:used].tobytes()) == (4, b"0,7,1.0,2.0\r\n3,7,5.0,6.0\r\n")
+    assert holes[:n_holes].tolist() == [[1, 13], [2, 13]]
+    # with room for one hole it stops before the second
+    row, used, n_holes = kernel.format_samples(ids, steps, samples, 0, buf, holes[:1])
+    assert (row, used, n_holes) == (2, 13, 1)
+    assert kernel.format_samples(ids, steps, samples, 2, buf, holes[:0]) == (2, 0, 0)
+
+
+def test_format_samples_stops_before_a_row_that_might_not_fit(kernel):
+    samples = np.full((3, 2, 1), 0.5)
+    ids, steps = np.array([0, 1, 2**62], np.int64), np.array([-3, 2**62], np.int64)
+    holes = np.empty((6, 2), np.int64)
+    assert kernel.format_samples(ids, steps, samples, 0, np.empty(1000, np.uint8), holes)[::2] \
+        == (6, 0)
+    # a row of one value takes at most 2 * 21 + 26 + 2 bytes
+    buf = np.empty(70, np.uint8)
+    assert kernel.format_samples(ids, steps, samples, 0, buf, holes) == \
+        (1, len(b"0,-3,0.5\r\n"), 0)
+    row, used, _ = kernel.format_samples(ids, steps, samples, 5, buf, holes)
+    assert (row, buf[:used].tobytes()) == (6, f"{2**62},{2**62},0.5\r\n".encode())
+    # a row that might not fit in an empty buffer is left out
+    assert kernel.format_samples(ids, steps, samples, 4, np.empty(69, np.uint8), holes) == \
+        (6, 0, 2)
+    assert holes[:2].tolist() == [[4, 0], [5, 0]]
+    # no records, so no rows
+    assert kernel.format_samples(ids, steps[:0], samples[:, :0], 0, buf, holes) == (0, 0, 0)
+    with pytest.raises(ValueError, match="no row 7"):
+        kernel.format_samples(ids, steps, samples, 7, buf, holes)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        kernel.format_samples(ids, steps, np.full((3, 2, 2), 0.5)[:, :, :1], 0, buf, holes)
+    with pytest.raises(ValueError, match="int64"):
+        kernel.format_samples(ids.astype(np.int32), steps, samples, 0, buf, holes)
+    with pytest.raises(ValueError, match="shape"):
+        kernel.format_samples(ids, steps, samples, 0, buf, np.empty(12, np.int64))
+
+
+def test_failed_format_check_falls_back_to_the_python_writer(fresh_kernel, tmp_path,
+                                                             monkeypatch):
+    import salab.cli as cli
+
+    values = np.random.default_rng(4).normal(size=(70, 3, 2))
+    values[5, 1, 0] = np.nan
+    ens = sim.Ensemble(samples=values, chain_ids=np.arange(70), n_chains=70, n_diverged=0,
+                       burn_in=3, thin=2)
+    cli._write_samples(tmp_path / "compiled.csv", ens)
+    monkeypatch.setattr(step, "load", functools.cache(step.load.__wrapped__))
+    monkeypatch.setattr(step, "_format_check", lambda kernel: False)
+    assert step.load() is None
+    assert sim.engine(quartic()) == "numpy"
+    cli._write_samples(tmp_path / "python.csv", ens)
+    assert (tmp_path / "python.csv").read_bytes() == (tmp_path / "compiled.csv").read_bytes()
+
+
 def test_failed_self_check_falls_back_to_the_numpy_body(fresh_kernel, tmp_path, monkeypatch):
     op, nm = (linear([[-1.3, 0.7], [0.2, -2.1]], [0.1, -0.3]),
               make_noise("gaussian", [[1.0, 0.3], [0.3, 0.5]]))
