@@ -10,10 +10,9 @@ import os
 
 # Before numpy loads: its bundled OpenBLAS otherwise starts one worker per
 # CPU, which busy-waits at import and after every threaded call.  salab's
-# BLAS calls are all d x d or (n, d) @ (d,) products, too small to gain from
-# threads, and its parallelism is its own chain groups (--threads).  Each
-# output row of a gemv is computed on its own, so the bits do not depend on
-# the thread count.  A value set by the caller is kept.
+# BLAS calls are all on d x d matrices, too small to gain from threads, and
+# its parallelism is its own chain groups (--threads).  A value set by the
+# caller is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .core import (

@@ -119,12 +119,16 @@ def _write_samples(path: Path, ens) -> None:
 
 
 class _Manifest:
-    """Collects emitted files and durations for one subcommand invocation."""
+    """Makes out_dir, then collects the files and durations of one subcommand run."""
 
-    def __init__(self, command: str, out_dir: Path, seed, config_snapshot,
+    def __init__(self, command: str, out_dir, seed, config_snapshot,
                  threads: int):
         self.command = command
-        self.out_dir = out_dir
+        self.out_dir = Path(out_dir)
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {self.out_dir}: {exc}")
         self.seed = seed
         self.config = config_snapshot
         self.threads = threads
@@ -152,13 +156,12 @@ class _Manifest:
         self.notes.append(text)
         print(text)
 
-    def emit(self, header, rows, name: str) -> Path:
+    def emit(self, header, rows, name: str) -> None:
         path = self.out_dir / name
         _write_csv(path, header, rows)
         self.add(path)
-        return path
 
-    def finish(self) -> Path:
+    def finish(self) -> None:
         self.durations["total_s"] = time.perf_counter() - self._t0
         path = self.out_dir / "manifest.json"
         payload = {
@@ -175,13 +178,12 @@ class _Manifest:
         if self.ensembles:
             payload["ensembles"] = self.ensembles
         path.write_text(json.dumps(payload, indent=2, default=str), encoding="utf-8")
-        return path
 
 
 def _runtime(threads: int) -> dict:
     """What a run's speed depends on and its bytes do not: kept out of the CSVs."""
     affinity = getattr(os, "sched_getaffinity", None)   # not on macOS or Windows
-    return {
+    runtime = {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "nproc": len(affinity(0)) if affinity else os.cpu_count(),
@@ -189,43 +191,23 @@ def _runtime(threads: int) -> dict:
         # set to "1" by importing salab unless the caller set it first
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
+    if "scipy" in sys.modules:    # never imported here: that takes a second
+        runtime["scipy"] = sys.modules["scipy"].__version__
+    return runtime
 
 
 def _alpha_tag(alpha: float) -> str:
     return format(float(alpha), "g")
 
 
-def _load_config(args):
-    if not args.config:
-        raise ConfigError("this subcommand requires --config")
-    cfg = parse_config_file(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
-    validated = validate_config(cfg)
-    return cfg, validated
-
-
-def _prepare_out(path_str: str) -> Path:
-    out = Path(path_str)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}")
-    return out
-
-
 def _resolve_scaling(validated):
     """Config scaling, or the discovered exponent when set to auto."""
     if isinstance(validated.scaling, PowerScaling):
-        return validated.scaling, None
-    report = find_scaling_exponent(validated.op)
-    return PowerScaling(report.exponent), report
+        return validated.scaling
+    return PowerScaling(find_scaling_exponent(validated.op).exponent)
 
 
 def _matrix_rows(prefix: str, m: np.ndarray):
-    m = np.atleast_2d(m)
     for i in range(m.shape[0]):
         for j in range(m.shape[1]):
             yield (f"{prefix}_{i + 1}_{j + 1}", m[i, j])
@@ -289,21 +271,46 @@ def _emit_scaling_report(op, manifest):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate(args) -> int:
-    cfg, validated = _load_config(args)
-    if args.dry_run:
-        print(f"simulate: {len(validated.alphas)} stepsize(s), no files written")
-        return 0
-    out = _prepare_out(validated.out_dir)
-    manifest = _Manifest("simulate", out, validated.seed, dataclasses.asdict(cfg),
-                         args.threads)
-    scaling, _ = _resolve_scaling(validated)
+def _config_command(name: str, dry_run: str, check=None):
+    """Make body(validated, manifest, threads) the handler of subcommand `name`.
+
+    check(validated), if given, may reject the config first.  Then --dry-run
+    prints dry_run with {n_alphas}, the number of stepsizes, and writes
+    nothing; otherwise body runs and the manifest is written.
+    """
+    def decorate(body):
+        def handler(args) -> int:
+            if not args.config:
+                raise ConfigError("this subcommand requires --config")
+            cfg = parse_config_file(args.config)
+            if args.seed is not None:
+                cfg.seed = args.seed
+            if args.out is not None:
+                cfg.out_dir = args.out
+            validated = validate_config(cfg)
+            if check is not None:
+                check(validated)
+            if args.dry_run:
+                print(dry_run.format(n_alphas=len(validated.alphas)))
+                return 0
+            manifest = _Manifest(name, validated.out_dir, validated.seed,
+                                 dataclasses.asdict(cfg), args.threads)
+            body(validated, manifest, args.threads)
+            manifest.finish()
+            return 0
+        return handler
+    return decorate
+
+
+@_config_command("simulate", "simulate: {n_alphas} stepsize(s), no files written")
+def _cmd_simulate(validated, manifest, threads) -> None:
+    scaling = _resolve_scaling(validated)
     for alpha in validated.alphas:
         t0 = time.perf_counter()
-        ens = run_ensemble(validated, alpha, scaling, threads=args.threads)
+        ens = run_ensemble(validated, alpha, scaling, threads=threads)
         tag = _alpha_tag(alpha)
         manifest.add_ensemble(tag, ens, time.perf_counter() - t0)
-        path = out / f"samples_{tag}.csv"
+        path = manifest.out_dir / f"samples_{tag}.csv"
         t1 = time.perf_counter()
         _write_samples(path, ens)
         manifest.durations[f"samples_{tag}_s"] = time.perf_counter() - t1
@@ -317,34 +324,16 @@ def _cmd_simulate(args) -> int:
         manifest.emit(["quantity", "value"], mrows, f"moments_{tag}.csv")
         manifest.durations[f"alpha_{tag}_s"] = time.perf_counter() - t0
     manifest.engine = engine(validated.op)
-    manifest.finish()
-    return 0
 
 
-def _cmd_predict(args) -> int:
-    cfg, validated = _load_config(args)
-    if args.dry_run:
-        print("predict: would write prediction.csv")
-        return 0
-    out = _prepare_out(validated.out_dir)
-    manifest = _Manifest("predict", out, validated.seed, dataclasses.asdict(cfg),
-                         args.threads)
+@_config_command("predict", "predict: would write prediction.csv")
+def _cmd_predict(validated, manifest, threads) -> None:
     _emit_prediction(validated, manifest)
-    manifest.finish()
-    return 0
 
 
-def _cmd_find_scaling(args) -> int:
-    cfg, validated = _load_config(args)
-    if args.dry_run:
-        print("find-scaling: would write scaling_report.csv")
-        return 0
-    out = _prepare_out(validated.out_dir)
-    manifest = _Manifest("find-scaling", out, validated.seed, dataclasses.asdict(cfg),
-                         args.threads)
+@_config_command("find-scaling", "find-scaling: would write scaling_report.csv")
+def _cmd_find_scaling(validated, manifest, threads) -> None:
     _emit_scaling_report(validated.op, manifest)
-    manifest.finish()
-    return 0
 
 
 def _run_tests_for(validated, manifest, scaling, threads) -> None:
@@ -396,70 +385,51 @@ def _run_tests_for(validated, manifest, scaling, threads) -> None:
         _emit_logfit({q: log_density_fit(est, q) for q in {q_main, 2}}, manifest)
 
 
-def _cmd_test(args) -> int:
-    cfg, validated = _load_config(args)
-    if args.dry_run:
-        print("test: would simulate and write verification CSVs")
-        return 0
-    out = _prepare_out(validated.out_dir)
-    manifest = _Manifest("test", out, validated.seed, dataclasses.asdict(cfg),
-                         args.threads)
-    scaling, _ = _resolve_scaling(validated)
-    _run_tests_for(validated, manifest, scaling, args.threads)
-    manifest.finish()
-    return 0
+@_config_command("test", "test: would simulate and write verification CSVs")
+def _cmd_test(validated, manifest, threads) -> None:
+    scaling = _resolve_scaling(validated)
+    _run_tests_for(validated, manifest, scaling, threads)
 
 
-def _cmd_pipeline(args) -> int:
-    cfg, validated = _load_config(args)
+def _require_auto_scaling(validated) -> None:
     if validated.scaling != "auto":
         raise ConfigError("pipeline requires scaling = auto")
-    if args.dry_run:
-        print("pipeline: would run find-scaling, simulate, predict, test")
-        return 0
-    out = _prepare_out(validated.out_dir)
-    manifest = _Manifest("pipeline", out, validated.seed, dataclasses.asdict(cfg),
-                         args.threads)
+
+
+@_config_command("pipeline", "pipeline: would run find-scaling, simulate, predict, test",
+                 check=_require_auto_scaling)
+def _cmd_pipeline(validated, manifest, threads) -> None:
     report = _emit_scaling_report(validated.op, manifest)
     scaling = PowerScaling(report.exponent)
-    _run_tests_for(validated, manifest, scaling, args.threads)
-    manifest.finish()
-    return 0
+    _run_tests_for(validated, manifest, scaling, threads)
 
 
-def _cmd_em_compare(args) -> int:
-    cfg, validated = _load_config(args)
+def _require_identity_noise(validated) -> None:
     nm = validated.noise
     if nm.shape != "gaussian" or not np.array_equal(nm.sigma, np.eye(nm.dim)):
         raise ConfigError(
             "em-compare drives both chains with the SDE's identity diffusion: "
             "it needs noise.shape = gaussian and noise.sigma = the identity"
         )
-    if args.dry_run:
-        print("em-compare: would write em_compare.csv")
-        return 0
-    out = _prepare_out(validated.out_dir)
-    manifest = _Manifest("em-compare", out, validated.seed, dataclasses.asdict(cfg),
-                         args.threads)
+
+
+@_config_command("em-compare", "em-compare: would write em_compare.csv",
+                 check=_require_identity_noise)
+def _cmd_em_compare(validated, manifest, threads) -> None:
     alpha, *not_run = validated.alphas
     if not_run:
         manifest.note("em-compare runs the first alpha only; not run: "
                       + ", ".join(map(_alpha_tag, not_run)))
-    exponent = (
-        validated.scaling.exponent
-        if isinstance(validated.scaling, PowerScaling)
-        else None
-    )
     result = em_vs_sa_compare(
         validated.op,
         alpha,
-        exponent=exponent,
+        exponent=_resolve_scaling(validated).exponent,
         n_chains=validated.n_chains,
         burn_in=validated.burn_in,
         thin=validated.thin,
         samples_per_chain=validated.samples_per_chain,
         seed=validated.seed,
-        threads=args.threads,
+        threads=threads,
     )
     manifest.engine = engine(validated.op)
     rows = [("alpha", alpha), ("exponent", result.exponent),
@@ -467,8 +437,6 @@ def _cmd_em_compare(args) -> int:
     rows += list(_matrix_rows("sa_cov", result.sa_cov))
     rows += list(_matrix_rows("em_cov", result.em_cov))
     manifest.emit(["quantity", "value"], rows, "em_compare.csv")
-    manifest.finish()
-    return 0
 
 
 def _cmd_figure(args) -> int:
@@ -495,7 +463,7 @@ def _cmd_figure(args) -> int:
         spec = FIGURE_SPECS[name]
         manifest = _Manifest(
             f"figure {name}",
-            _prepare_out(root if len(names) == 1 else root / name),
+            root if len(names) == 1 else root / name,
             seed,
             {"figure": name, "drift": spec.drift, "exponent": spec.exponent,
              "alphas": list(spec.alphas)},
@@ -569,8 +537,9 @@ def main(argv=None) -> int:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except (NumericalError, MemoryError) as exc:
+        # numpy names the allocation that failed; a bare MemoryError is empty
+        print(f"numerical failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

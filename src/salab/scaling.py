@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import NumericalError
 from .drift import DriftOperator, eval_drift
+from .stats import fit_line
 
 DEFAULT_EXPONENT_GRID = (1 / 8, 1 / 6, 1 / 4, 1 / 3, 1 / 2, 2 / 3, 3 / 4)
 
@@ -75,7 +76,7 @@ def _probe_trend(
         return ProbeTrend(probe, mags, np.inf, VANISHES)
     signs = np.sign(values)
     flips = np.any((signs[:-1] * signs[1:]) < 0)
-    slope = float(np.polyfit(np.log(alphas), np.log(mags), 1)[0])
+    slope = fit_line(np.log(alphas), np.log(mags))[0]
     if flips:
         label = OSCILLATES
     elif slope >= SLOPE_TOL:

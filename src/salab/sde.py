@@ -11,15 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import Optional
 
 import numpy as np
 
 from .core import NumericalError, PowerScaling
 from .drift import DriftOperator, eval_drift
 from .noise import NoiseModel, make_noise
-from .scaling import find_scaling_exponent
 from .simulate import Ensemble, require_stable, resolve_schedule, run_chains
+from .stats import sample_moments
 
 
 def _standard_noise(dim: int) -> NoiseModel:
@@ -73,7 +72,7 @@ def em_vs_sa_compare(
     op: DriftOperator,
     alpha: float,
     *,
-    exponent: Optional[float] = None,
+    exponent: float,
     n_chains: int = 64,
     burn_in="auto",
     thin="auto",
@@ -91,8 +90,6 @@ def em_vs_sa_compare(
     if all(float(np.abs(eval_drift(op, op.root + row)).max()) == 0.0 for row in probes):
         raise NumericalError("no stationary law: drift vanishes near the root")
 
-    if exponent is None:
-        exponent = find_scaling_exponent(op).exponent
     scaling = PowerScaling(float(exponent))
 
     dt = float(alpha)
@@ -114,9 +111,10 @@ def em_vs_sa_compare(
     g = scaling(dt)
     sa_flat = ((sa.samples - op.root) / g).reshape(-1, op.dim)
     em_flat = (em.samples - op.root).reshape(-1, op.dim)
-    sa_cov = np.atleast_2d(np.cov(sa_flat, rowvar=False, ddof=1))
-    em_cov = np.atleast_2d(np.cov(em_flat, rowvar=False, ddof=1))
-    rel_err = float(np.linalg.norm(sa_cov - em_cov) / np.linalg.norm(em_cov))
+    sa_cov = sample_moments(sa_flat)[1]
+    em_cov = sample_moments(em_flat)[1]
+    rel_err = float(np.linalg.norm(sa_cov - em_cov, axis=(0, 1))
+                    / np.linalg.norm(em_cov, axis=(0, 1)))
     return EmCompareResult(
         sa_cov=sa_cov,
         em_cov=em_cov,

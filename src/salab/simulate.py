@@ -21,6 +21,7 @@ import numpy as np
 from .core import NumericalError, PowerScaling, ValidatedConfig, philox_key, seed_rng, stream_id
 from .drift import Affine, DriftOperator, _neg_cube
 from .noise import NoiseModel, decode_signs, sample_block, sign_table, sign_words
+from .stats import sample_moments
 
 #: chains simulated together in one group, which bounds the numpy body's
 #: step-major noise block; grouping never affects results (chains own their
@@ -103,8 +104,7 @@ def moment_summary(ens: Ensemble) -> MomentSummary:
     flat = ens.flat
     if flat.shape[0] < 2:
         raise NumericalError("ensemble too small for moments")
-    mean = flat.mean(axis=0)
-    cov = np.atleast_2d(np.cov(flat, rowvar=False, ddof=1))
+    mean, cov = sample_moments(flat)
     return MomentSummary(
         mean=mean,
         covariance=cov,

@@ -4,6 +4,9 @@ Gaussian goodness of fit, and log-density regressions.
 Thinned chains remain mildly correlated, so every threshold here runs on an
 effective sample size estimated by batch means (20 batches) rather than the
 raw count.
+
+Printed statistics sum in a fixed order (sample_moments, fit_line, _dot),
+never in BLAS or LAPACK, whose CPU kernel and thread count split the sums.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NumericalError, require_spd, seed_rng, stream_id
+from .drift import _ordered_product
 
 #: batches used for batch-means standard errors and effective sample size
 N_BATCHES = 20
@@ -27,8 +31,51 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------
-# batch means
+# fixed-order sums and batch means
 # ---------------------------------------------------------------------------
+
+def _sample_matrix(samples) -> np.ndarray:
+    """Samples as an (n, d) float array: 1-D input holds n scalar samples.
+
+    2-D input is always read as (n, d), so a single d-dimensional sample
+    stays one sample and meets the callers' dimension checks.
+    """
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim == 1:
+        return samples[:, None]
+    if samples.ndim != 2:
+        raise NumericalError(f"samples must be 1-D or (n, d), got shape {samples.shape}")
+    return samples
+
+
+def _dot(x, v):
+    """x v for x of shape (..., d): sum_k x[..., k] v[k], in order of k."""
+    return _ordered_product(x, v[None, :])[..., 0]
+
+
+def sample_moments(samples) -> tuple:
+    """(mean, unbiased covariance) of (n, d) samples; 1-D input is n scalars.
+
+    Entry (i, j) is numpy's pairwise add.reduce of the products of centred
+    columns i and j, each laid out contiguously: its order depends on n only.
+    """
+    samples = _sample_matrix(samples)
+    n, d = samples.shape
+    mean = samples.mean(axis=0)
+    centred = np.subtract(samples.T, mean[:, None], out=np.empty((d, n)))
+    cov = np.empty((d, d))
+    for i in range(d):
+        for j in range(i + 1):
+            cov[i, j] = cov[j, i] = np.add.reduce(centred[i] * centred[j]) / (n - 1)
+    return mean, cov
+
+
+def fit_line(x, y) -> tuple:
+    """(slope, intercept) of the least-squares line through the points (x, y)."""
+    mean, cov = sample_moments(np.column_stack([x, y]))
+    slope = cov[0, 1] / cov[0, 0]
+    return float(slope), float(mean[1] - slope * mean[0])
+
 
 def _batch_means(values: np.ndarray, n_batches: int) -> np.ndarray:
     n = values.shape[0]
@@ -122,20 +169,6 @@ class CfResidualReport:
     se: np.ndarray              # combined Monte-Carlo SE per t
 
 
-def _sample_matrix(samples) -> np.ndarray:
-    """Samples as an (n, d) float array: 1-D input holds n scalar samples.
-
-    2-D input is always read as (n, d), so a single d-dimensional sample
-    stays one sample and meets the callers' dimension checks.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 1:
-        return samples[:, None]
-    if samples.ndim != 2:
-        raise NumericalError(f"samples must be 1-D or (n, d), got shape {samples.shape}")
-    return samples
-
-
 def default_t_grid(dim: int, seed: int = 0) -> np.ndarray:
     """Frequency probes: signed scalars for d=1, axes plus random directions else."""
     if dim == 1:
@@ -150,7 +183,7 @@ def default_t_grid(dim: int, seed: int = 0) -> np.ndarray:
     rng = seed_rng(seed, stream_id("t-grid", dim))
     for _ in range(8):
         v = rng.standard_normal(dim)
-        rows.append(v / np.linalg.norm(v))
+        rows.append(v / np.linalg.norm(v, axis=0))
     return np.array(rows)
 
 
@@ -181,9 +214,9 @@ def cf_residual(samples, m_lyap, sigma, t_grid=None) -> CfResidualReport:
     ses = np.empty(t_grid.shape[0])
     wave = np.empty(n, complex)                    # exp(i t'y_j) per sample
     for j, t in enumerate(t_grid):
-        quad = float(t @ sigma @ t)
-        linear = samples @ (m_lyap.T @ t)          # t'M y_j per sample
-        phase = samples @ t
+        quad = float(_dot(t, _dot(sigma, t)))
+        linear = _dot(samples, _dot(m_lyap.T, t))  # t'M y_j per sample
+        phase = _dot(samples, t)
         # the real sine and cosine cost less than a complex exp, and give
         # its bits
         np.cos(phase, out=wave.real)
@@ -235,12 +268,12 @@ def gaussian_gof(samples, sigma_y) -> GofReport:
 
     n_eff = min(effective_sample_size(samples[:, i]) for i in range(d))
 
-    mean = samples.mean(axis=0)
+    mean, cov = sample_moments(samples)
     mean_z = mean / np.sqrt(np.diag(sigma_y) / n_eff)
 
-    cov = np.atleast_2d(np.cov(samples, rowvar=False, ddof=1))
-    sigma_norm = float(np.linalg.norm(sigma_y))
-    cov_rel_err = float(np.linalg.norm(cov - sigma_y)) / sigma_norm
+    # given an axis, norm is an add.reduce of squares; without one, a BLAS dot
+    sigma_norm = float(np.linalg.norm(sigma_y, axis=(0, 1)))
+    cov_rel_err = float(np.linalg.norm(cov - sigma_y, axis=(0, 1))) / sigma_norm
     # sum of per-entry sampling variances of a Gaussian covariance estimate:
     # Var(S_ij) = (S_ii S_jj + S_ij^2) / n, totalling tr(S)^2 + ||S||_F^2
     cov_threshold = 5.0 * np.sqrt(np.trace(sigma_y) ** 2 + sigma_norm**2) / (
@@ -311,7 +344,7 @@ def log_density_fit(est: DensityEstimate, q: float, tail_trim: float = 0.01) -> 
     if x.size < 10:
         raise NumericalError("fewer than 10 grid points retained for the fit")
     logp = np.log(p)
-    slope, intercept = np.polyfit(x, logp, 1)
+    slope, intercept = fit_line(x, logp)
     fitted = slope * x + intercept
     ss_res = float(((logp - fitted) ** 2).sum())
     ss_tot = float(((logp - logp.mean()) ** 2).sum())

@@ -122,8 +122,9 @@ class TestSimulateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert sorted(manifest["files"]) == sorted(n for n in names if n != "manifest.json")
         runtime = manifest["runtime"]
-        assert set(runtime) == {"python", "numpy", "nproc", "threads",
-                                "openblas_num_threads"}
+        # scipy's version is recorded when the process has loaded scipy
+        assert set(runtime) == {"python", "numpy", "nproc", "threads", "openblas_num_threads",
+                                *(["scipy"] if "scipy" in sys.modules else [])}
         assert runtime["threads"] == 1 and runtime["numpy"] == np.__version__
         assert runtime["openblas_num_threads"] == os.environ["OPENBLAS_NUM_THREADS"]
         header, first, second = (out / "samples_0.1.csv").read_text().splitlines()[:3]
@@ -486,11 +487,12 @@ class TestEmCompareCommand:
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_salab_process(args, openblas=None, **kwargs):
-    """A fresh interpreter on ./src, with OPENBLAS_NUM_THREADS unset or set."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    if openblas is not None:
-        env["OPENBLAS_NUM_THREADS"] = openblas
+def run_salab_process(args, openblas=None, coretype=None, **kwargs):
+    """A fresh interpreter on ./src, with OPENBLAS_NUM_THREADS and
+    OPENBLAS_CORETYPE (the CPU kernel OpenBLAS runs) unset or set."""
+    blas = {"OPENBLAS_NUM_THREADS": openblas, "OPENBLAS_CORETYPE": coretype}
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env.update({k: v for k, v in blas.items() if v is not None})
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env={**env, "PYTHONPATH": SRC}, timeout=120, **kwargs)
 
@@ -512,28 +514,91 @@ def test_importing_salab_runs_blas_on_one_thread_unless_set(preset, expected):
     assert out.stdout.strip() == expected
 
 
-def test_pipeline_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # 16,384 two-d records: enough rows that OpenBLAS splits the cf residual's
-    # gemv across two threads
-    cfg = write_cfg(tmp_path, """
+# 16,384 records each: enough rows that OpenBLAS splits a dot product or a
+# gemv across two threads
+BLAS_CONFIGS = {
+    "linear2d": """
     drift = linear
     drift.a = [[-1.0, 1.0], [0.0, -2.0]]
     noise.shape = gaussian
     noise.sigma = [[1.0, 0.0], [0.0, 1.0]]
-    alphas = 0.05
-    scaling = auto
-    n_chains = 64
-    thin = 5
-    samples_per_chain = 256
-    seed = 13
-    """)
-    outs = {}
-    for blas in ("1", "2"):
-        outs[blas] = tmp_path / f"blas{blas}"
-        run_salab_process(["-m", "salab", "pipeline", "--config", cfg,
-                           "--out", str(outs[blas])], openblas=blas, check=True)
-    assert "cf_residual.csv" in read_bytes(outs["1"])
-    assert read_bytes(outs["1"]) == read_bytes(outs["2"])
+    """,
+    "quadratic1d": """
+    drift = grad_quadratic
+    drift.hessian = [[1.0]]
+    noise.shape = gaussian
+    noise.sigma = [[1.0]]
+    """,
+}
+BLAS_SIZES = """
+alphas = 0.05
+scaling = auto
+n_chains = 64
+thin = 5
+samples_per_chain = 256
+seed = 13
+"""
+
+
+def blas_run_csvs(tmp_path, openblas=None, coretype=None) -> dict:
+    """The CSV bytes of two pipelines and of `figure fig3`, keyed run/name."""
+    runs = {name: ["pipeline", "--config", write_cfg(tmp_path, body + BLAS_SIZES, name)]
+            for name, body in BLAS_CONFIGS.items()}
+    runs["fig3"] = ["figure", "fig3"]
+    csvs = {}
+    for name, args in runs.items():
+        out = tmp_path / f"{name}-out"
+        run_salab_process(["-m", "salab", *args, "--out", str(out)], openblas=openblas,
+                          coretype=coretype, check=True)
+        csvs.update({f"{name}/{k}": v for k, v in read_bytes(out).items()})
+    return csvs
+
+
+@pytest.fixture(scope="module")
+def blas_reference_csvs(tmp_path_factory):
+    """The CSVs with OpenBLAS's own choice of CPU kernel and salab's one thread."""
+    return blas_run_csvs(tmp_path_factory.mktemp("blas-reference"))
+
+
+@pytest.mark.parametrize("openblas", ["1", "2"])
+@pytest.mark.parametrize("coretype", ["Prescott", "Haswell"])
+def test_pipeline_bytes_do_not_depend_on_blas_threads(tmp_path, blas_reference_csvs,
+                                                      coretype, openblas):
+    # covariances, cf-residual projections and line fits sum in salab's own
+    # order, so neither the CPU kernel nor the thread count changes a byte
+    csvs = blas_run_csvs(tmp_path, openblas, coretype)
+    assert {"linear2d/cf_residual.csv", "quadratic1d/gof.csv", "fig3/logfit.csv"} <= set(csvs)
+    assert csvs == blas_reference_csvs
+
+
+def test_an_ensemble_too_large_to_allocate_exits_3(tmp_path):
+    # 8e17 bytes of chain ids: more than any address space, so the
+    # allocation fails at once whatever the memory overcommit policy
+    cfg = write_cfg(tmp_path, QUAD_CFG.replace("n_chains = 8", "n_chains = 100000000000000000"))
+    out = run_salab_process(["-m", "salab", "simulate", "--config", cfg,
+                             "--out", str(tmp_path / "run")])
+    assert out.returncode == 3
+    assert out.stderr.startswith("numerical failure: Unable to allocate")
+    assert out.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, body, loads_scipy", [
+    ("test", QUAD_CFG.replace("n_chains = 8", "n_chains = 32"), True),
+    ("simulate", "drift = linear\ndrift.a = [[-1.0, 0.0], [0.0, -1.0]]\n"
+                 "noise.sigma = [[1.0, 0.0], [0.0, 1.0]]\nalphas = 0.1\nscaling = 0.5\n"
+                 "n_chains = 4\nsamples_per_chain = 8\n", False),
+], ids=["test-1d", "simulate-2d"])
+def test_manifest_records_scipy_only_when_the_run_loaded_it(tmp_path, command, body,
+                                                            loads_scipy):
+    cfg, out = write_cfg(tmp_path, body), tmp_path / "run"
+    run_salab_process(["-m", "salab", command, "--config", cfg, "--out", str(out)],
+                      check=True)
+    runtime = json.loads((out / "manifest.json").read_text())["runtime"]
+    assert ("scipy" in runtime) is loads_scipy
+    if loads_scipy:
+        import scipy
+
+        assert runtime["scipy"] == scipy.__version__
 
 
 def test_importing_the_cli_loads_no_scipy():

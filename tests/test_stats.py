@@ -10,9 +10,25 @@ from salab.stats import (
     default_t_grid,
     effective_sample_size,
     estimate_density,
+    fit_line,
     gaussian_gof,
     log_density_fit,
+    sample_moments,
 )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_fixed_order_moments_and_line_fit_match_numpy(d):
+    rng = seed_rng(2, d)
+    samples = 3.0 + rng.standard_normal((4096, d)) @ rng.standard_normal((d, d))
+    mean, cov = sample_moments(samples)
+    assert mean.tobytes() == samples.mean(axis=0).tobytes()
+    np.testing.assert_allclose(cov, np.atleast_2d(np.cov(samples, rowvar=False)),
+                               rtol=1e-12, atol=0)
+    x = np.linspace(0.0, 3.0, 200) ** 4
+    for y in samples[:200].T:
+        np.testing.assert_allclose(fit_line(x, y - 0.5 * x), np.polyfit(x, y - 0.5 * x, 1),
+                                   rtol=1e-12, atol=0)
 
 
 class TestBatchMeans:
