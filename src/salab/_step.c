@@ -30,16 +30,18 @@
  * with -ffast-math, so that each chain gives the same bits as the numpy
  * body.
  *
- * A tile of chains is stepped through a sub-block of steps with the chain
- * loop innermost: the chains are independent, so the loop runs at the
- * throughput of the arithmetic rather than at the latency of one chain's
- * dependent operations, and a full sign tile's constant width lets the
- * compiler vectorize it.  The drift kind is a constant in each loop, and
- * so is d at d = 1 and d = 2; above that d is a runtime value, and each
- * row of g is computed for the whole tile at once.  The tile's noise is
- * laid out step-major, so every loop reads it at unit stride.  Record r
- * of a chain is its state after step burn_in + (r + 1) * thin, written to
- * out[chain, r].
+ * run walks the chains a tile of 64 at a time.  For each sub-block of
+ * steps it fills the tile's noise, packed sign words at d = 1 and drawn
+ * values otherwise, then steps the tile with the chain loop innermost: the
+ * chains are independent, so the loop runs at the throughput of the
+ * arithmetic rather than at the latency of one chain's dependent
+ * operations, and the tile's constant width lets the compiler vectorize
+ * it.  Sign noise at d = 1 takes a fused update, one pass per step; drawn
+ * noise at every d takes one row-wise step, each row of g computed for the
+ * whole tile at once.  The drift kind is a constant in each loop, and so
+ * is d at d = 1 and d = 2.  The tile's noise is laid out step-major, so
+ * every loop reads it at unit stride.  Record r of a chain is its state
+ * after step burn_in + (r + 1) * thin, written to out[chain, r].
  *
  * On x86-64 with glibc, gcc or clang builds the entry point twice, for
  * AVX2 and for the baseline, and picks one when the library is loaded.
@@ -250,44 +252,23 @@ int init(void)
     return 0;
 }
 
-/* One step of chain c of a tile at D <= 2, whose coordinate i is
- * xs[i * TILE + c] and whose draw for it is w[i * ws], in the numpy body's
- * order. */
-INLINE void step(long kind, long D, const struct drift *f, double *xs, long c,
-                 const double *w, long ws)
+/* One step of a tile of d-dimensional states with drawn noise w, where
+ * w[i * TILE + c] is the draw of chain c.  Each row i of g = F(x) dc is
+ * computed for the whole tile before any coordinate moves, with the chain
+ * loop innermost, so A is read once per step and the states at unit
+ * stride; each chain's sum still runs in order of k. */
+INLINE void step(long kind, long d, const struct drift *f, double *restrict xs,
+                 double *restrict g, const double *restrict w)
 {
-    double g[2];
-    for (long i = 0; i < D; i++) {
-        if (kind == NEG_CUBE) {
-            double v = xs[c];
-            g[i] = -(v * v * v);
-        } else {
-            const double *ai = f->a + i * D;
-            double s = xs[c] * ai[0];
-            for (long j = 1; j < D; j++)
-                s = s + xs[j * TILE + c] * ai[j];
-            g[i] = s + f->b[i];
-        }
-        g[i] = g[i] * f->dc;
-    }
-    for (long i = 0; i < D; i++) {
-        double v = xs[i * TILE + c] + g[i];
-        xs[i * TILE + c] = v + w[i * ws];
-    }
-}
-
-/* One AFFINE step of a tile at a runtime d: each row i of g is computed
- * for the whole tile, with the chain loop innermost, so A is read once per
- * step and the states at unit stride; each chain's sum still runs in order
- * of k.  w[i * TILE + c] is the draw of chain c. */
-INLINE void step_rows(const struct drift *f, long d, double *restrict xs,
-                      double *restrict g, const double *restrict w)
-{
-    const double *restrict a = f->a, *restrict b = f->b;
     double dc = f->dc;
     for (long i = 0; i < d; i++) {
-        const double *ai = a + i * d;
         double *restrict gi = g + i * TILE;
+        if (kind == NEG_CUBE) {
+            for (long c = 0; c < TILE; c++)
+                gi[c] = -(xs[c] * xs[c] * xs[c]) * dc;
+            continue;
+        }
+        const double *ai = f->a + i * d;
         for (long c = 0; c < TILE; c++)
             gi[c] = xs[c] * ai[0];
         for (long j = 1; j < d; j++) {
@@ -296,7 +277,7 @@ INLINE void step_rows(const struct drift *f, long d, double *restrict xs,
             for (long c = 0; c < TILE; c++)
                 gi[c] = gi[c] + xj[c] * aij;
         }
-        double bi = b[i];
+        double bi = f->b[i];
         for (long c = 0; c < TILE; c++)
             gi[c] = (gi[c] + bi) * dc;
     }
@@ -305,15 +286,8 @@ INLINE void step_rows(const struct drift *f, long d, double *restrict xs,
             xs[i + c] = (xs[i + c] + g[i + c]) + w[i + c];
 }
 
-/* First record step after k0 steps, counting steps from 1. */
-static long next_record(long k0, long burn_in, long thin)
-{
-    if (k0 < burn_in + thin)
-        return burn_in + thin;
-    return burn_in + thin * ((k0 - burn_in) / thin + 1);
-}
-
-/* Record r of the t chains of a tile of d-dimensional states. */
+/* Record r of the t chains of a tile of d-dimensional states: coordinate
+ * i of chain c goes to out[(c * spc + r) * d + i]. */
 static void record(const double *xs, long t, long d, double *out, long spc, long r)
 {
     for (long c = 0; c < t; c++)
@@ -321,19 +295,12 @@ static void record(const double *xs, long t, long d, double *out, long spc, long
             out[(c * spc + r) * d + i] = xs[i * TILE + c];
 }
 
-/* Tile states from the (t, d) rows of x, and back. */
+/* Tile states from the (t, d) rows of x. */
 static void load(double *xs, const double *x, long t, long d)
 {
     for (long c = 0; c < t; c++)
         for (long i = 0; i < d; i++)
             xs[i * TILE + c] = x[c * d + i];
-}
-
-static void store(const double *xs, double *x, long t, long d)
-{
-    for (long c = 0; c < t; c++)
-        for (long i = 0; i < d; i++)
-            x[c * d + i] = xs[i * TILE + c];
 }
 
 /* The next m steps of scaled noise of the t chains of a tile, each drawn
@@ -395,87 +362,30 @@ INLINE void draw(const struct noise *nz, long d, struct stream *ss, long t, long
         }
 }
 
-/* A tile through m steps of step-major tile noise w, after k0 steps; the
- * records are those of its first t chains. */
-INLINE void draws_tile(long kind, long D, const struct drift *f,
-                       double *restrict xs, double *restrict g, long t,
-                       const double *restrict w, long m, long k0, double *out,
-                       long spc, long burn_in, long thin)
+/* Advances a tile of D-dimensional states through steps s0 .. s1 - 1 of a
+ * sub-block.  Drawn noise is step-major, w + s * D * TILE the draws of
+ * step s.  Packed d = 1 sign noise (words not NULL) has draw s of chain c
+ * in bit s % 64 of words[(s / 64) * TILE + c]: a set bit adds -lo, a clear
+ * one lo, whose bits are lo_bits.  That update is fused, one pass per
+ * step, and it picks the draw by flipping lo's sign bit, not by a branch:
+ * the bits are random, so a branch would be mispredicted every other draw. */
+INLINE void advance(long kind, long D, const struct drift *f, double *restrict xs,
+                    double *restrict g, const double *restrict w,
+                    const uint64_t *restrict words, uint64_t lo_bits, long s0, long s1)
 {
-    long next = next_record(k0, burn_in, thin);
-    for (long s = 0; s < m; s++) {
-        const double *ws = w + s * D * TILE;
-        if (D <= 2)
-            for (long c = 0; c < TILE; c++)
-                step(kind, D, f, xs, c, ws + c, TILE);
-        else
-            step_rows(f, D, xs, g, ws);
-        if (k0 + s + 1 == next) {
-            record(xs, t, D, out, spc, (next - burn_in) / thin - 1);
-            next += thin;
+    for (long s = s0; s < s1; s++) {
+        if (words == NULL) {
+            step(kind, D, f, xs, g, w + s * D * TILE);
+            continue;
         }
-    }
-}
-
-/* A tile through m steps of packed sign noise at d = 1: draw s is bit
- * s % 64 of words[(s / 64) * TILE + c]; the records are those of its
- * first t chains.  The draw's value is picked by masking bit patterns, not
- * by a branch: the bits are random, so a branch would be mispredicted
- * every other draw. */
-INLINE void signs_tile(long kind, const struct drift *f, double *restrict xs,
-                       long t, const uint64_t *restrict words, long m,
-                       long k0, uint64_t lo_bits, uint64_t flip, double *out,
-                       long spc, long burn_in, long thin)
-{
-    long next = next_record(k0, burn_in, thin);
-    for (long s = 0; s < m; s++) {
-        const uint64_t *ws = words + (s >> 6) * TILE;
+        const uint64_t *restrict ws = words + (s >> 6) * TILE;
         unsigned bit = (unsigned)(s & 63);
         for (long c = 0; c < TILE; c++) {
-            uint64_t pick = lo_bits ^ (flip & (0 - ((ws[c] >> bit) & 1)));
-            double w;
-            memcpy(&w, &pick, sizeof w);
-            step(kind, 1, f, xs, c, &w, 0);
+            uint64_t pick = lo_bits ^ ((ws[c] >> bit & 1) << 63);
+            double v = xs[c], wc, gc = kind == NEG_CUBE ? -(v * v * v) : v * f->a[0] + f->b[0];
+            memcpy(&wc, &pick, sizeof wc);
+            xs[c] = (v + gc * f->dc) + wc;
         }
-        if (k0 + s + 1 == next) {
-            record(xs, t, 1, out, spc, (next - burn_in) / thin - 1);
-            next += thin;
-        }
-    }
-}
-
-/* Sign noise at d = 1: a set bit adds hi = l_00 coeff, a clear one lo =
- * -hi. */
-INLINE void run_signs(const struct drift *f, const struct noise *nz,
-                      const uint64_t *keys, double *restrict x, long n,
-                      double *restrict out, long spc, long burn_in, long thin)
-{
-    long total = burn_in + spc * thin;
-    double xs[TILE], hi = nz->l[0] * nz->coeff, lo = -hi;
-    uint64_t words[SIGN_WORDS * TILE] = {0}, lo_bits, flip;
-    struct stream ss[TILE];
-    memcpy(&lo_bits, &lo, sizeof lo);
-    memcpy(&flip, &hi, sizeof hi);
-    flip ^= lo_bits;
-    for (long c0 = 0; c0 < n; c0 += TILE) {
-        long t = n - c0 < TILE ? n - c0 : TILE;
-        memset(xs, 0, sizeof xs);
-        memcpy(xs, x + c0, t * sizeof *xs);
-        for (long c = 0; c < t; c++)
-            stream_init(ss + c, keys + 2 * (c0 + c));
-        for (long k = 0; k < total; k += 64 * SIGN_WORDS) {
-            long m = total - k < 64 * SIGN_WORDS ? total - k : 64 * SIGN_WORDS;
-            for (long c = 0; c < t; c++)
-                for (long j = 0; j < (m + 63) / 64; j++)
-                    words[j * TILE + c] = next_word(ss + c);
-            if (f->kind == NEG_CUBE)
-                signs_tile(NEG_CUBE, f, xs, t, words, m, k, lo_bits, flip,
-                           out + c0 * spc, spc, burn_in, thin);
-            else
-                signs_tile(AFFINE, f, xs, t, words, m, k, lo_bits, flip,
-                           out + c0 * spc, spc, burn_in, thin);
-        }
-        memcpy(x + c0, xs, t * sizeof *xs);
     }
 }
 
@@ -483,6 +393,8 @@ INLINE void run_signs(const struct drift *f, const struct noise *nz,
  * burn_in + spc * thin steps, drawing chain c's noise from the Philox
  * stream of key (keys[2 c], keys[2 c + 1]), and writes their (n, spc, d)
  * records to out.  Returns 0, or -1 when its buffers cannot be allocated.
+ * It walks the chains a tile at a time: for each sub-block of steps it
+ * fills the tile's noise, then steps the tile from record to record.
  * Every tile is stepped at its full width, so its loops have a constant
  * trip count; the lanes past the last chain start at 0 and are never
  * stored. */
@@ -493,42 +405,59 @@ CLONES int run(const struct drift *drift, const struct noise *nz, const uint64_t
     /* a local copy, which no store to a state can change */
     const struct drift local = *drift, *f = &local;
     long d = f->d, total = burn_in + spc * thin;
-    if (nz->shape == RADEMACHER && d == 1) {
-        run_signs(f, nz, keys, x, n, out, spc, burn_in, thin);
-        return 0;
-    }
-    /* steps per sub-block; the buffers are linear in d */
-    long sub = d < SUB_DRAWS ? SUB_DRAWS / d : 1;
-    long dx = d > 2 ? d : 2;
-    double *xs = calloc((dx + d + 2 * sub * d) * TILE + sub * d, sizeof *xs);
+    /* d = 1 sign noise stays packed, 64 draws to a word, a sub-block of
+     * SIGN_WORDS words at a time, and needs no draw buffers; a drawn
+     * sub-block holds SUB_DRAWS draws, so the buffers are linear in d */
+    int packed = nz->shape == RADEMACHER && d == 1;
+    long sub = packed ? 0 : d < SUB_DRAWS ? SUB_DRAWS / d : 1,
+         block = packed ? 64 * SIGN_WORDS : sub;
+    double *xs = calloc((2 * d + 2 * sub * d) * TILE + sub * d, sizeof *xs);
     if (xs == NULL)
         return -1;
-    double *g = xs + dx * TILE, *w = g + d * TILE, *z = w + sub * d * TILE,
-           *u = z + sub * d * TILE;
-    uint64_t word[TILE];
+    double *g = xs + d * TILE, *w = g + d * TILE, *z = w + sub * d * TILE,
+           *u = z + sub * d * TILE, lo = -(nz->l[0] * nz->coeff);
+    uint64_t words[SIGN_WORDS * TILE] = {0}, word[TILE], lo_bits;
+    memcpy(&lo_bits, &lo, sizeof lo);
     int left[TILE];
     struct stream ss[TILE];
     for (long c0 = 0; c0 < n; c0 += TILE) {
-        long t = n - c0 < TILE ? n - c0 : TILE;
+        long t = n - c0 < TILE ? n - c0 : TILE, next = burn_in + thin, r = 0;
         double *ot = out + c0 * spc * d;
         memset(left, 0, sizeof left);
         for (long c = 0; c < t; c++)
             stream_init(ss + c, keys + 2 * (c0 + c));
-        memset(xs, 0, dx * TILE * sizeof *xs);
+        memset(xs, 0, d * TILE * sizeof *xs);
         load(xs, x + c0 * d, t, d);
-        for (long k = 0; k < total; k += sub) {
-            long m = total - k < sub ? total - k : sub;
-            draw(nz, d, ss, t, m, u, z, w, word, left);
-            if (f->kind == NEG_CUBE)
-                draws_tile(NEG_CUBE, 1, f, xs, g, t, w, m, k, ot, spc, burn_in, thin);
-            else if (d == 1)
-                draws_tile(AFFINE, 1, f, xs, g, t, w, m, k, ot, spc, burn_in, thin);
-            else if (d == 2)
-                draws_tile(AFFINE, 2, f, xs, g, t, w, m, k, ot, spc, burn_in, thin);
+        for (long k = 0; k < total; k += block) {
+            long m = total - k < block ? total - k : block;
+            if (packed)
+                for (long c = 0; c < t; c++)
+                    for (long j = 0; j < (m + 63) / 64; j++)
+                        words[j * TILE + c] = next_word(ss + c);
             else
-                draws_tile(AFFINE, d, f, xs, g, t, w, m, k, ot, spc, burn_in, thin);
+                draw(nz, d, ss, t, m, u, z, w, word, left);
+            /* record r is the state after step next = burn_in + (r + 1) thin */
+            for (long s = 0, e; s < m; s = e) {
+                e = next - k < m ? next - k : m;
+                if (packed && f->kind == NEG_CUBE)
+                    advance(NEG_CUBE, 1, f, xs, g, NULL, words, lo_bits, s, e);
+                else if (packed)
+                    advance(AFFINE, 1, f, xs, g, NULL, words, lo_bits, s, e);
+                else if (f->kind == NEG_CUBE)
+                    advance(NEG_CUBE, 1, f, xs, g, w, NULL, 0, s, e);
+                else if (d == 1)
+                    advance(AFFINE, 1, f, xs, g, w, NULL, 0, s, e);
+                else if (d == 2)
+                    advance(AFFINE, 2, f, xs, g, w, NULL, 0, s, e);
+                else
+                    advance(AFFINE, d, f, xs, g, w, NULL, 0, s, e);
+                if (k + e == next) {
+                    record(xs, t, d, ot, spc, r++);
+                    next += thin;
+                }
+            }
         }
-        store(xs, x + c0 * d, t, d);
+        record(xs, t, d, x + c0 * d, 1, 0);
     }
     free(xs);
     return 0;

@@ -220,13 +220,15 @@ def _build(source: bytes, target: Path) -> None:
 
 
 def _self_check(kernel: Kernel) -> bool:
-    """Whether the kernel's draws of every noise shape are numpy's, bit for bit.
+    """Whether the kernel's draws of every noise shape are the numpy body's
+    (noise._unit_variance_block), bit for bit.
 
     Two chains make about 1,024 unit draws each, per shape and d, with
     F(x) = -x, dc = 1, L = I and coeff = 1, so that each record is a draw
     (x + (-x) = 0, then 0 + z = z).
     """
     from .core import philox_key, seed_rng
+    from .noise import _unit_variance_block
 
     keys = np.array([philox_key(20240917, c) for c in range(2)], np.uint64)
     for shape, d in (("gaussian", 1), ("gaussian", 2), ("uniform", 1), ("uniform", 2),
@@ -236,17 +238,7 @@ def _self_check(kernel: Kernel) -> bool:
         kernel.run(("affine", -np.eye(d), np.zeros(d), 1.0), (shape, np.eye(d), 1.0),
                    keys, x, out, burn_in=0, thin=1)
         for c, key in enumerate(keys):
-            rng = seed_rng(*key)
-            if shape == "gaussian":
-                z = rng.standard_normal((steps, d))
-            elif shape == "uniform":
-                z = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), (steps, d))
-            elif shape == "rademacher":
-                words = rng.bit_generator.random_raw(-(-steps * d // 64))
-                bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-                z = 2.0 * bits[: steps * d].reshape(steps, d) - 1.0
-            else:
-                z = np.zeros((steps, d))
+            z = _unit_variance_block(shape, seed_rng(*key), steps, d)
             if out[c].tobytes() != z.tobytes():
                 return False
     return True

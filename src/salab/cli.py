@@ -17,6 +17,7 @@ import os
 import platform
 import sys
 import time
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -119,12 +120,19 @@ def _write_samples(path: Path, ens) -> None:
 
 
 class _Manifest:
-    """Makes out_dir, then collects the files and durations of one subcommand run."""
+    """Makes out_dir, then collects the files and durations of one subcommand run.
+
+    Leaving its with block writes manifest.json, or, if the run failed,
+    removes each directory it made that is still empty, never another.
+    """
 
     def __init__(self, command: str, out_dir, seed, config_snapshot,
                  threads: int):
         self.command = command
         self.out_dir = Path(out_dir)
+        # the directories mkdir makes, deepest first
+        self._made = list(takewhile(lambda p: not p.exists(),
+                                    (self.out_dir, *self.out_dir.parents)))
         try:
             self.out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -138,6 +146,9 @@ class _Manifest:
         self.engine = None        # simulate.engine of the chains run, if any
         self.ensembles = {}       # per alpha tag: its chains and their speed
         self._t0 = time.perf_counter()
+
+    def __enter__(self) -> "_Manifest":
+        return self
 
     def add(self, path: Path) -> None:
         self.files.append(path.name)
@@ -161,7 +172,14 @@ class _Manifest:
         _write_csv(path, header, rows)
         self.add(path)
 
-    def finish(self) -> None:
+    def __exit__(self, failure, exc, tb) -> None:
+        if failure is not None:
+            for path in self._made:
+                try:
+                    path.rmdir()
+                except OSError:     # not empty, so neither are its parents
+                    break
+            return
         self.durations["total_s"] = time.perf_counter() - self._t0
         path = self.out_dir / "manifest.json"
         payload = {
@@ -293,10 +311,9 @@ def _config_command(name: str, dry_run: str, check=None):
             if args.dry_run:
                 print(dry_run.format(n_alphas=len(validated.alphas)))
                 return 0
-            manifest = _Manifest(name, validated.out_dir, validated.seed,
-                                 dataclasses.asdict(cfg), args.threads)
-            body(validated, manifest, args.threads)
-            manifest.finish()
+            with _Manifest(name, validated.out_dir, validated.seed,
+                           dataclasses.asdict(cfg), args.threads) as manifest:
+                body(validated, manifest, args.threads)
             return 0
         return handler
     return decorate
@@ -461,17 +478,16 @@ def _cmd_figure(args) -> int:
     cache = {}
     for name in names:
         spec = FIGURE_SPECS[name]
-        manifest = _Manifest(
+        with _Manifest(
             f"figure {name}",
             root if len(names) == 1 else root / name,
             seed,
             {"figure": name, "drift": spec.drift, "exponent": spec.exponent,
              "alphas": list(spec.alphas)},
             args.threads,
-        )
-        _emit_figure(run_figure(name, seed=seed, threads=args.threads, cache=cache),
-                     manifest)
-        manifest.finish()
+        ) as manifest:
+            _emit_figure(run_figure(name, seed=seed, threads=args.threads, cache=cache),
+                         manifest)
     return 0
 
 

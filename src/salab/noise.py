@@ -63,25 +63,10 @@ def sign_words(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.bit_generator.random_raw((n + 63) // 64)
 
 
-def sign_table(coeff: float) -> np.ndarray:
-    """(256, 8) lookup table: entry [v, j] maps bit j of byte v to +-coeff.
-
-    Values are computed as b * 2coeff - coeff; each operation rounds exactly,
-    so they equal an explicit +-1 times coeff bit for bit.
-    """
-    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
-    return bits.astype(np.float64) * (2.0 * coeff) - coeff
-
-
-def decode_signs(words: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """(m, 64) sign values of m words: entry [i, s] decodes bit s of words[i].
-
-    Each word is split into its 8 little-endian bytes and every byte is
-    looked up once, so a word costs one gather instead of a shift, mask and
-    scale per bit.
-    """
-    octets = words.astype("<u8", copy=False).view(np.uint8)
-    return np.take(table, octets, axis=0).reshape(-1, 64)
+def sign_bits(words: np.ndarray) -> np.ndarray:
+    """The bits of uint64 words as uint8, least significant first: bit s of
+    words[i] is entry 64 i + s, on a host of either byte order."""
+    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
 
 
 def _unit_variance_block(shape: str, rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -91,8 +76,8 @@ def _unit_variance_block(shape: str, rng: np.random.Generator, n: int, d: int) -
     if shape == "uniform":
         return rng.uniform(-_SQRT3, _SQRT3, size=(n, d))
     if shape == "rademacher":
-        signs = decode_signs(sign_words(rng, n * d), sign_table(1.0))
-        return signs.ravel()[: n * d].reshape(n, d)
+        bits = sign_bits(sign_words(rng, n * d))[: n * d]
+        return (bits * 2.0 - 1.0).reshape(n, d)
     if shape == "noiseless":
         return np.zeros((n, d))
     raise ConfigError(f"unknown noise shape {shape!r}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import NumericalError, PowerScaling, ValidatedConfig, philox_key, seed_rng, stream_id
 from .drift import Affine, DriftOperator, _neg_cube
-from .noise import NoiseModel, decode_signs, sample_block, sign_table, sign_words
+from .noise import NoiseModel, sample_block, sign_bits, sign_words
 from .stats import sample_moments
 
 #: chains simulated together in one group, which bounds the numpy body's
@@ -113,15 +113,16 @@ def moment_summary(ens: Ensemble) -> MomentSummary:
     )
 
 
-def _sign_chunks(gens, table: np.ndarray, total: int):
-    """Rows of table values for each chain's packed sign words, all total steps.
+def _sign_chunks(gens, coeff: float, total: int):
+    """Rows of +-coeff for each chain's packed sign words, all total steps.
 
     Each chain draws a block's words from its own stream, _SIGN_STEP_BLOCK
     steps at a time, so draw s of a block is bit s % 64 of its word s // 64;
     words[i, j] is word i of chain j, and the word block is refilled in
     place.  A word row is decoded into 64 contiguous rows only when the
-    update loop reaches it; that buffer is reused too, so it never holds
-    more than 64 steps.
+    update loop reaches it, bit b to b 2coeff - coeff, which rounds exactly
+    to +-coeff; that buffer is reused too, so it never holds more than 64
+    steps.
     """
     n = len(gens)
     words = np.empty(((min(_SIGN_STEP_BLOCK, total) + 63) // 64, n), np.uint64)
@@ -132,7 +133,8 @@ def _sign_chunks(gens, table: np.ndarray, total: int):
         for j, g in enumerate(gens):
             words[:n_words, j] = sign_words(g, block)
         for w, word_row in enumerate(words[:n_words]):
-            np.copyto(rows, decode_signs(word_row, table).T)
+            np.multiply(sign_bits(word_row).reshape(n, 64).T, 2.0 * coeff, out=rows)
+            rows -= coeff
             yield rows[: block - 64 * w]
 
 
@@ -238,8 +240,7 @@ def _run_group(
         gens = [seed_rng(seed, s) for s in streams]
         # scalar sign noise stays packed, one bit per draw, until decoded
         if nm.shape == "rademacher" and d == 1:
-            table = sign_table(noise_coeff * float(nm.cholesky[0, 0]))
-            chunks = _sign_chunks(gens, table, total)
+            chunks = _sign_chunks(gens, noise_coeff * float(nm.cholesky[0, 0]), total)
         else:
             chunks = _shaped_chunks(nm, gens, noise_coeff, total)
         k = 0

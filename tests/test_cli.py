@@ -582,6 +582,19 @@ def test_an_ensemble_too_large_to_allocate_exits_3(tmp_path):
     assert out.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["simulate", "test"])
+def test_a_failed_run_removes_only_the_empty_directories_it_made(tmp_path, command):
+    cfg = write_cfg(tmp_path, QUAD_CFG.replace("n_chains = 8", "n_chains = 100000000000000000"))
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    # a new nested --out, an existing empty one and a new one inside it
+    for out in (tmp_path / "a" / "b", kept, kept / "c"):
+        res = run_salab_process(["-m", "salab", command, "--config", cfg, "--out", str(out)])
+        assert res.returncode == 3, res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "kept"]
+    assert list(kept.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, body, loads_scipy", [
     ("test", QUAD_CFG.replace("n_chains = 8", "n_chains = 32"), True),
     ("simulate", "drift = linear\ndrift.a = [[-1.0, 0.0], [0.0, -1.0]]\n"

@@ -121,9 +121,10 @@ def test_source_compiles_without_warnings(tmp_path):
 
 @needs_cc
 def test_sign_tile_is_vectorized_for_each_drift_kind(tmp_path):
-    # the full sign tile's chain loop, once per drift kind and once per
-    # clone of the kernel, is what makes fig3 fast; a VLA or an aliasing
-    # store in step() silently stops it
+    # the full tile's chain loops, in each clone of the kernel, are what
+    # make it fast: the fused d = 1 sign loop of advance(), once per drift
+    # kind, carries fig3, and the row-wise step() at d = 1 and d = 2 the
+    # gaussian workloads; a VLA or an aliasing store silently stops them
     res = step.compile_source(step.SOURCE.read_bytes(), tmp_path / "step.so",
                               "-fopt-info-vec-optimized")
     stderr = res.stderr.decode()
@@ -131,16 +132,32 @@ def test_sign_tile_is_vectorized_for_each_drift_kind(tmp_path):
         pytest.skip("cc does not report vectorized loops with -fopt-info-vec-optimized")
     # x86-64 with glibc builds an AVX2 clone beside the baseline one
     avx2 = platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc"
-    # signs_tile's body: from its signature to the next closing brace in column 0
     lines = list(enumerate(step.SOURCE.read_text().splitlines(), 1))
-    start = next(i for i, line in lines if line.startswith("INLINE void signs_tile("))
-    end = next(i for i, line in lines if i > start and line == "}")
-    widths = [int(m.group(2)) for m in re.finditer(
-        r"<stdin>:(\d+):\d+: optimized: loop vectorized using (\d+) byte vectors", stderr)
-        if start < int(m.group(1)) < end]
-    assert len(widths) == len(step.KINDS) * (2 if avx2 else 1), stderr
-    if avx2:
-        assert widths.count(32) == len(step.KINDS), stderr
+    reports = [(int(m.group(1)), int(m.group(2))) for m in re.finditer(
+        r"<stdin>:(\d+):\d+: optimized: loop vectorized using (\d+) byte vectors", stderr)]
+
+    def chain_loops(signature):
+        """The vector widths reported for each chain loop of a function's
+        body, from its signature to the next closing brace in column 0."""
+        start = next(i for i, line in lines if line.startswith(signature))
+        end = next(i for i, line in lines if i > start and line == "}")
+        return [[width for at, width in reports if at == i] for i, line in lines
+                if start < i < end and "for (long c = 0; c < TILE; c++)" in line]
+
+    def vectorized(widths, instances):
+        assert len(widths) == instances * (2 if avx2 else 1), stderr
+        if avx2:
+            assert widths.count(32) == instances, stderr
+
+    (signs,) = chain_loops("INLINE void advance(")
+    vectorized(signs, len(step.KINDS))
+    # step()'s chain loops in order: neg_cube's row; affine's first product,
+    # later products and bias at d = 1, 2 and a runtime d (later products
+    # only above d = 1); the update at all four
+    rows = chain_loops("INLINE void step(")
+    assert len(rows) == 5, rows
+    for widths, instances in zip(rows, (1, 3, 2, 3, 4)):
+        vectorized(widths, instances)
 
 
 def test_only_the_quartic_drift_takes_the_kernel(fresh_kernel):
@@ -216,6 +233,20 @@ def test_kernel_draws_are_numpys(kernel, seed, shape, d, steps):
             bits = np.unpackbits(words.view(np.uint8), bitorder="little")[: steps * d]
             z = (2.0 * bits - 1.0).reshape(steps, d)
         assert out[c].tobytes() == z.tobytes(), c
+
+
+@pytest.mark.parametrize("shape", ["rademacher", "gaussian"])
+@pytest.mark.parametrize("kind, d", [("neg_cube", 1), ("affine", 1), ("affine", 2), ("affine", 3)])
+def test_kernel_ends_each_chain_at_its_last_record(kernel, shape, kind, d):
+    # the last record is the state after the last step, and run leaves
+    # that state in x too, for every chain of a full and a partial tile
+    n = KERNEL_TILE + 6
+    keys = np.array([philox_key(5, c) for c in range(n)], np.uint64)
+    a = -np.eye(d) + 0.25 * np.tri(d, d, -1)
+    drift = (kind, None, None, 0.1) if kind == "neg_cube" else (kind, a, np.full(d, 0.5), 0.1)
+    x, out = np.linspace(-1.0, 1.0, n * d).reshape(n, d), np.empty((n, 5, d))
+    kernel.run(drift, (shape, np.eye(d), 0.1), keys, x, out, burn_in=2, thin=3)
+    assert x.tobytes() == out[:, -1].tobytes()
 
 
 def test_kernel_gaussians_are_numpys_through_the_tail(kernel):
