@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  All data
 files are CSV (UTF-8, comma delimiter, headers in row 1) and byte-identical
 across reruns with the same seed; the JSON manifest additionally records
-wall-clock durations and the runtime (versions, CPUs, thread counts), the
-intentionally non-reproducible items.
+wall-clock durations, the runtime (versions, CPUs, thread counts) and the
+process's peak resident size, the intentionally non-reproducible items.
 """
 
 from __future__ import annotations
@@ -195,6 +195,9 @@ class _Manifest:
         }
         if self.ensembles:
             payload["ensembles"] = self.ensembles
+        peak = _peak_rss_mb()
+        if peak is not None:
+            payload["peak_rss_mb"] = peak
         path.write_text(json.dumps(payload, indent=2, default=str), encoding="utf-8")
 
 
@@ -212,6 +215,23 @@ def _runtime(threads: int) -> dict:
     if "scipy" in sys.modules:    # never imported here: that takes a second
         runtime["scipy"] = sys.modules["scipy"].__version__
     return runtime
+
+
+def _peak_rss_mb():
+    """This process's peak resident size so far in MB (VmHWM), or None where
+    /proc/self/status does not exist.
+
+    Not getrusage's ru_maxrss, which a forked child starts at its parent's
+    peak.
+    """
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0     # given in kB
+    except OSError:
+        pass
+    return None
 
 
 def _alpha_tag(alpha: float) -> str:
@@ -323,6 +343,7 @@ def _config_command(name: str, dry_run: str, check=None):
 def _cmd_simulate(validated, manifest, threads) -> None:
     scaling = _resolve_scaling(validated)
     for alpha in validated.alphas:
+        ens = None      # one ensemble at a time: free the last before the next
         t0 = time.perf_counter()
         ens = run_ensemble(validated, alpha, scaling, threads=threads)
         tag = _alpha_tag(alpha)
@@ -359,8 +380,10 @@ def _run_tests_for(validated, manifest, scaling, threads) -> None:
     Densities are emitted per stepsize; the distributional checks run at the
     smallest one, where the asymptotic claims are sharpest.
     """
-    ens = est = None
     for alpha in validated.alphas:
+        # one ensemble at a time: free the last (flat is a view of it) before
+        # the next; only the last one's ensemble and density are read below
+        ens = est = flat = None
         t0 = time.perf_counter()
         ens = run_ensemble(validated, alpha, scaling, threads=threads)
         manifest.add_ensemble(_alpha_tag(alpha), ens, time.perf_counter() - t0)

@@ -12,7 +12,7 @@ only the keys and runs the same streams itself, to the same bits.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import ceil
 from typing import Optional
 
@@ -348,4 +348,8 @@ def run_ensemble(
         purpose=purpose,
         threads=threads,
     ))
-    return replace(raw, samples=(raw.samples - cfg.op.root) / scaling(alpha))
+    # in place, with the roundings of (samples - root) / g: run_chains' array
+    # is this call's alone, so no second samples array is ever held
+    np.subtract(raw.samples, cfg.op.root, out=raw.samples)
+    np.divide(raw.samples, scaling(alpha), out=raw.samples)
+    return raw

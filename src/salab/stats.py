@@ -29,6 +29,10 @@ _SILVERMAN_FACTOR = 1.06
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
+#: samples whose cf-residual summands are formed together, a multiple of
+#: every SIMD width, so a probe's temporaries stay small and in cache
+_CF_BLOCK = 8192
+
 
 # ---------------------------------------------------------------------------
 # fixed-order sums and batch means
@@ -212,16 +216,23 @@ def cf_residual(samples, m_lyap, sigma, t_grid=None) -> CfResidualReport:
     res_re = np.empty(t_grid.shape[0])
     res_im = np.empty(t_grid.shape[0])
     ses = np.empty(t_grid.shape[0])
-    wave = np.empty(n, complex)                    # exp(i t'y_j) per sample
+    summand = np.empty(n, complex)
+    wave = np.empty(min(n, _CF_BLOCK), complex)    # exp(i t'y_j) per sample
     for j, t in enumerate(t_grid):
         quad = float(_dot(t, _dot(sigma, t)))
-        linear = _dot(samples, _dot(m_lyap.T, t))  # t'M y_j per sample
-        phase = _dot(samples, t)
-        # the real sine and cosine cost less than a complex exp, and give
-        # its bits
-        np.cos(phase, out=wave.real)
-        np.sin(phase, out=wave.imag)
-        summand = (quad - 2j * linear) * wave
+        mt = _dot(m_lyap.T, t)
+        # every step is elementwise, so the block size changes no bit
+        for lo in range(0, n, _CF_BLOCK):
+            y = samples[lo : lo + _CF_BLOCK]
+            s, w = summand[lo : lo + _CF_BLOCK], wave[: len(y)]
+            phase = _dot(y, t)
+            # the real sine and cosine cost less than a complex exp, and
+            # give its bits
+            np.cos(phase, out=w.real)
+            np.sin(phase, out=w.imag)
+            np.multiply(2j, _dot(y, mt), out=s)    # 2i t'M y_j per sample
+            np.subtract(quad, s, out=s)
+            np.multiply(s, w, out=s)
         res_re[j] = summand.real.mean()
         res_im[j] = summand.imag.mean()
         se_re = batch_means_se(summand.real)

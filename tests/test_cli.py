@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from math import ceil
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import salab._step as step
 import salab.cli as cli
 from salab.cli import _write_csv, main
 from salab.figures import FIGURE_SPECS
-from salab.simulate import Ensemble
+from salab.simulate import Ensemble, run_ensemble
 
 QUAD_CFG = """
 drift = grad_quadratic
@@ -612,6 +613,60 @@ def test_manifest_records_scipy_only_when_the_run_loaded_it(tmp_path, command, b
         import scipy
 
         assert runtime["scipy"] == scipy.__version__
+
+
+def test_manifest_records_the_process_peak_rss(tmp_path):
+    cfg, out = write_cfg(tmp_path, QUAD_CFG), tmp_path / "run"
+    # a forked child's ru_maxrss starts at its parent's peak, so the run is
+    # started from a small interpreter, whose peak is below the run's own
+    spawn = ("import os, subprocess, sys; "
+             "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+             "_, status, usage = os.wait4(proc.pid, 0); "
+             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+    res = subprocess.run([sys.executable, "-c", spawn, sys.executable, "-m", "salab",
+                          "simulate", "--config", cfg, "--out", str(out)],
+                         env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True)
+    returncode, maxrss_kb = map(int, res.stdout.split())
+    assert returncode == 0, res.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    if not Path("/proc/self/status").exists():
+        assert "peak_rss_mb" not in manifest
+        return
+    # VmHWM and the exit-time ru_maxrss count resident pages a little
+    # differently, so either may read tens of kB above the other
+    assert 0 < manifest["peak_rss_mb"]
+    assert abs(manifest["peak_rss_mb"] - maxrss_kb / 1024) <= 1.0
+
+
+def test_manifest_leaves_out_the_peak_rss_it_cannot_read(tmp_path, monkeypatch):
+    def no_proc(path, *args, **kwargs):
+        if str(path) == "/proc/self/status":
+            raise FileNotFoundError(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", no_proc, raising=False)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", write_cfg(tmp_path, QUAD_CFG), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "peak_rss_mb" not in manifest and "runtime" in manifest
+
+
+@pytest.mark.parametrize("command", ["simulate", "test"])
+def test_each_command_holds_one_ensemble_at_a_time(tmp_path, monkeypatch, command):
+    held, alive = [], []
+
+    def tracked(*args, **kwargs):
+        # earlier stepsizes' samples still referenced when the next is run
+        alive.append(sum(ref() is not None for ref in held))
+        ens = run_ensemble(*args, **kwargs)
+        held.append(weakref.ref(ens.samples))
+        return ens
+
+    monkeypatch.setattr(cli, "run_ensemble", tracked)
+    body = QUAD_CFG.replace("alphas = 0.1, 0.01", "alphas = 0.1, 0.05, 0.01")
+    cfg = write_cfg(tmp_path, body.replace("n_chains = 8", "n_chains = 32"))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert alive == [0, 0, 0]
 
 
 def test_importing_the_cli_loads_no_scipy():

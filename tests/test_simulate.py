@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from dataclasses import replace
 from math import ceil
 
@@ -193,6 +194,37 @@ class TestRunEnsemble:
         )
         with pytest.raises(NumericalError, match="unstable configuration"):
             run_ensemble(cfg, 0.25)
+
+    def test_in_place_scaling_keeps_the_bytes(self):
+        # b != 0, so the root is not 0, and a non-diagonal Sigma
+        alpha = 0.05
+        cfg = validate_config(ExperimentConfig(
+            drift="linear", drift_params={"a": ROUNDING_A, "b": ROUNDING_B},
+            noise_sigma=SIGMA[2], alphas=(alpha,), scaling=0.5, n_chains=16,
+            samples_per_chain=64, seed=8))
+        assert np.all(cfg.op.root != 0.0)
+        burn_in, thin = sim.resolve_schedule(alpha)
+        raw = run_chains(cfg.op, cfg.noise, alpha, alpha, n_chains=16, burn_in=burn_in,
+                         thin=thin, samples_per_chain=64, seed=8)
+        want = (raw.samples - cfg.op.root) / cfg.scaling(alpha)
+        assert run_ensemble(cfg, alpha).samples.tobytes() == want.tobytes()
+
+    def test_holds_one_samples_array(self):
+        if step.load() is None:
+            pytest.skip("no C compiler: the numpy body holds step-major noise blocks")
+        alpha = 0.05
+        cfg = validate_config(ExperimentConfig(
+            drift="linear", drift_params={"a": ROUNDING_A, "b": ROUNDING_B},
+            noise_sigma=SIGMA[2], alphas=(alpha,), scaling=0.5, n_chains=512,
+            samples_per_chain=512, seed=9))
+        tracemalloc.start()
+        try:
+            ens = run_ensemble(cfg, alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.samples.nbytes == 512 * 512 * 2 * 8
+        assert peak <= ens.samples.nbytes + 2**20
 
     def test_thread_count_invariance(self, monkeypatch):
         # four groups of at most 5 chains, so threads=4 runs them on workers

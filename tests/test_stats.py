@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -5,6 +7,7 @@ import scipy.stats
 
 from salab.core import NumericalError, seed_rng
 from salab.stats import (
+    _dot,
     batch_means_se,
     cf_residual,
     default_t_grid,
@@ -121,6 +124,44 @@ class TestCfResidual:
     def test_one_sample_is_too_few(self):
         with pytest.raises(NumericalError, match="at least 2 samples"):
             cf_residual(np.array([[0.3, -0.2]]), -np.eye(2), np.eye(2))
+
+    @pytest.mark.parametrize("n", [2, 1001, 8191, 8193, 3 * 8192 + 37, 100_003])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_blocks_change_no_bit(self, d, n):
+        # the whole-array formula, one n-length temporary per step
+        rng = seed_rng(2, 5 + d)
+        samples = rng.standard_normal((n, d)) @ rng.standard_normal((d, d))
+        m = -2.0 * np.eye(d) + 0.3 * rng.standard_normal((d, d))
+        root = rng.standard_normal((d, d))
+        sigma = root @ root.T + np.eye(d)
+        rep = cf_residual(samples, m, sigma)
+        t_grid = default_t_grid(d)
+        want = np.empty((3, len(t_grid)))
+        for j, t in enumerate(t_grid):
+            quad = float(_dot(t, _dot(sigma, t)))
+            linear = _dot(samples, _dot(m.T, t))
+            phase = _dot(samples, t)
+            wave = np.empty(n, complex)
+            np.cos(phase, out=wave.real)
+            np.sin(phase, out=wave.imag)
+            summand = (quad - 2j * linear) * wave
+            want[:, j] = (summand.real.mean(), summand.imag.mean(),
+                          np.hypot(batch_means_se(summand.real),
+                                   batch_means_se(summand.imag)))
+        got = np.array([rep.residual_real, rep.residual_imag, rep.se])
+        assert got.tobytes() == want.tobytes()
+
+    def test_memory_is_the_summand_and_one_block(self):
+        n = 262_144
+        samples = seed_rng(2, 4).standard_normal((n, 2))
+        tracemalloc.start()
+        try:
+            cf_residual(samples, [[-1.0, 0.5], [0.0, -2.0]], np.eye(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one complex n-vector, the summand, and block-sized buffers
+        assert peak <= 16 * n + 2**20
 
     def test_default_grid_shapes(self):
         assert default_t_grid(1).shape == (8, 1)
