@@ -15,11 +15,17 @@ each run a fresh child of this process.  One untimed run per side comes
 first, so the compiled kernel is built (and bytecode written, where Python
 writes it) before any timed run.
 
-Per run it records the CPU seconds (user + system) and the peak RSS from
-os.wait4.  A forked child starts with this process's own high-water mark in
+Per run it records the CPU seconds (user + system), the peak RSS from
+os.wait4 and the engine its manifest.json names.  The numpy body writes the
+compiled kernel's bytes, so a kernel that failed to build or load would
+time a different program unseen: a run whose engine is not "compiled", or
+a pair whose two runs name different engines, is listed as a problem.
+
+A forked child starts with this process's own high-water mark in
 ru_maxrss, so this process never loads a CSV whole: files are compared in
-chunks, and each workload's output gate runs in a subprocess of its own.  The CSVs of the two runs of a pair are compared by
-name and content, and every one that differs is listed.
+chunks, and each workload's output gate runs in a subprocess of its own.
+The CSVs of the two runs of a pair are compared by name and content, and
+every one that differs is listed.
 
 Prints a line per run and each side's median and quartiles per metric,
 and writes the whole record to --out as JSON.  Exits 1 when a run failed,
@@ -115,11 +121,15 @@ def run_pairs(name: str, srcs: dict, seeds: list, work: Path) -> dict:
     def one(side: str, seed: int, tag: str):
         out, log = work / f"{name}-{side}-{tag}", work / f"{name}-{side}-{tag}.log"
         rec = run(srcs[side], w.argv(work, out, seed, THREADS), log)
+        label = f"{side} seed {seed}{' (warm-up)' if tag == 'warm' else ''}"
         if rec["returncode"] != 0:
             tail = log.read_text(encoding="utf-8", errors="replace").strip().splitlines()[-3:]
-            problems.append(f"{side} seed {seed}: exit {rec['returncode']}: {' | '.join(tail)}")
+            problems.append(f"{label}: exit {rec['returncode']}: {' | '.join(tail)}")
         else:
-            problems.extend(f"{side} seed {seed}: {p}" for p in gate(name, out))
+            problems.extend(f"{label}: {p}" for p in gate(name, out))
+            rec["engine"] = json.loads((out / "manifest.json").read_text())["engine"]
+            if rec["engine"] != "compiled":
+                problems.append(f"{label}: engine {rec['engine']}, not compiled")
         return rec, out
 
     for side in SIDES:                       # untimed: fills the caches
@@ -131,7 +141,10 @@ def run_pairs(name: str, srcs: dict, seeds: list, work: Path) -> dict:
             rec, outs[side] = one(side, seed, str(seed))
             runs[side].append(rec)
             print(f"{name} seed {seed} {side:6s} cpu_s {rec['cpu_s']:.3f} "
-                  f"peak_rss_mb {rec['peak_rss_mb']:.2f}", flush=True)
+                  f"peak_rss_mb {rec['peak_rss_mb']:.2f} engine {rec.get('engine')}", flush=True)
+        engines = {side: runs[side][-1].get("engine") for side in SIDES}
+        if engines["parent"] != engines["change"]:
+            problems.append(f"seed {seed}: engines differ: {engines}")
         diff = differing_csvs(outs["parent"], outs["change"])
         if diff:
             differing[str(seed)] = diff
@@ -140,7 +153,8 @@ def run_pairs(name: str, srcs: dict, seeds: list, work: Path) -> dict:
 
     record = {"command": list(w.args) + ["--threads", str(THREADS)], "seeds": seeds,
               "problems": problems, "identical_csvs": len(seeds) - len(differing),
-              "differing_csvs": differing}
+              "differing_csvs": differing,
+              "engines": {side: [r.get("engine") for r in runs[side]] for side in SIDES}}
     record["change_wins"] = {
         m: sum(c[m] < p[m] for p, c in zip(runs["parent"], runs["change"]))
         for m in METRICS}
@@ -173,8 +187,8 @@ def main(argv=None) -> int:
     record = {
         "about": "Alternating parent/change runs of each workload's salab command, one seed "
                  "per pair; cpu_s and peak_rss_mb from os.wait4 (ru_maxrss starts at this "
-                 "process's own peak); change_wins counts the pairs where the change read "
-                 "lower.",
+                 "process's own peak); engines are each run's manifest engine; change_wins "
+                 "counts the pairs where the change read lower.",
         "machine": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                     "platform": platform.platform()},
         "sides": {side: {"src": str(given), "src_sha256": tree_hash(srcs[side])}

@@ -12,9 +12,13 @@
  * it: sign draws are the bits of the words, least significant first;
  * uniform draws are numpy's uniform(-sqrt 3, sqrt 3); gaussian draws are
  * numpy's standard_normal, whose ziggurat fast path (about 99% of draws)
- * runs inline.  A draw the fast path rejects rewinds the stream one word
- * and is made again by numpy's own random_standard_normal, from
- * libnpyrandom.a, reading the same stream.  numpy's ziggurat tables are
+ * runs inline.  Each chain keeps a buffer of BUF_WORDS words, which one
+ * refill makes, a block of four at a time: the blocks are counter-based,
+ * so no block waits for the one before it.  The draw loops keep the
+ * buffer's position in a register and store it back only for a draw the
+ * fast path rejects: that draw rewinds the stream one word and is made
+ * again by numpy's own random_standard_normal, from libnpyrandom.a,
+ * reading the same stream.  numpy's ziggurat tables are
  * local symbols of that archive, so init() reads them back through
  * random_standard_normal before the first run, and _step.load() then
  * checks a few thousand draws of every shape against numpy's.  Each
@@ -64,6 +68,8 @@
 #define SUB_DRAWS 64
 /* raw words per chain in a sub-block of packed d = 1 sign noise */
 #define SIGN_WORDS 64
+/* words of a chain's Philox stream made by one refill, 16 blocks */
+#define BUF_WORDS 64
 /* the double nearest sqrt(3), numpy's np.sqrt(3.0) */
 #define SQRT3 1.7320508075688772
 #define INLINE static inline __attribute__((always_inline))
@@ -97,8 +103,9 @@ struct noise {
  * block j / 4 + 1.  Only the counter's low word moves; its carry would
  * take 2^64 blocks. */
 struct stream {
-    uint64_t key[2], ctr, buf[4];
+    uint64_t key[2], ctr;
     int pos; /* words of buf already read */
+    uint64_t buf[BUF_WORDS];
 };
 
 static void stream_init(struct stream *s, const uint64_t *key)
@@ -106,7 +113,7 @@ static void stream_init(struct stream *s, const uint64_t *key)
     s->key[0] = key[0];
     s->key[1] = key[1];
     s->ctr = 0;
-    s->pos = 4;
+    s->pos = BUF_WORDS;
 }
 
 /* hi:lo = a b, 64 x 64 -> 128 bits; a compiler without a 128-bit integer
@@ -118,43 +125,55 @@ INLINE uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi)
     return (uint64_t)p;
 }
 
-/* The stream's next block of four words: ten rounds, the key bumped
- * between rounds.  The rounds are unrolled, so each round's multiplies
- * can start as soon as their inputs are ready. */
+/* The stream's next BUF_WORDS words, a block of four at a time: ten
+ * rounds, the key bumped between rounds.  The rounds are unrolled, so each
+ * round's multiplies can start as soon as their inputs are ready. */
 static void refill(struct stream *s)
 {
-    uint64_t c0 = ++s->ctr, c1 = 0, c2 = 0, c3 = 0;
-    uint64_t k0 = s->key[0], k1 = s->key[1], hi0, hi1, lo0, lo1;
+    uint64_t ctr = s->ctr;
+    for (int j = 0; j < BUF_WORDS; j += 4) {
+        uint64_t c0 = ++ctr, c1 = 0, c2 = 0, c3 = 0;
+        uint64_t k0 = s->key[0], k1 = s->key[1], hi0, hi1, lo0, lo1;
 #pragma GCC unroll 10
-    for (int r = 0; r < 10; r++) {
-        lo0 = mulhilo(0xD2E7470EE14C6C93u, c0, &hi0);
-        lo1 = mulhilo(0xCA5A826395121157u, c2, &hi1);
-        c0 = hi1 ^ c1 ^ k0;
-        c1 = lo1;
-        c2 = hi0 ^ c3 ^ k1;
-        c3 = lo0;
-        k0 += 0x9E3779B97F4A7C15u;
-        k1 += 0xBB67AE8584CAA73Bu;
+        for (int r = 0; r < 10; r++) {
+            lo0 = mulhilo(0xD2E7470EE14C6C93u, c0, &hi0);
+            lo1 = mulhilo(0xCA5A826395121157u, c2, &hi1);
+            c0 = hi1 ^ c1 ^ k0;
+            c1 = lo1;
+            c2 = hi0 ^ c3 ^ k1;
+            c3 = lo0;
+            k0 += 0x9E3779B97F4A7C15u;
+            k1 += 0xBB67AE8584CAA73Bu;
+        }
+        s->buf[j] = c0;
+        s->buf[j + 1] = c1;
+        s->buf[j + 2] = c2;
+        s->buf[j + 3] = c3;
     }
-    s->buf[0] = c0;
-    s->buf[1] = c1;
-    s->buf[2] = c2;
-    s->buf[3] = c3;
+    s->ctr = ctr;
     s->pos = 0;
 }
 
-/* The stream's next word: numpy's next_uint64 and next_raw. */
+/* The stream's next word, read at *pos, which the draw loops keep in a
+ * register: numpy's next_uint64 and next_raw. */
+INLINE uint64_t take(struct stream *s, int *pos)
+{
+    if (*pos == BUF_WORDS) {
+        refill(s);
+        *pos = 0;
+    }
+    return s->buf[(*pos)++];
+}
+
 INLINE uint64_t next_word(struct stream *s)
 {
-    if (s->pos == 4)
-        refill(s);
-    return s->buf[s->pos++];
+    return take(s, &s->pos);
 }
 
 /* numpy's next_double: the word's top 53 bits times 2^-53 */
-INLINE double unit_double(struct stream *s)
+INLINE double unit_double(uint64_t word)
 {
-    return (double)(int64_t)(next_word(s) >> 11) * TWO_M53;
+    return (double)(int64_t)(word >> 11) * TWO_M53;
 }
 
 static uint64_t stream_uint64(void *s)
@@ -164,32 +183,12 @@ static uint64_t stream_uint64(void *s)
 
 static double stream_double(void *s)
 {
-    return unit_double(s);
+    return unit_double(next_word(s));
 }
 
 /* numpy's ziggurat tables wi_double and ki_double, which init() reads */
 static double wi[256];
 static uint64_t ki[256];
-
-/* numpy's standard_normal from the stream: the ziggurat's fast path, and
- * numpy's own random_standard_normal from the same word on; it never
- * calls next_uint32. */
-INLINE double gauss(struct stream *s)
-{
-    uint64_t r = next_word(s), rabs = (r >> 9) & 0x000fffffffffffff, bits;
-    int idx = (int)(r & 0xff);
-    double x = (double)(int64_t)rabs * wi[idx];
-    /* numpy negates x when bit 8 is set: flip its sign bit, which no
-     * branch has to guess */
-    memcpy(&bits, &x, sizeof x);
-    bits ^= (r & 0x100) << 55;
-    memcpy(&x, &bits, sizeof x);
-    if (rabs < ki[idx])
-        return x;
-    s->pos--;
-    bitgen_t bg = {s, stream_uint64, NULL, stream_double, stream_uint64};
-    return random_standard_normal(&bg);
-}
 
 /* init()'s generator: next_uint64 gives word, then 0 (idx 0, rabs 0, which
  * the fast path takes); next_double gives 0.0, then 0.5, which the wedge
@@ -305,13 +304,12 @@ static void load(double *xs, const double *x, long t, long d)
 
 /* The next m steps of scaled noise of the t chains of a tile, each drawn
  * from its chain's stream: w[(s * d + i) * TILE + c] is coordinate i of
- * chain c at step s.  u holds one chain's m * d unit draws, and z all the
- * tile's, laid out as w is; L z is then summed for the whole tile at once,
- * with the chain loop innermost.  word and left carry each chain's partly
- * used sign word and its unused bits from one sub-block to the next. */
+ * chain c at step s.  z takes the tile's unit draws, laid out as w is; L z
+ * is then summed for the whole tile at once, with the chain loop
+ * innermost.  word and left carry each chain's partly used sign word and
+ * its unused bits from one sub-block to the next. */
 INLINE void draw(const struct noise *nz, long d, struct stream *ss, long t, long m,
-                 double *restrict u, double *restrict z, double *restrict w,
-                 uint64_t *word, int *left)
+                 double *restrict z, double *restrict w, uint64_t *word, int *left)
 {
     long n = m * d;
     const double *l = nz->l;
@@ -324,26 +322,46 @@ INLINE void draw(const struct noise *nz, long d, struct stream *ss, long t, long
     }
     for (long c = 0; c < t; c++) {
         struct stream *s = ss + c;
+        double *restrict zc = z + c;
+        int pos = s->pos;
         if (nz->shape == GAUSSIAN) {
-            for (long j = 0; j < n; j++)
-                u[j] = gauss(s);
+            /* numpy's standard_normal: the ziggurat's fast path, and
+             * numpy's own random_standard_normal from a rejected word on;
+             * it never calls next_uint32 */
+            for (long j = 0; j < n; j++) {
+                uint64_t r = take(s, &pos), rabs = (r >> 9) & 0x000fffffffffffff, bits;
+                int idx = (int)(r & 0xff);
+                double x = (double)(int64_t)rabs * wi[idx];
+                /* numpy negates x when bit 8 is set: flip its sign bit,
+                 * which no branch has to guess */
+                memcpy(&bits, &x, sizeof x);
+                bits ^= (r & 0x100) << 55;
+                memcpy(&x, &bits, sizeof x);
+                if (rabs >= ki[idx]) {
+                    /* the slow path reads the stream from this word on */
+                    s->pos = pos - 1;
+                    bitgen_t bg = {s, stream_uint64, NULL, stream_double, stream_uint64};
+                    x = random_standard_normal(&bg);
+                    pos = s->pos;
+                }
+                zc[j * TILE] = x;
+            }
         } else if (nz->shape == UNIFORM) {
             /* numpy's random_uniform(-sqrt 3, 2 sqrt 3) */
             for (long j = 0; j < n; j++)
-                u[j] = -SQRT3 + 2 * SQRT3 * unit_double(s);
+                zc[j * TILE] = -SQRT3 + 2 * SQRT3 * unit_double(take(s, &pos));
         } else {
             for (long j = 0; j < n; j++) {
                 if (left[c] == 0) {
-                    word[c] = next_word(s);
+                    word[c] = take(s, &pos);
                     left[c] = 64;
                 }
-                u[j] = word[c] & 1 ? 1.0 : -1.0;
+                zc[j * TILE] = word[c] & 1 ? 1.0 : -1.0;
                 word[c] >>= 1;
                 left[c]--;
             }
         }
-        for (long j = 0; j < n; j++)
-            z[j * TILE + c] = u[j];
+        s->pos = pos;
     }
     for (long s = 0; s < m; s++)
         for (long i = 0; i < d; i++) {
@@ -411,11 +429,11 @@ CLONES int run(const struct drift *drift, const struct noise *nz, const uint64_t
     int packed = nz->shape == RADEMACHER && d == 1;
     long sub = packed ? 0 : d < SUB_DRAWS ? SUB_DRAWS / d : 1,
          block = packed ? 64 * SIGN_WORDS : sub;
-    double *xs = calloc((2 * d + 2 * sub * d) * TILE + sub * d, sizeof *xs);
+    double *xs = calloc((2 * d + 2 * sub * d) * TILE, sizeof *xs);
     if (xs == NULL)
         return -1;
     double *g = xs + d * TILE, *w = g + d * TILE, *z = w + sub * d * TILE,
-           *u = z + sub * d * TILE, lo = -(nz->l[0] * nz->coeff);
+           lo = -(nz->l[0] * nz->coeff);
     uint64_t words[SIGN_WORDS * TILE] = {0}, word[TILE], lo_bits;
     memcpy(&lo_bits, &lo, sizeof lo);
     int left[TILE];
@@ -435,7 +453,7 @@ CLONES int run(const struct drift *drift, const struct noise *nz, const uint64_t
                     for (long j = 0; j < (m + 63) / 64; j++)
                         words[j * TILE + c] = next_word(ss + c);
             else
-                draw(nz, d, ss, t, m, u, z, w, word, left);
+                draw(nz, d, ss, t, m, z, w, word, left);
             /* record r is the state after step next = burn_in + (r + 1) thin */
             for (long s = 0, e; s < m; s = e) {
                 e = next - k < m ? next - k : m;

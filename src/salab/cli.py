@@ -399,7 +399,9 @@ def _run_tests_for(validated, manifest, scaling, threads) -> None:
     if check_hurwitz(m).hurwitz and abs(scaling.exponent - 0.5) < 1e-9:
         sol = _emit_prediction(validated, manifest)
 
+        t0 = time.perf_counter()
         gof = gaussian_gof(ens.flat, sol.sigma_y)
+        manifest.durations["gof_s"] = time.perf_counter() - t0
         rows = [("alpha", smallest), ("ks_distance", gof.ks_distance),
                 ("ks_threshold", gof.ks_threshold),
                 ("cov_rel_err", gof.cov_rel_err),
@@ -408,7 +410,9 @@ def _run_tests_for(validated, manifest, scaling, threads) -> None:
         rows += [(f"mean_z_{i + 1}", z) for i, z in enumerate(gof.mean_z)]
         manifest.emit(["quantity", "value"], rows, "gof.csv")
 
+        t0 = time.perf_counter()
         cf = cf_residual(ens.flat, m, validated.noise.sigma)
+        manifest.durations["cf_residual_s"] = time.perf_counter() - t0
         d = validated.op.dim
         header = [f"t_{i + 1}" for i in range(d)] + ["re", "im", "se"]
         rows = [

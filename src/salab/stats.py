@@ -198,6 +198,12 @@ def cf_residual(samples, m_lyap, sigma, t_grid=None) -> CfResidualReport:
     covariance solves the Lyapunov equation for (M, Sigma).  Standard errors
     come from batch means over the sample order, so correlated ensembles get
     honest error bars.
+
+    Negating t negates the phase, t'M y and the sine exactly, and leaves
+    t'St and the cosine as they are, so each summand becomes its conjugate:
+    a probe whose exact negation is an earlier row takes that row's
+    (re, -im, se) without a pass over the samples.  A zero im is computed
+    again, as negating it cannot tell which zero the sum would give.
     """
     samples = _sample_matrix(samples)
     n, d = samples.shape
@@ -218,7 +224,13 @@ def cf_residual(samples, m_lyap, sigma, t_grid=None) -> CfResidualReport:
     ses = np.empty(t_grid.shape[0])
     summand = np.empty(n, complex)
     wave = np.empty(min(n, _CF_BLOCK), complex)    # exp(i t'y_j) per sample
+    rows = {}                                       # t.tobytes() -> its row
     for j, t in enumerate(t_grid):
+        mirror = rows.get((-t).tobytes())
+        rows[t.tobytes()] = j
+        if mirror is not None and res_im[mirror] != 0.0:
+            res_re[j], res_im[j], ses[j] = res_re[mirror], -res_im[mirror], ses[mirror]
+            continue
         quad = float(_dot(t, _dot(sigma, t)))
         mt = _dot(m_lyap.T, t)
         # every step is elementwise, so the block size changes no bit

@@ -359,6 +359,7 @@ class TestPipelineCommand:
         assert {"scaling_report.csv", "logfit.csv", "density_0.01.csv"} <= names
         manifest = json.loads((out / "manifest.json").read_text())
         assert any("no Gaussian prediction" in n for n in manifest["notes"])
+        assert set(manifest["durations"]) == {"total_s"}
 
     def test_quadratic_pipeline_predicts_and_tests(self, tmp_path):
         body = """
@@ -405,13 +406,21 @@ class TestPipelineCommand:
         cfg = write_cfg(tmp_path, body.replace("n_chains = 8", "n_chains = 32"))
         out = tmp_path / command
         assert main([command, "--config", cfg, "--out", str(out)]) == 0
-        ensembles = json.loads((out / "manifest.json").read_text())["ensembles"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        ensembles = manifest["ensembles"]
         assert set(ensembles) == {"0.1", "0.01"}
         for tag, alpha in (("0.1", 0.1), ("0.01", 0.01)):
             rec = ensembles[tag]
             assert rec["n_chains"] == 32 and rec["n_diverged"] == 0
             assert rec["chain_steps"] == 32 * (ceil(10 / alpha) + 32 * ceil(1 / alpha))
             assert rec["chain_steps_per_s"] > 0
+        # the statistics' timings, and none of them in a CSV
+        durations = manifest["durations"]
+        assert set(durations) == {"total_s", "gof_s", "cf_residual_s"}
+        for key in ("gof_s", "cf_residual_s"):
+            assert 0 < durations[key] < durations["total_s"]
+        for path in out.glob("*.csv"):
+            assert "_s," not in path.read_text()
 
     def test_pipeline_requires_auto_scaling(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUAD_CFG)

@@ -1,8 +1,11 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -17,21 +20,54 @@ def test_verify_theorems_reports_three_ok_cases():
     assert sum(line.endswith("-> OK") for line in out.stdout.splitlines()) == 3
 
 
-def test_bench_pairs_runs_one_pair_of_identical_trees(tmp_path):
-    record = tmp_path / "pairs.json"
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), str(ROOT), str(ROOT),
+def bench_pairs(parent, change, record, env=None):
+    """One fig3_quartic pair of bench_pairs.py at seed 11."""
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), str(parent), str(change),
          "--pairs", "1", "--seed", "11", "--workload", "fig3_quartic",
          "--out", str(record)],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=env,
     )
-    assert out.returncode == 0, out.stdout + out.stderr
+
+
+def test_bench_pairs_runs_one_pair_of_identical_trees(tmp_path):
+    record = tmp_path / "pairs.json"
+    out = bench_pairs(ROOT, ROOT, record)
+    # without a compiler both runs take the numpy body, which is a problem
+    compiled = shutil.which("cc") is not None
+    assert out.returncode == (0 if compiled else 1), out.stdout + out.stderr
     pairs = json.loads(record.read_text())["pairs"]
     assert set(pairs) == {"fig3_quartic"}
     run = pairs["fig3_quartic"]
-    assert run["seeds"] == [11] and run["problems"] == []
+    engine = "compiled" if compiled else "numpy"
+    assert run["engines"] == {"parent": [engine], "change": [engine]}
+    assert run["seeds"] == [11]
+    assert all("engine numpy, not compiled" in p for p in run["problems"])
+    assert len(run["problems"]) == (0 if compiled else 4)    # warm-up and timed runs
     assert run["identical_csvs"] == 1 and run["differing_csvs"] == {}
     for side in ("parent", "change"):
         for metric in ("cpu_s", "peak_rss_mb"):
             assert len(run[side][metric]["runs"]) == 1
             assert run[side][metric]["median"] > 0
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_bench_pairs_lists_a_side_that_fell_back_to_the_numpy_body(tmp_path):
+    # a kernel source that does not compile: that side runs the numpy
+    # body, which writes the same bytes, so only the engine tells
+    broken = tmp_path / "broken"
+    shutil.copytree(ROOT / "src", broken / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(broken / "src" / "salab" / "_step.c", "a") as fh:
+        fh.write("\n#error no kernel\n")
+    record = tmp_path / "pairs.json"
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache")}
+    out = bench_pairs(ROOT, broken, record, env)
+    assert out.returncode == 1, out.stdout + out.stderr
+    run = json.loads(record.read_text())["pairs"]["fig3_quartic"]
+    assert run["engines"] == {"parent": ["compiled"], "change": ["numpy"]}
+    assert run["problems"] == ["change seed 11 (warm-up): engine numpy, not compiled",
+                               "change seed 11: engine numpy, not compiled",
+                               "seed 11: engines differ: "
+                               "{'parent': 'compiled', 'change': 'numpy'}"]
+    assert run["identical_csvs"] == 1

@@ -5,6 +5,7 @@ import pytest
 import scipy.signal
 import scipy.stats
 
+import salab.stats as stats
 from salab.core import NumericalError, seed_rng
 from salab.stats import (
     _dot,
@@ -150,6 +151,58 @@ class TestCfResidual:
                                    batch_means_se(summand.imag)))
         got = np.array([rep.residual_real, rep.residual_imag, rep.se])
         assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def skewed_case(d, n=5000):
+        """Samples, M and Sigma with every entry off the diagonal set."""
+        rng = seed_rng(2, 20 + d)
+        samples = rng.standard_normal((n, d)) @ rng.standard_normal((d, d)) + 0.3
+        m = -2.0 * np.eye(d) + 0.3 * rng.standard_normal((d, d))
+        root = rng.standard_normal((d, d))
+        return samples, m, root @ root.T + np.eye(d)
+
+    @staticmethod
+    def mirror_grid(name, d):
+        """A t grid of probes and their exact negations, in various orders."""
+        t = seed_rng(2, 30 + d).standard_normal(d)
+        half = np.zeros(d)
+        half[0] = 0.5
+        flipped = half.copy()
+        flipped[0] = -0.5        # [-0.5, +0.0, ...] is not -[0.5, 0.0, ...]
+        return {
+            "default": default_t_grid(d),
+            "reversed": -default_t_grid(d),             # every -t before its t
+            "repeated": np.array([t, t, -t, t, -t]),
+            "signed_zero": np.array([half, flipped, -half]),
+            "zero": np.array([np.zeros(d), -np.zeros(d), np.zeros(d)]),
+        }[name]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("grid", ["reversed", "repeated", "signed_zero", "zero"])
+    def test_mirrored_probes_are_the_computed_ones(self, d, grid):
+        samples, m, sigma = self.skewed_case(d)
+        t_grid = self.mirror_grid(grid, d)
+        rep = cf_residual(samples, m, sigma, t_grid=t_grid)
+        alone = [cf_residual(samples, m, sigma, t_grid=[row]) for row in t_grid]
+        for got, name in ((rep.residual_real, "residual_real"),
+                          (rep.residual_imag, "residual_imag"), (rep.se, "se")):
+            want = np.concatenate([getattr(r, name) for r in alone])
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("grid, d, computed", [
+        ("default", 1, 4), ("default", 2, 12), ("default", 3, 14),
+        ("repeated", 2, 2), ("signed_zero", 2, 2), ("signed_zero", 3, 2), ("zero", 2, 3),
+    ])
+    def test_mirrored_probes_take_no_pass_over_the_samples(self, monkeypatch, grid, d,
+                                                          computed):
+        samples, m, sigma = self.skewed_case(d, n=1000)
+        passes = []
+        dot = stats._dot
+        # each computed probe projects every sample block on t and on M't
+        monkeypatch.setattr(stats, "_dot",
+                            lambda x, v: passes.append(len(x) == 1000) or dot(x, v))
+        cf_residual(samples, m, sigma, t_grid=self.mirror_grid(grid, d))
+        assert sum(passes) == 2 * computed
 
     def test_memory_is_the_summand_and_one_block(self):
         n = 262_144

@@ -196,6 +196,34 @@ def test_compiled_body_draws_no_noise_in_python(fresh_kernel, monkeypatch):
 #: chains per tile of the kernel (TILE in _step.c)
 KERNEL_TILE = 64
 
+#: words of a chain's Philox stream one refill makes (BUF_WORDS in _step.c)
+KERNEL_BUF_WORDS = 64
+
+
+def numpy_draws(seed, chain, shape, steps, d):
+    """Chain `chain`'s (steps, d) unit draws as the numpy body makes them."""
+    rng = seed_rng(seed, chain)
+    if shape == "gaussian":
+        return rng.standard_normal((steps, d))
+    if shape == "uniform":
+        return rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), (steps, d))
+    words = rng.bit_generator.random_raw(-(-steps * d // 64))
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little")[: steps * d]
+    return (2.0 * bits - 1.0).reshape(steps, d)
+
+
+def kernel_draws(kernel, seed, n, shape, steps, d):
+    """The kernel's (n, steps, d) unit draws of chains 0 .. n - 1.
+
+    With F(x) = -x, dc = 1, L = I and coeff = 1 each step lands on its unit
+    draw: x + (-x) = 0, then 0 + z = z.  So the records are the draws.
+    """
+    keys = np.array([philox_key(seed, c) for c in range(n)], np.uint64)
+    x, out = np.ones((n, d)), np.empty((n, steps, d))
+    kernel.run(("affine", -np.eye(d), np.zeros(d), 1.0), (shape, np.eye(d), 1.0),
+               keys, x, out, burn_in=0, thin=1)
+    return out
+
 
 @pytest.mark.parametrize("seed", [3, 41, 2024])
 @pytest.mark.parametrize(
@@ -212,27 +240,53 @@ KERNEL_TILE = 64
         ("rademacher", 1, 16384 + 64 + 5),
         # 63 sign bits per sub-block, so words straddle the sub-blocks
         ("rademacher", 3, 2 * 21 + 7),
+        # a chain's buffer holds 64 words: 63 words per sub-block of 21
+        # steps, so sub-blocks end mid-buffer and each holds a refill
+        ("uniform", 3, 6 * 21 + 5),
+        ("gaussian", 3, 6 * 21 + 5),
+        # 64 words per sub-block of 32 steps: 4 refills and part of a fifth
+        ("uniform", 2, 4 * 32 + 9),
+        # a sign word per 64 bits: 3 refills and part of a fourth
+        ("rademacher", 3, 3 * KERNEL_BUF_WORDS * 64 // 3 + 50),
     ],
 )
 def test_kernel_draws_are_numpys(kernel, seed, shape, d, steps):
-    # With F(x) = -x, dc = 1, L = I and coeff = 1 each step lands on its
-    # unit draw: x + (-x) = 0, then 0 + z = z.  So the records are the draws.
     n = KERNEL_TILE + 6
-    keys = np.array([philox_key(seed, c) for c in range(n)], np.uint64)
-    x, out = np.ones((n, d)), np.empty((n, steps, d))
-    kernel.run(("affine", -np.eye(d), np.zeros(d), 1.0), (shape, np.eye(d), 1.0),
-               keys, x, out, burn_in=0, thin=1)
+    out = kernel_draws(kernel, seed, n, shape, steps, d)
     for c in (0, KERNEL_TILE - 1, KERNEL_TILE, n - 1):
-        rng = seed_rng(seed, c)
-        if shape == "gaussian":
-            z = rng.standard_normal((steps, d))
-        elif shape == "uniform":
-            z = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), (steps, d))
-        else:
-            words = rng.bit_generator.random_raw(-(-steps * d // 64))
-            bits = np.unpackbits(words.view(np.uint8), bitorder="little")[: steps * d]
-            z = (2.0 * bits - 1.0).reshape(steps, d)
-        assert out[c].tobytes() == z.tobytes(), c
+        assert out[c].tobytes() == numpy_draws(seed, c, shape, steps, d).tobytes(), c
+
+
+def gaussian_draw_starts(seed, chain, draws):
+    """The index of the Philox word at which each of a chain's first
+    `draws` standard_normal draws starts, then that of the word after them."""
+    rng = seed_rng(seed, chain)
+    starts = []
+    for _ in range(draws + 1):
+        state = rng.bit_generator.state
+        # the counter is bumped before each block of four words
+        starts.append(4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"])
+        rng.standard_normal()
+    return np.array(starts)
+
+
+def test_kernel_gaussian_rejected_on_a_buffers_last_word(kernel):
+    # a draw whose first word is the last of a refill and which the fast
+    # path rejects: numpy's slow path rereads that word and reads on into
+    # the next refill's words
+    seed, draws = 8, 1024
+    for chain in range(64):
+        starts = gaussian_draw_starts(seed, chain, draws)
+        rejected = np.diff(starts) > 1
+        edge = np.flatnonzero(rejected & (starts[:-1] % KERNEL_BUF_WORDS == KERNEL_BUF_WORDS - 1))
+        if edge.size:
+            break
+    else:
+        pytest.fail("no draw rejected on a buffer's last word")
+    steps = int(edge[0]) + 64    # the draw, then a sub-block past it
+    out = kernel_draws(kernel, seed, chain + 1, "gaussian", steps, 1)
+    for c in range(chain + 1):
+        assert out[c].tobytes() == numpy_draws(seed, c, "gaussian", steps, 1).tobytes(), c
 
 
 @pytest.mark.parametrize("shape", ["rademacher", "gaussian"])
