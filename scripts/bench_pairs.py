@@ -4,16 +4,18 @@
     python3 scripts/bench_pairs.py PARENT_SRC CHANGE_SRC --out BENCH_18.json \\
         [--pairs 10] [--seed 9000] [--workload NAME ...]
 
-PARENT_SRC and CHANGE_SRC are source checkouts, each with src/salab, best
-both fresh (`git archive`): a stale __pycache__ on one side makes Python
-compile some modules there and not others, which moves peak RSS.  The
-commands and configs are those of this checkout's perfbench/workloads.py,
-with perfbench's `--threads min(2, nproc)`; nothing else of perfbench is
-used.  For each workload, pair i runs its salab command at seed --seed + i
-once on each side, parent first in even pairs and change first in odd ones,
-each run a fresh child of this process.  One untimed run per side comes
-first, so the compiled kernel is built (and bytecode written, where Python
-writes it) before any timed run.
+PARENT_SRC and CHANGE_SRC are source checkouts, each with src/salab.
+Before any run, `python -m compileall -q` writes the bytecode of each
+side's src/salab, so no run compiles a module from source, even where
+PYTHONDONTWRITEBYTECODE is set: compiling would add a module's compile
+time to CPU and peak RSS, so a change that only shortens a module would
+move them.  The commands and configs are those of this checkout's
+perfbench/workloads.py, with perfbench's `--threads min(2, nproc)`;
+nothing else of perfbench is used.  For each workload, pair i runs its
+salab command at seed --seed + i once on each side, parent first in even
+pairs and change first in odd ones, each run a fresh child of this
+process.  One untimed run per side comes first, so the compiled kernel is
+built before any timed run.
 
 Per run it records the CPU seconds (user + system), the peak RSS from
 os.wait4 and the engine its manifest.json names.  The numpy body writes the
@@ -183,6 +185,9 @@ def main(argv=None) -> int:
         if not (src / "src" / "salab").is_dir():
             parser.error(f"{side} {src} holds no src/salab")
     seeds = list(range(args.seed, args.seed + args.pairs))
+    for src in srcs.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", str(src / "src" / "salab")],
+                       check=True)
 
     record = {
         "about": "Alternating parent/change runs of each workload's salab command, one seed "

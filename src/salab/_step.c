@@ -42,7 +42,9 @@
  * operations, and the tile's constant width lets the compiler vectorize
  * it.  Sign noise at d = 1 takes a fused update, one pass per step; drawn
  * noise at every d takes one row-wise step, each row of g computed for the
- * whole tile at once.  The drift kind is a constant in each loop, and so
+ * whole tile at once.  Every sign draw, packed or drawn, comes from one
+ * pick, pick_sign, which flips a sign bit instead of branching on the
+ * random bit.  The drift kind is a constant in each loop, and so
  * is d at d = 1 and d = 2.  The tile's noise is laid out step-major, so
  * every loop reads it at unit stride.  Record r of a chain is its state
  * after step burn_in + (r + 1) * thin, written to out[chain, r].
@@ -74,6 +76,8 @@
 #define SQRT3 1.7320508075688772
 #define INLINE static inline __attribute__((always_inline))
 #define TWO_M53 (1.0 / 9007199254740992.0)
+/* the bits of -1.0 */
+#define MINUS_ONE_BITS 0xBFF0000000000000u
 
 #if defined(__x86_64__) && defined(__GLIBC__) && (defined(__GNUC__) || defined(__clang__))
 #define CLONES __attribute__((target_clones("avx2", "default")))
@@ -168,6 +172,17 @@ INLINE uint64_t take(struct stream *s, int *pos)
 INLINE uint64_t next_word(struct stream *s)
 {
     return take(s, &s->pos);
+}
+
+/* The sign draw of a random bit: the double whose bits are v_bits, with its
+ * sign bit flipped when bit is 1.  A branch on the bit would be mispredicted
+ * every other draw; this is the kernel's one sign pick. */
+INLINE double pick_sign(uint64_t v_bits, uint64_t bit)
+{
+    double v;
+    v_bits ^= bit << 63;
+    memcpy(&v, &v_bits, sizeof v);
+    return v;
 }
 
 /* numpy's next_double: the word's top 53 bits times 2^-53 */
@@ -351,15 +366,20 @@ INLINE void draw(const struct noise *nz, long d, struct stream *ss, long t, long
             for (long j = 0; j < n; j++)
                 zc[j * TILE] = -SQRT3 + 2 * SQRT3 * unit_double(take(s, &pos));
         } else {
+            /* bit 1 flips -1.0 to 1.0; the carry stays in registers */
+            uint64_t wd = word[c];
+            int lf = left[c];
             for (long j = 0; j < n; j++) {
-                if (left[c] == 0) {
-                    word[c] = take(s, &pos);
-                    left[c] = 64;
+                if (lf == 0) {
+                    wd = take(s, &pos);
+                    lf = 64;
                 }
-                zc[j * TILE] = word[c] & 1 ? 1.0 : -1.0;
-                word[c] >>= 1;
-                left[c]--;
+                zc[j * TILE] = pick_sign(MINUS_ONE_BITS, wd & 1);
+                wd >>= 1;
+                lf--;
             }
+            word[c] = wd;
+            left[c] = lf;
         }
         s->pos = pos;
     }
@@ -385,8 +405,7 @@ INLINE void draw(const struct noise *nz, long d, struct stream *ss, long t, long
  * step s.  Packed d = 1 sign noise (words not NULL) has draw s of chain c
  * in bit s % 64 of words[(s / 64) * TILE + c]: a set bit adds -lo, a clear
  * one lo, whose bits are lo_bits.  That update is fused, one pass per
- * step, and it picks the draw by flipping lo's sign bit, not by a branch:
- * the bits are random, so a branch would be mispredicted every other draw. */
+ * step, and picks the draw with pick_sign. */
 INLINE void advance(long kind, long D, const struct drift *f, double *restrict xs,
                     double *restrict g, const double *restrict w,
                     const uint64_t *restrict words, uint64_t lo_bits, long s0, long s1)
@@ -399,10 +418,8 @@ INLINE void advance(long kind, long D, const struct drift *f, double *restrict x
         const uint64_t *restrict ws = words + (s >> 6) * TILE;
         unsigned bit = (unsigned)(s & 63);
         for (long c = 0; c < TILE; c++) {
-            uint64_t pick = lo_bits ^ ((ws[c] >> bit & 1) << 63);
-            double v = xs[c], wc, gc = kind == NEG_CUBE ? -(v * v * v) : v * f->a[0] + f->b[0];
-            memcpy(&wc, &pick, sizeof wc);
-            xs[c] = (v + gc * f->dc) + wc;
+            double v = xs[c], gc = kind == NEG_CUBE ? -(v * v * v) : v * f->a[0] + f->b[0];
+            xs[c] = (v + gc * f->dc) + pick_sign(lo_bits, ws[c] >> bit & 1);
         }
     }
 }

@@ -24,19 +24,12 @@ from .noise import NoiseModel, sample_block, sign_bits, sign_words
 from .stats import sample_moments
 
 #: chains simulated together in one group, which bounds the numpy body's
-#: step-major noise block; grouping never affects results (chains own their
+#: chain-major noise block; grouping never affects results (chains own their
 #: streams and update independently), only speed
 _CHAIN_GROUP = 4096
 
 #: steps of noise the numpy body draws per chain at a time
 _STEP_BLOCK = 4096
-
-#: larger blocks for the compact sign-noise fast path (1 byte per draw)
-_SIGN_STEP_BLOCK = 16384
-
-#: bytes of gaussian/uniform noise drawn chain-major, a tile of consecutive
-#: chains at a time
-_TILE_BYTES = 1 << 18
 
 #: abort when more than this fraction of chains diverges
 _MAX_DIVERGED_FRACTION = 0.01
@@ -113,31 +106,6 @@ def moment_summary(ens: Ensemble) -> MomentSummary:
     )
 
 
-def _sign_chunks(gens, coeff: float, total: int):
-    """Rows of +-coeff for each chain's packed sign words, all total steps.
-
-    Each chain draws a block's words from its own stream, _SIGN_STEP_BLOCK
-    steps at a time, so draw s of a block is bit s % 64 of its word s // 64;
-    words[i, j] is word i of chain j, and the word block is refilled in
-    place.  A word row is decoded into 64 contiguous rows only when the
-    update loop reaches it, bit b to b 2coeff - coeff, which rounds exactly
-    to +-coeff; that buffer is reused too, so it never holds more than 64
-    steps.
-    """
-    n = len(gens)
-    words = np.empty(((min(_SIGN_STEP_BLOCK, total) + 63) // 64, n), np.uint64)
-    rows = np.empty((64, n))
-    for k in range(0, total, _SIGN_STEP_BLOCK):
-        block = min(_SIGN_STEP_BLOCK, total - k)
-        n_words = (block + 63) // 64
-        for j, g in enumerate(gens):
-            words[:n_words, j] = sign_words(g, block)
-        for w, word_row in enumerate(words[:n_words]):
-            np.multiply(sign_bits(word_row).reshape(n, 64).T, 2.0 * coeff, out=rows)
-            rows -= coeff
-            yield rows[: block - 64 * w]
-
-
 def _kernel_for(op: DriftOperator):
     """(kernel, (kind, a, b)) when the compiled step kernel runs op's update, else None.
 
@@ -167,34 +135,45 @@ def engine(op: DriftOperator) -> str:
     return "numpy" if _kernel_for(op) is None else "compiled"
 
 
-def _tile_chains(block: int, d: int) -> int:
-    """Chains per noise tile: about _TILE_BYTES of (block, d) float64 draws."""
-    return max(1, _TILE_BYTES // (8 * block * d))
+def _noise_windows(nm: NoiseModel, gens, coeff: float, total: int):
+    """The (steps, n, d) rows of coeff-scaled noise for all total steps, 64 at a time.
 
-
-def _shaped_chunks(nm: NoiseModel, gens, coeff: float, total: int):
-    """The step-major (block, n, d) noise of each block, scaled by coeff once.
-
-    Each chain draws _STEP_BLOCK steps of noise at a time from its own
-    stream, and consecutive chains draw into one contiguous tile of about
-    _TILE_BYTES, draws[j, s] the noise of chain c0 + j at the block's step
-    s.  Each tile is copied into the block at once: every block row then
-    receives tile * d adjacent values per copy instead of d values per
-    chain.  The tile and the block are refilled in place.
+    Each chain draws _STEP_BLOCK steps from its own stream into its row of
+    one chain-major block, which is refilled in place: the packed sign
+    words of noise.sign_words, words[i, j] word i of chain j, for d = 1
+    sign noise (draw s is bit s % 64 of word s // 64); coeff times
+    sample_block's (steps, d) draws for every other shape.  Each 64-step
+    window is then laid out step-major in one reused buffer: a word row is
+    decoded bit b to b 2coeff - coeff, which rounds exactly to +-coeff, and
+    drawn noise is copied.  The kernel lays its noise out the same way.
     """
     n, d = len(gens), nm.dim
     steps = min(_STEP_BLOCK, total)
-    width = min(n, _tile_chains(steps, d))
-    buf = np.empty(width * steps * d)
-    noise = np.empty((steps, n, d))
+    packed = nm.shape == "rademacher" and d == 1
+    if packed:
+        coeff *= float(nm.cholesky[0, 0])
+        block = np.empty(((steps + 63) // 64, n), np.uint64)
+    else:
+        # one spare step per row, so rows do not lie a power of two apart,
+        # where a window's reads of all the rows would share cache sets
+        block = np.empty((n, steps + 1, d))
+    window = np.empty((64, n, d))
     for k in range(0, total, steps):
-        block = min(steps, total - k)
-        for c0 in range(0, n, width):
-            draws = buf[: min(width, n - c0) * block * d].reshape(-1, block, d)
-            for j, g in enumerate(gens[c0 : c0 + len(draws)]):
-                np.multiply(sample_block(nm, g, block), coeff, out=draws[j])
-            noise[:block, c0 : c0 + len(draws)] = draws.transpose(1, 0, 2)
-        yield noise[:block]
+        m = min(steps, total - k)
+        for j, g in enumerate(gens):
+            if packed:
+                block[: (m + 63) // 64, j] = sign_words(g, m)
+            else:
+                np.multiply(sample_block(nm, g, m), coeff, out=block[j, :m])
+        for s in range(0, m, 64):
+            rows = window[: min(64, m - s)]
+            if packed:
+                np.multiply(sign_bits(block[s // 64]).reshape(n, 64).T, 2.0 * coeff,
+                            out=window[..., 0])
+                window -= coeff
+            else:
+                rows[...] = block[:, s : s + len(rows)].transpose(1, 0, 2)
+            yield rows
 
 
 def _run_group(
@@ -226,7 +205,6 @@ def _run_group(
     makes the same draws and the same roundings in the same order.
     """
     nc = chain_ids.size
-    d = op.dim
     streams = [stream_id(*label, int(c)) for c in chain_ids]
     total = burn_in + out.shape[1] * thin
     x = np.tile(init, (nc, 1))
@@ -238,16 +216,11 @@ def _run_group(
         kernel.run((*coeffs, drift_coeff), noise, keys, x, out, burn_in, thin)
     else:
         gens = [seed_rng(seed, s) for s in streams]
-        # scalar sign noise stays packed, one bit per draw, until decoded
-        if nm.shape == "rademacher" and d == 1:
-            chunks = _sign_chunks(gens, noise_coeff * float(nm.cholesky[0, 0]), total)
-        else:
-            chunks = _shaped_chunks(nm, gens, noise_coeff, total)
         k = 0
         next_record = burn_in + thin
         with np.errstate(over="ignore", invalid="ignore"):
-            for rows in chunks:
-                for row in rows.reshape(-1, *x.shape):
+            for rows in _noise_windows(nm, gens, noise_coeff, total):
+                for row in rows:
                     f = op.fn(x)
                     f *= drift_coeff
                     x += f

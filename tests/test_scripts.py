@@ -31,8 +31,15 @@ def bench_pairs(parent, change, record, env=None):
 
 
 def test_bench_pairs_runs_one_pair_of_identical_trees(tmp_path):
+    # a tree without bytecode, in which no run may write any: the script
+    # compiles every module before it times a run
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
     record = tmp_path / "pairs.json"
-    out = bench_pairs(ROOT, ROOT, record)
+    out = bench_pairs(tree, tree, record, {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    package = tree / "src" / "salab"
+    assert {p.name.split(".")[0] for p in (package / "__pycache__").glob("*.pyc")} \
+        == {p.stem for p in package.glob("*.py")}
     # without a compiler both runs take the numpy body, which is a problem
     compiled = shutil.which("cc") is not None
     assert out.returncode == (0 if compiled else 1), out.stdout + out.stderr

@@ -211,7 +211,7 @@ class TestRunEnsemble:
 
     def test_holds_one_samples_array(self):
         if step.load() is None:
-            pytest.skip("no C compiler: the numpy body holds step-major noise blocks")
+            pytest.skip("no C compiler: the numpy body also holds a block of noise")
         alpha = 0.05
         cfg = validate_config(ExperimentConfig(
             drift="linear", drift_params={"a": ROUNDING_A, "b": ROUNDING_B},
@@ -225,6 +225,30 @@ class TestRunEnsemble:
             tracemalloc.stop()
         assert ens.samples.nbytes == 512 * 512 * 2 * 8
         assert peak <= ens.samples.nbytes + 2**20
+
+    @pytest.mark.parametrize(
+        "op, shape, sigma, n_chains",
+        [(quartic(), "rademacher", [[0.5]], 256),
+         (linear(ROUNDING_A, ROUNDING_B), "gaussian", SIGMA[2], 64)],
+        ids=["sign-d1", "gaussian-d2"])
+    def test_numpy_body_holds_one_block_and_one_window(self, op, shape, sigma, n_chains,
+                                                       monkeypatch):
+        # a full 4096-step block: packed words for d = 1 sign noise, drawn
+        # values otherwise, and one step-major window of 64 steps
+        monkeypatch.setattr(step, "load", lambda: None)
+        nm, d = make_noise(shape, sigma), op.dim
+        packed = shape == "rademacher" and d == 1
+        block = n_chains * (64 if packed else sim._STEP_BLOCK * d) * 8
+        window = 64 * n_chains * d * 8
+        tracemalloc.start()
+        try:
+            ens = run_chains(op, nm, 0.01, 0.02, n_chains=n_chains, burn_in=0, thin=100,
+                             samples_per_chain=64, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.samples.nbytes == n_chains * 64 * d * 8
+        assert peak <= block + window + ens.samples.nbytes + 2**20
 
     def test_thread_count_invariance(self, monkeypatch):
         # four groups of at most 5 chains, so threads=4 runs them on workers
@@ -385,14 +409,12 @@ def reference_chain(op, nm, drift_coeff, noise_coeff, c, *, burn_in, thin,
                     samples_per_chain, seed, purpose="simulate", init=None):
     """Chain c of run_chains, stepped alone, one step at a time."""
     rng = chain_rng(op, nm, drift_coeff, c, seed, purpose)
-    sign_path = nm.shape == "rademacher" and nm.dim == 1
-    step_block = sim._SIGN_STEP_BLOCK if sign_path else sim._STEP_BLOCK
     total = burn_in + samples_per_chain * thin
     x = (op.root if init is None else np.asarray(init, dtype=float)).copy()[None, :]
     records = []
     k = 0
     while k < total:
-        block = min(step_block, total - k)
+        block = min(sim._STEP_BLOCK, total - k)
         noise = reference_noise(nm, rng, block)
         for s in range(block):
             x = x + op.fn(x) * drift_coeff
@@ -429,12 +451,26 @@ def assert_diverging_chains_agree(op, nm, drift_coeff, noise_coeff, steps, monke
 #: chains per tile of the compiled kernel (TILE in _step.c)
 KERNEL_TILE = 64
 
+#: a full kernel tile and a partial one, and a chain on both sides of the edge
+EDGE_CHAINS = KERNEL_TILE + 5
+EDGE_CHAIN_IDS = (0, KERNEL_TILE - 1, KERNEL_TILE, EDGE_CHAINS - 1)
+
+#: at the numpy body's window and block edges: burn-in ends 4 steps into the
+#: second 4096-step block, mid-window; thin is not a multiple of 64; and the
+#: total, 4100 + 20 * 37 = 4840 steps, is not either, so the last 64-step
+#: window holds 40 steps
+EDGE_SIZES = dict(burn_in=4100, thin=37, samples_per_chain=20)
+
+#: one block shorter than 4096 steps: 150 + 30 * 7 = 360, so five full
+#: windows and one of 40 steps
+SHORT_SIZES = dict(burn_in=150, thin=7, samples_per_chain=30)
+
 
 class TestEngineMatchesReference:
     @pytest.mark.parametrize(
         "op, shape, sigma, burn_in, thin, spc",
         [
-            # crosses a 16384-step sign block; thin is not a multiple of 64
+            # crosses four 4096-step blocks; thin is not a multiple of 64
             (quartic(), "rademacher", [[0.5]], 16000, 37, 20),
             (linear([[-1.0, 0.5], [0.0, -2.0]]), "rademacher",
              [[1.0, 0.3], [0.3, 0.5]], 4000, 13, 20),
@@ -453,8 +489,8 @@ class TestEngineMatchesReference:
     @pytest.mark.parametrize(
         "shape, sigma, burn_in, thin, spc",
         [
-            # burn-in ends 6 steps into the second sign block, mid-word, and
-            # the records straddle the third block's first word
+            # burn-in ends 6 steps into the fifth block, mid-word; the
+            # total, 33,560 steps, ends 24 steps into a window
             ("rademacher", [[0.5]], 16390, 101, 170),
             ("gaussian", [[1.0]], 4100, 13, 20),
             ("uniform", [[1.5]], 4100, 13, 20),
@@ -462,11 +498,8 @@ class TestEngineMatchesReference:
         ids=["sign", "gaussian", "uniform"],
     )
     def test_quartic_chains_on_both_bodies(self, shape, sigma, burn_in, thin, spc, body):
-        # a full kernel tile, then a partial one of 5 chains
-        n_chains = KERNEL_TILE + 5
         assert_chains_match_reference(
-            quartic(), make_noise(shape, sigma), n_chains,
-            (0, KERNEL_TILE - 1, KERNEL_TILE, n_chains - 1),
+            quartic(), make_noise(shape, sigma), EDGE_CHAINS, EDGE_CHAIN_IDS,
             burn_in=burn_in, thin=thin, samples_per_chain=spc, seed=14)
 
     @pytest.mark.parametrize("op", [linear([[-1.5]], [0.7]), grad_quadratic([[2.5]])],
@@ -486,29 +519,11 @@ class TestEngineMatchesReference:
     )
     def test_affine_chains_on_both_bodies(self, op, shape, sigma, blocks, body):
         # Chains start off the root, so the noiseless ones move too.  Long
-        # blocks: burn-in ends 4 steps into the second noise block (sign:
-        # mid-word in the second sign block), and chains sit on both sides of
-        # the noise tile edges.  Short blocks: one block of 360 steps, whose
-        # noise tiles are wider than a kernel tile, so chains sit on both
-        # sides of a kernel tile edge and a noise tile edge.
-        nm = make_noise(shape, sigma)
-        if shape == "rademacher":
-            n_chains = KERNEL_TILE + 5
-            chains = {0, KERNEL_TILE - 1, KERNEL_TILE, n_chains - 1}
-            sizes = dict(burn_in=16390, thin=101, samples_per_chain=20)
-        elif blocks == "long":
-            tile = sim._tile_chains(sim._STEP_BLOCK, 1)
-            n_chains = 2 * tile + 3
-            chains = {0, tile - 1, tile, 2 * tile - 1, 2 * tile, n_chains - 1}
-            sizes = dict(burn_in=4100, thin=13, samples_per_chain=20)
-        else:
-            tile = sim._tile_chains(360, 1)
-            assert tile > KERNEL_TILE + 1
-            n_chains = tile + 5
-            chains = {0, KERNEL_TILE - 1, KERNEL_TILE, tile - 1, tile, n_chains - 1}
-            sizes = dict(burn_in=150, thin=7, samples_per_chain=30)
-        assert_chains_match_reference(op, nm, n_chains, sorted(chains), seed=15,
-                                      init=[3.0], **sizes)
+        # blocks cross the numpy body's window and block edges; short ones
+        # run one block shorter than a full one.
+        sizes = EDGE_SIZES if blocks == "long" else SHORT_SIZES
+        assert_chains_match_reference(op, make_noise(shape, sigma), EDGE_CHAINS,
+                                      EDGE_CHAIN_IDS, seed=15, init=[3.0], **sizes)
 
     # about an eighth (gaussian) and a quarter (sign) of the chains diverge
     @pytest.mark.parametrize("shape, sigma", [("gaussian", [[30.0]]),
@@ -533,25 +548,12 @@ class TestEngineMatchesReference:
                              ids=["gaussian-long", "gaussian-short", "uniform-short",
                                   "noiseless", "sign"])
     def test_rounding_affine_chains_on_both_bodies(self, op, shape, blocks, body):
-        # Coefficients whose products round, started off the root.  Long
-        # blocks: burn-in ends 4 steps into the second noise block, and
-        # chains sit on both sides of the (narrow) noise tile edges.  Short
-        # blocks: one block of 160 steps, whose noise tiles are wider than a
-        # kernel tile, so chains sit on both sides of both edges.
+        # Coefficients whose products round, started off the root, with
+        # the long and short blocks of test_affine_chains_on_both_bodies
         d = op.dim
         nm = make_noise(shape, np.zeros((d, d)) if shape == "noiseless" else SIGMA[d])
-        if blocks == "long":
-            tile = sim._tile_chains(sim._STEP_BLOCK, d)
-            n_chains = 2 * tile + 3
-            chains = {0, tile - 1, tile, 2 * tile - 1, 2 * tile, n_chains - 1}
-            sizes = dict(burn_in=4100, thin=13, samples_per_chain=20)
-        else:
-            tile = sim._tile_chains(160, d)
-            assert tile > KERNEL_TILE + 1
-            n_chains = tile + 5
-            chains = {0, KERNEL_TILE - 1, KERNEL_TILE, tile - 1, tile, n_chains - 1}
-            sizes = dict(burn_in=60, thin=5, samples_per_chain=20)
-        assert_chains_match_reference(op, nm, n_chains, sorted(chains), seed=16,
+        sizes = EDGE_SIZES if blocks == "long" else SHORT_SIZES
+        assert_chains_match_reference(op, nm, EDGE_CHAINS, EDGE_CHAIN_IDS, seed=16,
                                       init=op.root + 3.0, **sizes)
 
     def test_wide_affine_chains_on_worker_threads(self, monkeypatch):
@@ -593,21 +595,3 @@ class TestEngineMatchesReference:
             == compiled
         monkeypatch.setattr(step, "load", lambda: None)
         assert run_chains(op, nm, 0.01, 0.02, seed=seed, **sizes).samples.tobytes() == compiled
-
-    @pytest.mark.parametrize(
-        "op, shape, sigma",
-        [
-            (linear([[-1.0, 0.5], [0.0, -2.0]]), "gaussian", [[1.0, 0.3], [0.3, 0.5]]),
-            (quartic(), "uniform", [[1.5]]),
-        ],
-        ids=["gaussian-d2", "uniform-d1"],
-    )
-    def test_chains_at_noise_tile_edges(self, op, shape, sigma):
-        # a full-length block is laid out a tile of chains at a time; two
-        # full tiles and a partial one put a chain on both sides of each edge
-        nm = make_noise(shape, sigma)
-        tile = sim._tile_chains(sim._STEP_BLOCK, nm.dim)
-        n_chains = 2 * tile + 5
-        assert_chains_match_reference(
-            op, nm, n_chains, sorted({0, tile - 1, tile, 2 * tile - 1, 2 * tile, n_chains - 1}),
-            burn_in=4000, thin=13, samples_per_chain=20, seed=13)

@@ -178,7 +178,7 @@ def test_compiled_body_draws_no_noise_in_python(fresh_kernel, monkeypatch):
     def in_python(*args):
         raise AssertionError("the compiled body drew or laid out noise in Python")
 
-    for name in ("_shaped_chunks", "_sign_chunks", "sample_block", "sign_words"):
+    for name in ("_noise_windows", "sample_block", "sign_words", "sign_bits"):
         monkeypatch.setattr(sim, name, in_python)
     ops = (quartic(), grad_quadratic([[2.0]]), linear([[-1.0]], [0.5]),
            grad_quadratic([[0.9, 0.2], [0.2, 0.7]]),
@@ -235,8 +235,8 @@ def kernel_draws(kernel, seed, n, shape, steps, d):
         ("gaussian", 3, 2 * 21 + 1),
         ("uniform", 1, 64 + 1),
         ("uniform", 2, 2 * 32 + 5),
-        # packed sign words, 4096 steps at a time: across the numpy body's
-        # 16384-step block, ending in a partial word
+        # packed sign words, 4096 steps at a time: across four blocks,
+        # ending in a partial word
         ("rademacher", 1, 16384 + 64 + 5),
         # 63 sign bits per sub-block, so words straddle the sub-blocks
         ("rademacher", 3, 2 * 21 + 7),
