@@ -21,7 +21,7 @@ import numpy as np
 from .core import NumericalError, PowerScaling, ValidatedConfig, philox_key, seed_rng, stream_id
 from .drift import Affine, DriftOperator, _neg_cube
 from .noise import NoiseModel, sample_block, sign_bits, sign_words
-from .stats import sample_moments
+from .stats import _pairwise_sum, sample_moments
 
 #: chains simulated together in one group, which bounds the numpy body's
 #: chain-major noise block; grouping never affects results (chains own their
@@ -95,14 +95,17 @@ class MomentSummary:
 def moment_summary(ens: Ensemble) -> MomentSummary:
     """Unbiased sample mean/covariance over all retained samples."""
     flat = ens.flat
-    if flat.shape[0] < 2:
+    n = flat.shape[0]
+    if n < 2:
         raise NumericalError("ensemble too small for moments")
     mean, cov = sample_moments(flat)
+    # (flat**2).sum(axis=1).mean(), one block of squares at a time
+    squares = _pairwise_sum(n, lambda lo, hi: np.add.reduce((flat[lo:hi] ** 2).sum(axis=1)))
     return MomentSummary(
         mean=mean,
         covariance=cov,
-        second_moment_trace=float((flat**2).sum(axis=1).mean()),
-        count=flat.shape[0],
+        second_moment_trace=float(squares / n),
+        count=n,
     )
 
 

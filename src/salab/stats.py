@@ -7,6 +7,11 @@ raw count.
 
 Printed statistics sum in a fixed order (sample_moments, fit_line, _dot),
 never in BLAS or LAPACK, whose CPU kernel and thread count split the sums.
+A sum over the n samples is numpy's pairwise add.reduce tree, evaluated one
+subtree of at most _BLOCK samples at a time (_pairwise_sum), so it has the
+bits of the whole-array reduction; means over axis 0 add the rows in
+order.  No statistic here holds a temporary of the samples' length: each
+forms its products, deviations or summands one block at a time.
 """
 
 from __future__ import annotations
@@ -29,9 +34,10 @@ _SILVERMAN_FACTOR = 1.06
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
-#: samples whose cf-residual summands are formed together, a multiple of
-#: every SIMD width, so a probe's temporaries stay small and in cache
-_CF_BLOCK = 8192
+#: samples whose products, deviations or summands a statistic forms
+#: together: a multiple of every SIMD width and of numpy's 8-way unrolled
+#: sum, so the temporaries stay small and in cache
+_BLOCK = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +58,39 @@ def _sample_matrix(samples) -> np.ndarray:
     return samples
 
 
+def _pairwise_sum(n: int, leaf):
+    """The sum over [0, n) that numpy's pairwise add.reduce of an n-array makes.
+
+    numpy adds more than 128 values as the sum of the first
+    n2 = n // 2 - (n // 2) % 8 of them and the sum of the rest, each split
+    the same way.  This splits [0, n) at the same places down to ranges of
+    at most _BLOCK and adds leaf(lo, hi), np.add.reduce over [lo, hi),
+    which is that subtree bit for bit, in the tree's order.  The ranges are
+    visited from left to right.  leaf may return an array, for several
+    trees over the same ranges.
+    """
+    def tree(lo, n):
+        if n <= _BLOCK:
+            return leaf(lo, lo + n)
+        n2 = n // 2 - (n // 2) % 8
+        return tree(lo, n2) + tree(lo + n2, n - n2)
+
+    return tree(0, n)
+
+
+def _variance(values: np.ndarray) -> float:
+    """values.var(ddof=1) of a 1-D array, without an n-length deviation."""
+    n = values.shape[0]
+    mean = np.add.reduce(values) / n
+    dev = np.empty(min(n, _BLOCK))
+
+    def leaf(lo, hi):
+        d = np.subtract(values[lo:hi], mean, out=dev[: hi - lo])
+        return np.add.reduce(np.square(d, out=d))
+
+    return _pairwise_sum(n, leaf) / (n - 1)
+
+
 def _dot(x, v):
     """x v for x of shape (..., d): sum_k x[..., k] v[k], in order of k."""
     return _ordered_product(x, v[None, :])[..., 0]
@@ -62,15 +101,23 @@ def sample_moments(samples) -> tuple:
 
     Entry (i, j) is numpy's pairwise add.reduce of the products of centred
     columns i and j, each laid out contiguously: its order depends on n only.
+    The products are formed one block at a time (_pairwise_sum).
     """
     samples = _sample_matrix(samples)
     n, d = samples.shape
     mean = samples.mean(axis=0)
-    centred = np.subtract(samples.T, mean[:, None], out=np.empty((d, n)))
+    pairs = [(i, j) for i in range(d) for j in range(i + 1)]
+    centred = np.empty((d, min(n, _BLOCK)))
+    product = np.empty(min(n, _BLOCK))
+
+    def leaf(lo, hi):
+        c = np.subtract(samples[lo:hi].T, mean[:, None], out=centred[:, : hi - lo])
+        p = product[: hi - lo]
+        return np.array([np.add.reduce(np.multiply(c[i], c[j], out=p)) for i, j in pairs])
+
     cov = np.empty((d, d))
-    for i in range(d):
-        for j in range(i + 1):
-            cov[i, j] = cov[j, i] = np.add.reduce(centred[i] * centred[j]) / (n - 1)
+    for (i, j), s in zip(pairs, _pairwise_sum(n, leaf) / (n - 1)):
+        cov[i, j] = cov[j, i] = s
     return mean, cov
 
 
@@ -81,27 +128,34 @@ def fit_line(x, y) -> tuple:
     return float(slope), float(mean[1] - slope * mean[0])
 
 
-def _batch_means(values: np.ndarray, n_batches: int) -> np.ndarray:
-    n = values.shape[0]
+def _batch_shape(n: int, n_batches: int) -> tuple:
+    """(batches, size): the first batches * size of n values, in batches of size."""
     if n < 2 * n_batches:
         n_batches = max(2, n // 2)
-    size = n // n_batches
+    return n_batches, n // n_batches
+
+
+def _batch_means(values: np.ndarray, n_batches: int) -> np.ndarray:
+    n_batches, size = _batch_shape(values.shape[0], n_batches)
     trimmed = values[: size * n_batches]
     return trimmed.reshape(n_batches, size, *values.shape[1:]).mean(axis=1)
 
 
+def _mean_se(means: np.ndarray) -> float:
+    """Standard error of the mean over batches with these means."""
+    return float(means.std(ddof=1) / np.sqrt(means.shape[0]))
+
+
 def batch_means_se(values, n_batches: int = N_BATCHES) -> float:
     """Standard error of the mean of a (possibly autocorrelated) sequence."""
-    values = np.asarray(values, dtype=float)
-    means = _batch_means(values, n_batches)
-    return float(means.std(ddof=1) / np.sqrt(means.shape[0]))
+    return _mean_se(_batch_means(np.asarray(values, dtype=float), n_batches))
 
 
 def effective_sample_size(values, n_batches: int = N_BATCHES) -> float:
     """Batch-means ESS: marginal variance over long-run variance, times n."""
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
-    marginal = values.var(ddof=1)
+    marginal = _variance(values)
     if marginal == 0.0:
         return float(n)
     means = _batch_means(values, n_batches)
@@ -219,11 +273,13 @@ def cf_residual(samples, m_lyap, sigma, t_grid=None) -> CfResidualReport:
     if n < 2:
         raise NumericalError("cf residual needs at least 2 samples")
 
-    res_re = np.empty(t_grid.shape[0])
-    res_im = np.empty(t_grid.shape[0])
-    ses = np.empty(t_grid.shape[0])
-    summand = np.empty(n, complex)
-    wave = np.empty(min(n, _CF_BLOCK), complex)    # exp(i t'y_j) per sample
+    k = t_grid.shape[0]
+    res_re, res_im, ses = np.empty(k), np.empty(k), np.empty(k)
+    summand = np.empty(min(n, _BLOCK), complex)
+    wave = np.empty(min(n, _BLOCK), complex)       # exp(i t'y_j) per sample
+    n_batches, size = _batch_shape(n, N_BATCHES)
+    batch = np.empty(size, complex)                 # the batch being filled
+    means = np.empty((2, n_batches))                # batch means of re and im
     rows = {}                                       # t.tobytes() -> its row
     for j, t in enumerate(t_grid):
         mirror = rows.get((-t).tobytes())
@@ -233,10 +289,11 @@ def cf_residual(samples, m_lyap, sigma, t_grid=None) -> CfResidualReport:
             continue
         quad = float(_dot(t, _dot(sigma, t)))
         mt = _dot(m_lyap.T, t)
-        # every step is elementwise, so the block size changes no bit
-        for lo in range(0, n, _CF_BLOCK):
-            y = samples[lo : lo + _CF_BLOCK]
-            s, w = summand[lo : lo + _CF_BLOCK], wave[: len(y)]
+
+        def leaf(lo, hi):
+            # every step is elementwise, so the range changes no bit
+            y = samples[lo:hi]
+            s, w = summand[: hi - lo], wave[: hi - lo]
             phase = _dot(y, t)
             # the real sine and cosine cost less than a complex exp, and
             # give its bits
@@ -245,11 +302,21 @@ def cf_residual(samples, m_lyap, sigma, t_grid=None) -> CfResidualReport:
             np.multiply(2j, _dot(y, mt), out=s)    # 2i t'M y_j per sample
             np.subtract(quad, s, out=s)
             np.multiply(s, w, out=s)
-        res_re[j] = summand.real.mean()
-        res_im[j] = summand.imag.mean()
-        se_re = batch_means_se(summand.real)
-        se_im = batch_means_se(summand.imag)
-        ses[j] = np.hypot(se_re, se_im)
+            # ranges come in order: copy this one into the batches it
+            # meets, and average each batch once it is full
+            at, end = lo, min(hi, n_batches * size)
+            while at < end:
+                b, off = divmod(at, size)
+                stop = min(end, (b + 1) * size)
+                batch[off : off + stop - at] = s[at - lo : stop - lo]
+                if stop == (b + 1) * size:
+                    means[:, b] = np.add.reduce(batch.real), np.add.reduce(batch.imag)
+                    means[:, b] /= size
+                at = stop
+            return np.array([np.add.reduce(s.real), np.add.reduce(s.imag)])
+
+        res_re[j], res_im[j] = _pairwise_sum(n, leaf) / n
+        ses[j] = np.hypot(_mean_se(means[0]), _mean_se(means[1]))
     return CfResidualReport(
         t_grid=t_grid,
         residual_real=res_re,
@@ -307,11 +374,13 @@ def gaussian_gof(samples, sigma_y) -> GofReport:
         # imported here so that importing salab never loads scipy
         from scipy.special import ndtr
 
-        scale = np.sqrt(sigma_y[0, 0])
-        sorted_samples = np.sort(samples[:, 0])
-        cdf = ndtr(sorted_samples / scale)
-        hi = np.max(np.arange(1, n + 1) / n - cdf)
-        lo = np.max(cdf - np.arange(0, n) / n)
+        # the sorted copy becomes the cdf in place; the steps of the
+        # empirical cdf are formed one block at a time
+        cdf = np.sort(samples[:, 0])
+        ndtr(np.divide(cdf, np.sqrt(sigma_y[0, 0]), out=cdf), out=cdf)
+        blocks = [(a, min(n, a + _BLOCK)) for a in range(0, n, _BLOCK)]
+        hi = np.max([np.max(np.arange(a + 1, b + 1) / n - cdf[a:b]) for a, b in blocks])
+        lo = np.max([np.max(cdf[a:b] - np.arange(a, b) / n) for a, b in blocks])
         ks = float(max(hi, lo))
     else:
         ks = float("nan")

@@ -3,12 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.signal
+import scipy.special
 import scipy.stats
 
 import salab.stats as stats
 from salab.core import NumericalError, seed_rng
+from salab.simulate import Ensemble, moment_summary
 from salab.stats import (
+    _BLOCK,
     _dot,
+    _pairwise_sum,
     batch_means_se,
     cf_residual,
     default_t_grid,
@@ -33,6 +37,69 @@ def test_fixed_order_moments_and_line_fit_match_numpy(d):
     for y in samples[:200].T:
         np.testing.assert_allclose(fit_line(x, y - 0.5 * x), np.polyfit(x, y - 0.5 * x, 1),
                                    rtol=1e-12, atol=0)
+
+
+def wide_range(rng, shape):
+    """Draws over many binades, whose sum depends on the order of its terms."""
+    return rng.standard_normal(shape) * np.exp(4.0 * rng.standard_normal(shape))
+
+
+def traced_peak(f, *args):
+    """The peak of the memory that f(*args) allocates, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [1000, _BLOCK - 1, _BLOCK, _BLOCK + 1, 100_003,
+                               262_143, 262_144])
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_pairwise_sum_is_numpys_reduction(n, layout):
+    data = wide_range(seed_rng(2, n), (n, 3))
+    x = np.ascontiguousarray(data[:, 0]) if layout == "contiguous" else data[:, 1]
+    assert _pairwise_sum(n, lambda lo, hi: np.add.reduce(x[lo:hi])) == np.add.reduce(x)
+    # an array-valued leaf sums several trees over the same ranges, in order
+    ranges = []
+
+    def leaf(lo, hi):
+        ranges.append((lo, hi))
+        return np.array([np.add.reduce(x[lo:hi]), np.add.reduce(data[lo:hi, 2])])
+
+    both = _pairwise_sum(n, leaf)
+    assert both.tobytes() == np.array([np.add.reduce(x), np.add.reduce(data[:, 2])]).tobytes()
+    assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+    assert ranges[-1][1] == n and max(hi - lo for lo, hi in ranges) <= _BLOCK
+
+
+@pytest.mark.parametrize("n", [2, 1000, _BLOCK + 1, 100_003])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_blocked_statistics_are_the_whole_array_ones(n, d):
+    rng = seed_rng(2, 40 + d)
+    samples = wide_range(rng, (n, d)) @ rng.standard_normal((d, d)) + 0.3
+    # the whole-array formulas, one n-length temporary per step
+    mean = samples.mean(axis=0)
+    centred = samples.T - mean[:, None]
+    cov = np.array([[np.add.reduce(centred[i] * centred[j]) / (n - 1) for j in range(d)]
+                    for i in range(d)])
+    assert sample_moments(samples)[1].tobytes() == cov.tobytes()
+    ens = Ensemble(samples=samples[None], chain_ids=np.arange(1), n_chains=1, n_diverged=0,
+                   burn_in=0, thin=1)
+    assert moment_summary(ens).second_moment_trace == float((samples**2).sum(axis=1).mean())
+    for i in range(d):
+        assert stats._variance(samples[:, i]) == samples[:, i].var(ddof=1)
+    if d == 1:
+        scale = 1.7
+        cdf = scipy.special.ndtr(np.sort(samples[:, 0]) / np.sqrt(scale))
+        ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(0, n) / n))
+        assert gaussian_gof(samples, [[scale]]).ks_distance == ks
+
+
+#: a few blocks of complex temporaries: what a statistic may hold beside
+#: its inputs, a fraction of one n-length complex array at n = 262,144
+FEW_BLOCKS = 8 * 16 * _BLOCK
 
 
 class TestBatchMeans:
@@ -204,17 +271,12 @@ class TestCfResidual:
         cf_residual(samples, m, sigma, t_grid=self.mirror_grid(grid, d))
         assert sum(passes) == 2 * computed
 
-    def test_memory_is_the_summand_and_one_block(self):
+    def test_memory_is_a_few_blocks_and_one_batch(self):
         n = 262_144
         samples = seed_rng(2, 4).standard_normal((n, 2))
-        tracemalloc.start()
-        try:
-            cf_residual(samples, [[-1.0, 0.5], [0.0, -2.0]], np.eye(2))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # one complex n-vector, the summand, and block-sized buffers
-        assert peak <= 16 * n + 2**20
+        peak = traced_peak(cf_residual, samples, [[-1.0, 0.5], [0.0, -2.0]], np.eye(2))
+        # block-sized buffers and one batch of the summand for the SEs
+        assert peak <= FEW_BLOCKS + 16 * n // stats.N_BATCHES
 
     def test_default_grid_shapes(self):
         assert default_t_grid(1).shape == (8, 1)
@@ -249,6 +311,14 @@ class TestGaussianGof:
     def test_one_sample_is_too_few(self):
         with pytest.raises(NumericalError, match="at least 2 samples"):
             gaussian_gof(np.array([[0.3, -0.2]]), np.eye(2))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_memory_is_a_few_blocks_and_the_sorted_copy(self, d):
+        n = 262_144
+        samples = seed_rng(3, 3).standard_normal((n, d))
+        peak = traced_peak(gaussian_gof, samples, np.eye(d))
+        # the KS test at d = 1 sorts one copy of the samples
+        assert peak <= FEW_BLOCKS + (8 * n if d == 1 else 0)
 
     def test_pass_rate_over_repetitions(self):
         passes = 0
