@@ -275,10 +275,11 @@ def cf_residual(samples, m_lyap, sigma, t_grid=None) -> CfResidualReport:
 
     k = t_grid.shape[0]
     res_re, res_im, ses = np.empty(k), np.empty(k), np.empty(k)
-    summand = np.empty(min(n, _BLOCK), complex)
-    wave = np.empty(min(n, _BLOCK), complex)       # exp(i t'y_j) per sample
+    m = min(n, _BLOCK)
+    cos, sin, lin, prod = np.empty((4, m))
+    summand = np.empty((2, m))                      # real and imaginary parts
     n_batches, size = _batch_shape(n, N_BATCHES)
-    batch = np.empty(size, complex)                 # the batch being filled
+    batch = np.empty((2, size))                     # the batch being filled
     means = np.empty((2, n_batches))                # batch means of re and im
     rows = {}                                       # t.tobytes() -> its row
     for j, t in enumerate(t_grid):
@@ -292,28 +293,30 @@ def cf_residual(samples, m_lyap, sigma, t_grid=None) -> CfResidualReport:
 
         def leaf(lo, hi):
             # every step is elementwise, so the range changes no bit
-            y = samples[lo:hi]
-            s, w = summand[: hi - lo], wave[: hi - lo]
+            y, k = samples[lo:hi], hi - lo
+            c, s, b, p = cos[:k], sin[:k], lin[:k], prod[:k]
+            re, im = summand[:, :k]
             phase = _dot(y, t)
-            # the real sine and cosine cost less than a complex exp, and
-            # give its bits
-            np.cos(phase, out=w.real)
-            np.sin(phase, out=w.imag)
-            np.multiply(2j, _dot(y, mt), out=s)    # 2i t'M y_j per sample
-            np.subtract(quad, s, out=s)
-            np.multiply(s, w, out=s)
+            np.cos(phase, out=c)
+            np.sin(phase, out=s)
+            np.multiply(_dot(y, mt), 2.0, out=b)
+            np.subtract(0.0, b, out=b)              # b = 0 - 2 t'M y_j per sample
+            # (quad + i b)(cos + i sin) in real arithmetic, each product and
+            # sum rounded on its own: a complex multiply would fuse them
+            # where the CPU has FMA
+            np.subtract(np.multiply(quad, c, out=re), np.multiply(b, s, out=p), out=re)
+            np.add(np.multiply(quad, s, out=im), np.multiply(b, c, out=p), out=im)
             # ranges come in order: copy this one into the batches it
             # meets, and average each batch once it is full
             at, end = lo, min(hi, n_batches * size)
             while at < end:
-                b, off = divmod(at, size)
-                stop = min(end, (b + 1) * size)
-                batch[off : off + stop - at] = s[at - lo : stop - lo]
-                if stop == (b + 1) * size:
-                    means[:, b] = np.add.reduce(batch.real), np.add.reduce(batch.imag)
-                    means[:, b] /= size
+                i, off = divmod(at, size)
+                stop = min(end, (i + 1) * size)
+                batch[:, off : off + stop - at] = summand[:, at - lo : stop - lo]
+                if stop == (i + 1) * size:
+                    means[:, i] = np.add.reduce(batch, axis=1) / size
                 at = stop
-            return np.array([np.add.reduce(s.real), np.add.reduce(s.imag)])
+            return np.add.reduce(summand[:, :k], axis=1)
 
         res_re[j], res_im[j] = _pairwise_sum(n, leaf) / n
         ses[j] = np.hypot(_mean_se(means[0]), _mean_se(means[1]))

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 import weakref
@@ -497,10 +498,13 @@ class TestEmCompareCommand:
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_salab_process(args, openblas=None, coretype=None, **kwargs):
-    """A fresh interpreter on ./src, with OPENBLAS_NUM_THREADS and
-    OPENBLAS_CORETYPE (the CPU kernel OpenBLAS runs) unset or set."""
-    blas = {"OPENBLAS_NUM_THREADS": openblas, "OPENBLAS_CORETYPE": coretype}
+def run_salab_process(args, openblas=None, coretype=None, numpy_disabled=None, **kwargs):
+    """A fresh interpreter on ./src, with OPENBLAS_NUM_THREADS,
+    OPENBLAS_CORETYPE (the CPU kernel OpenBLAS runs) and
+    NPY_DISABLE_CPU_FEATURES (the SIMD levels numpy may not dispatch to)
+    unset or set."""
+    blas = {"OPENBLAS_NUM_THREADS": openblas, "OPENBLAS_CORETYPE": coretype,
+            "NPY_DISABLE_CPU_FEATURES": numpy_disabled}
     env = {k: v for k, v in os.environ.items() if k not in blas}
     env.update({k: v for k, v in blas.items() if v is not None})
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
@@ -579,6 +583,22 @@ def test_pipeline_bytes_do_not_depend_on_blas_threads(tmp_path, blas_reference_c
     csvs = blas_run_csvs(tmp_path, openblas, coretype)
     assert {"linear2d/cf_residual.csv", "quadratic1d/gof.csv", "fig3/logfit.csv"} <= set(csvs)
     assert csvs == blas_reference_csvs
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="names x86 SIMD levels")
+def test_pipeline_bytes_do_not_depend_on_numpys_simd_level(tmp_path):
+    # numpy's complex multiply fuses with FMA from X86_V3 up; the cf
+    # residual forms its summands in real arithmetic, rounding each step
+    cfg = write_cfg(tmp_path, BLAS_CONFIGS["linear2d"] + BLAS_SIZES)
+    csvs = []
+    for disabled in (None, "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"):
+        out = tmp_path / f"out-{len(csvs)}"
+        run_salab_process(["-m", "salab", "pipeline", "--config", cfg, "--out", str(out)],
+                          numpy_disabled=disabled, check=True)
+        csvs.append(read_bytes(out))
+    assert "cf_residual.csv" in csvs[0]
+    assert csvs[0] == csvs[1]
 
 
 def test_an_ensemble_too_large_to_allocate_exits_3(tmp_path):

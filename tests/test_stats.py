@@ -209,13 +209,12 @@ class TestCfResidual:
             quad = float(_dot(t, _dot(sigma, t)))
             linear = _dot(samples, _dot(m.T, t))
             phase = _dot(samples, t)
-            wave = np.empty(n, complex)
-            np.cos(phase, out=wave.real)
-            np.sin(phase, out=wave.imag)
-            summand = (quad - 2j * linear) * wave
-            want[:, j] = (summand.real.mean(), summand.imag.mean(),
-                          np.hypot(batch_means_se(summand.real),
-                                   batch_means_se(summand.imag)))
+            b = 0.0 - 2.0 * linear
+            # (quad + i b)(cos + i sin), with no fused multiply-add
+            re = quad * np.cos(phase) - b * np.sin(phase)
+            im = quad * np.sin(phase) + b * np.cos(phase)
+            want[:, j] = (re.mean(), im.mean(),
+                          np.hypot(batch_means_se(re), batch_means_se(im)))
         got = np.array([rep.residual_real, rep.residual_imag, rep.se])
         assert got.tobytes() == want.tobytes()
 
