@@ -25,9 +25,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-import shutil
-import subprocess
-import tempfile
 from functools import cache
 from pathlib import Path
 from typing import Optional
@@ -175,12 +172,17 @@ def _includes() -> list:
     return [f"-I{np.get_include()}", f"-I{sysconfig.get_paths()['include']}"]
 
 
-def compile_source(source: bytes, target: Path, *extra: str) -> subprocess.CompletedProcess:
+def compile_source(source: bytes, target: Path, *extra: str):
     """Compile source, as C, into the shared library target, as the kernel is built.
 
-    extra flags (warnings, reports) are added to CFLAGS; the result holds
-    the compiler's exit status and its output.
+    extra flags (warnings, reports) are added to CFLAGS; the result, a
+    subprocess.CompletedProcess, holds the compiler's exit status and its
+    output.
     """
+    # imported here, as only a build runs the compiler
+    import shutil
+    import subprocess
+
     cc = shutil.which("cc")
     if cc is None:
         raise OSError("no C compiler on PATH")
@@ -200,8 +202,11 @@ def cache_key(source: bytes, library: bytes) -> str:
 
 
 def _build(source: bytes, target: Path) -> None:
-    """Compile source into target, unless another process already has."""
+    """Compile source into target, unless another process already has; OSError
+    when the compiler fails."""
     import fcntl
+    import subprocess
+    import tempfile
 
     target.parent.mkdir(parents=True, exist_ok=True)
     with open(target.with_suffix(".lock"), "w") as lock:
@@ -214,6 +219,8 @@ def _build(source: bytes, target: Path) -> None:
             # compile the very bytes that were hashed
             compile_source(source, Path(tmp)).check_returncode()
             os.replace(tmp, target)
+        except subprocess.SubprocessError as err:
+            raise OSError(f"step kernel build failed: {err}") from err
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
@@ -306,5 +313,5 @@ def load() -> Optional[Kernel]:
         if lib.init() != 0 or not _self_check(kernel) or not _format_check(kernel):
             return None
         return kernel
-    except (OSError, ImportError, AttributeError, subprocess.SubprocessError):
+    except (OSError, ImportError, AttributeError):
         return None

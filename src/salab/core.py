@@ -61,7 +61,28 @@ def seed_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 def stream_id(*labels: Any) -> int:
     """Stable 64-bit stream id derived from a tuple of printable labels."""
-    digest = hashlib.blake2b(repr(labels).encode("utf-8"), digest_size=8)
+    return _id(hashlib.blake2b(repr(labels).encode("utf-8"), digest_size=8))
+
+
+def stream_ids(labels: tuple, lasts) -> list:
+    """[stream_id(*labels, last) for last in lasts], hashing labels once.
+
+    repr((*labels, last)) is repr((*labels, 0)) up to its final "0)",
+    then repr(last) and ")", so the hash of that common prefix is copied
+    for each last.
+    """
+    if not labels:
+        raise ValueError("stream_ids needs at least one label before the last")
+    prefix = hashlib.blake2b(repr((*labels, 0))[:-2].encode("utf-8"), digest_size=8)
+    ids = []
+    for last in lasts:
+        h = prefix.copy()
+        h.update(f"{last!r})".encode("utf-8"))
+        ids.append(_id(h))
+    return ids
+
+
+def _id(digest) -> int:
     return int.from_bytes(digest.digest(), "little")
 
 

@@ -11,14 +11,13 @@ only the keys and runs the same streams itself, to the same bits.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil
 from typing import Optional
 
 import numpy as np
 
-from .core import NumericalError, PowerScaling, ValidatedConfig, philox_key, seed_rng, stream_id
+from .core import NumericalError, PowerScaling, ValidatedConfig, philox_key, seed_rng, stream_ids
 from .drift import Affine, DriftOperator, _neg_cube
 from .noise import NoiseModel, sample_block, sign_bits, sign_words
 from .stats import _pairwise_sum, sample_moments
@@ -208,7 +207,7 @@ def _run_group(
     makes the same draws and the same roundings in the same order.
     """
     nc = chain_ids.size
-    streams = [stream_id(*label, int(c)) for c in chain_ids]
+    streams = stream_ids(label, chain_ids.tolist())
     total = burn_in + out.shape[1] * thin
     x = np.tile(init, (nc, 1))
 
@@ -274,6 +273,9 @@ def run_chains(
         )
 
     if threads > 1 and len(groups) > 1:
+        # imported here, as a run of one chain group starts no pool
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, groups))
     else:

@@ -10,6 +10,7 @@ from salab.core import (
     parse_config_file,
     seed_rng,
     stream_id,
+    stream_ids,
     validate_config,
 )
 
@@ -36,6 +37,17 @@ class TestSeedRng:
     def test_stream_id_stable(self):
         assert stream_id("ens", 0.5, 3) == stream_id("ens", 0.5, 3)
         assert stream_id("ens", 0.5, 3) != stream_id("ens", 0.5, 4)
+
+    @pytest.mark.parametrize("labels", [("simulate", "linear", "gaussian", "0.005"),
+                                        ("t-grid",), (0.5, None, (1, "a"))])
+    def test_stream_ids_are_the_per_chain_ones(self, labels):
+        lasts = [0, 1, 7, 4095, 4096, 2**63, -3, "x", 0.25, (2, 3)]
+        assert stream_ids(labels, lasts) == [stream_id(*labels, last) for last in lasts]
+        assert stream_ids(labels, []) == []
+
+    def test_stream_ids_need_a_label_before_the_last(self):
+        with pytest.raises(ValueError, match="at least one label"):
+            stream_ids((), [0])
 
 
 class TestPowerScaling:

@@ -14,6 +14,7 @@ from salab.core import (
     PowerScaling,
     seed_rng,
     stream_id,
+    stream_ids,
     validate_config,
 )
 from salab.drift import grad_quadratic, linear, quartic
@@ -66,21 +67,21 @@ def one_step(op, nm, alpha, x0, seed):
 def spread_over_threads(monkeypatch):
     """The set of threads that name chains' streams, each held until a second one starts.
 
-    Both bodies call stream_id once per chain.  Groups of a few chains
+    Both bodies call stream_ids once per group.  Groups of a few chains
     finish in microseconds on the compiled kernel, so one worker could
     otherwise run them all before another starts.
     """
     workers, second = set(), threading.Event()
 
-    def stream_id_noting_thread(*args):
+    def stream_ids_noting_thread(*args):
         workers.add(threading.get_ident())
         if len(workers) >= 2:
             second.set()
         elif not second.wait(timeout=10):
             second.set()          # no second worker: fail on the count, not here
-        return stream_id(*args)
+        return stream_ids(*args)
 
-    monkeypatch.setattr(sim, "stream_id", stream_id_noting_thread)
+    monkeypatch.setattr(sim, "stream_ids", stream_ids_noting_thread)
     return workers
 
 
