@@ -18,7 +18,10 @@ process.  One untimed run per side comes first, so the compiled kernel is
 built before any timed run.
 
 Per run it records the CPU seconds (user + system), the peak RSS from
-os.wait4 and the engine its manifest.json names.  The numpy body writes the
+os.wait4, and from its manifest.json the engine and manifest_peak_rss_mb,
+the run's own VmHWM: a forked child's ru_maxrss starts at this process's
+high-water mark, which puts a floor under it, and VmHWM has no such
+floor.  The numpy body writes the
 compiled kernel's bytes, so a kernel that failed to build or load would
 time a different program unseen: a run whose engine is not "compiled", or
 a pair whose two runs name different engines, is listed as a problem.
@@ -59,7 +62,7 @@ from workloads import WORKLOADS  # noqa: E402
 SIDES = ("parent", "change")
 
 #: metrics of a run, each lower-is-better
-METRICS = ("cpu_s", "peak_rss_mb")
+METRICS = ("cpu_s", "peak_rss_mb", "manifest_peak_rss_mb")
 
 #: worker threads of every run, as perfbench/run.py sets them
 THREADS = min(2, len(os.sched_getaffinity(0)))
@@ -109,7 +112,14 @@ def differing_csvs(a: Path, b: Path) -> list:
                     and filecmp.cmp(a / n, b / n, shallow=False))]
 
 
+def _fmt(value, spec: str = ".4g") -> str:
+    return "-" if value is None else format(value, spec)
+
+
 def summary(values: list) -> dict:
+    values = [v for v in values if v is not None]     # a failed run has no manifest
+    if not values:
+        return {"median": None, "q1": None, "q3": None, "runs": []}
     q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                  if len(values) > 1 else values * 3)
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
@@ -129,7 +139,9 @@ def run_pairs(name: str, srcs: dict, seeds: list, work: Path) -> dict:
             problems.append(f"{label}: exit {rec['returncode']}: {' | '.join(tail)}")
         else:
             problems.extend(f"{label}: {p}" for p in gate(name, out))
-            rec["engine"] = json.loads((out / "manifest.json").read_text())["engine"]
+            manifest = json.loads((out / "manifest.json").read_text())
+            rec["engine"] = manifest["engine"]
+            rec["manifest_peak_rss_mb"] = manifest.get("peak_rss_mb")
             if rec["engine"] != "compiled":
                 problems.append(f"{label}: engine {rec['engine']}, not compiled")
         return rec, out
@@ -143,7 +155,9 @@ def run_pairs(name: str, srcs: dict, seeds: list, work: Path) -> dict:
             rec, outs[side] = one(side, seed, str(seed))
             runs[side].append(rec)
             print(f"{name} seed {seed} {side:6s} cpu_s {rec['cpu_s']:.3f} "
-                  f"peak_rss_mb {rec['peak_rss_mb']:.2f} engine {rec.get('engine')}", flush=True)
+                  f"peak_rss_mb {rec['peak_rss_mb']:.2f} manifest_peak_rss_mb "
+                  f"{_fmt(rec.get('manifest_peak_rss_mb'), '.2f')} engine {rec.get('engine')}",
+                  flush=True)
         engines = {side: runs[side][-1].get("engine") for side in SIDES}
         if engines["parent"] != engines["change"]:
             problems.append(f"seed {seed}: engines differ: {engines}")
@@ -158,14 +172,16 @@ def run_pairs(name: str, srcs: dict, seeds: list, work: Path) -> dict:
               "differing_csvs": differing,
               "engines": {side: [r.get("engine") for r in runs[side]] for side in SIDES}}
     record["change_wins"] = {
-        m: sum(c[m] < p[m] for p, c in zip(runs["parent"], runs["change"]))
+        m: sum(p.get(m) is not None and c.get(m) is not None and c[m] < p[m]
+               for p, c in zip(runs["parent"], runs["change"]))
         for m in METRICS}
     for side in SIDES:
-        record[side] = {m: summary([r[m] for r in runs[side]]) for m in METRICS + ("wall_s",)}
+        record[side] = {m: summary([r.get(m) for r in runs[side]])
+                        for m in METRICS + ("wall_s",)}
     for m in METRICS:
         p, c = record["parent"][m], record["change"][m]
-        print(f"{name} {m}: parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] "
-              f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], "
+        print(f"{name} {m}: parent {_fmt(p['median'])} [{_fmt(p['q1'])}, {_fmt(p['q3'])}] "
+              f"change {_fmt(c['median'])} [{_fmt(c['q1'])}, {_fmt(c['q3'])}], "
               f"change lower in {record['change_wins'][m]}/{len(seeds)}")
     return record
 
@@ -192,8 +208,9 @@ def main(argv=None) -> int:
     record = {
         "about": "Alternating parent/change runs of each workload's salab command, one seed "
                  "per pair; cpu_s and peak_rss_mb from os.wait4 (ru_maxrss starts at this "
-                 "process's own peak); engines are each run's manifest engine; change_wins "
-                 "counts the pairs where the change read lower.",
+                 "process's own peak); manifest_peak_rss_mb is the peak_rss_mb of each "
+                 "run's manifest.json, the run's own VmHWM; engines are each run's manifest "
+                 "engine; change_wins counts the pairs where the change read lower.",
         "machine": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                     "platform": platform.platform()},
         "sides": {side: {"src": str(given), "src_sha256": tree_hash(srcs[side])}

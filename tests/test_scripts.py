@@ -53,7 +53,7 @@ def test_bench_pairs_runs_one_pair_of_identical_trees(tmp_path):
     assert len(run["problems"]) == (0 if compiled else 4)    # warm-up and timed runs
     assert run["identical_csvs"] == 1 and run["differing_csvs"] == {}
     for side in ("parent", "change"):
-        for metric in ("cpu_s", "peak_rss_mb"):
+        for metric in ("cpu_s", "peak_rss_mb", "manifest_peak_rss_mb"):
             assert len(run[side][metric]["runs"]) == 1
             assert run[side][metric]["median"] > 0
 
