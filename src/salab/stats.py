@@ -11,7 +11,10 @@ A sum over the n samples is numpy's pairwise add.reduce tree, evaluated one
 subtree of at most _BLOCK samples at a time (_pairwise_sum), so it has the
 bits of the whole-array reduction; means over axis 0 add the rows in
 order.  No statistic here holds a temporary of the samples' length: each
-forms its products, deviations or summands one block at a time.
+forms its products, deviations or summands one block at a time, and only
+the KS test (d = 1) holds a copy, the sorted one.  Every product and sum
+rounds on its own, with no fused multiply-add, so the bits do not depend
+on numpy's SIMD level either.
 """
 
 from __future__ import annotations
@@ -58,24 +61,21 @@ def _sample_matrix(samples) -> np.ndarray:
     return samples
 
 
-def _pairwise_sum(n: int, leaf):
-    """The sum over [0, n) that numpy's pairwise add.reduce of an n-array makes.
+def _pairwise_sum(n: int, leaf, lo: int = 0):
+    """The sum over [lo, lo + n) that numpy's pairwise add.reduce of those n values makes.
 
     numpy adds more than 128 values as the sum of the first
     n2 = n // 2 - (n // 2) % 8 of them and the sum of the rest, each split
-    the same way.  This splits [0, n) at the same places down to ranges of
-    at most _BLOCK and adds leaf(lo, hi), np.add.reduce over [lo, hi),
+    the same way.  This splits the range at the same places down to ranges
+    of at most _BLOCK and adds leaf(a, b), np.add.reduce over [a, b),
     which is that subtree bit for bit, in the tree's order.  The ranges are
     visited from left to right.  leaf may return an array, for several
     trees over the same ranges.
     """
-    def tree(lo, n):
-        if n <= _BLOCK:
-            return leaf(lo, lo + n)
-        n2 = n // 2 - (n // 2) % 8
-        return tree(lo, n2) + tree(lo + n2, n - n2)
-
-    return tree(0, n)
+    if n <= _BLOCK:
+        return leaf(lo, lo + n)
+    n2 = n // 2 - (n // 2) % 8
+    return _pairwise_sum(n2, leaf, lo) + _pairwise_sum(n - n2, leaf, lo + n2)
 
 
 def _variance(values: np.ndarray) -> float:
