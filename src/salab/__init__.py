@@ -38,12 +38,7 @@ from .drift import (
     quartic,
     quartic_sine,
 )
-from .lyapunov import (
-    LyapunovSolution,
-    predict_stationary,
-    solve_lyapunov,
-    solve_lyapunov_integral,
-)
+from .lyapunov import LyapunovSolution, predict_stationary, solve_lyapunov
 from .noise import NoiseModel, make_noise, sample_block
 from .scaling import (
     ScalingReport,

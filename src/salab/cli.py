@@ -36,7 +36,13 @@ from .lyapunov import predict_stationary
 from .scaling import find_scaling_exponent
 from .sde import em_vs_sa_compare
 from .simulate import engine, moment_summary, run_ensemble
-from .stats import cf_residual, estimate_density, gaussian_gof, log_density_fit
+from .stats import (
+    MIN_DENSITY_SAMPLES,
+    cf_residual,
+    estimate_density,
+    gaussian_gof,
+    log_density_fit,
+)
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -204,7 +210,7 @@ class _Manifest:
 def _runtime(threads: int) -> dict:
     """What a run's speed depends on and its bytes do not: kept out of the CSVs."""
     affinity = getattr(os, "sched_getaffinity", None)   # not on macOS or Windows
-    runtime = {
+    return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "nproc": len(affinity(0)) if affinity else os.cpu_count(),
@@ -212,9 +218,6 @@ def _runtime(threads: int) -> dict:
         # set to "1" by importing salab unless the caller set it first
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
-    if "scipy" in sys.modules:    # never imported here: that takes a second
-        runtime["scipy"] = sys.modules["scipy"].__version__
-    return runtime
 
 
 def _peak_rss_mb():
@@ -429,19 +432,35 @@ def _run_tests_for(validated, manifest, scaling, threads) -> None:
         _emit_logfit({q: log_density_fit(est, q) for q in {q_main, 2}}, manifest)
 
 
-@_config_command("test", "test: would simulate and write verification CSVs")
+def _require_density_samples(validated) -> None:
+    """Reject a 1-d config with fewer samples than its density estimate needs.
+
+    Diverged chains can still leave a run short of them, which is a
+    numerical failure (exit 3) found only after simulating.
+    """
+    count = validated.n_chains * validated.samples_per_chain
+    if validated.op.dim == 1 and count < MIN_DENSITY_SAMPLES:
+        raise ConfigError(
+            f"n_chains x samples_per_chain = {count}: a 1-d test estimates the "
+            f"density, which needs at least {MIN_DENSITY_SAMPLES} samples"
+        )
+
+
+@_config_command("test", "test: would simulate and write verification CSVs",
+                 check=_require_density_samples)
 def _cmd_test(validated, manifest, threads) -> None:
     scaling = _resolve_scaling(validated)
     _run_tests_for(validated, manifest, scaling, threads)
 
 
-def _require_auto_scaling(validated) -> None:
+def _check_pipeline(validated) -> None:
     if validated.scaling != "auto":
         raise ConfigError("pipeline requires scaling = auto")
+    _require_density_samples(validated)
 
 
 @_config_command("pipeline", "pipeline: would run find-scaling, simulate, predict, test",
-                 check=_require_auto_scaling)
+                 check=_check_pipeline)
 def _cmd_pipeline(validated, manifest, threads) -> None:
     report = _emit_scaling_report(validated.op, manifest)
     scaling = PowerScaling(report.exponent)

@@ -19,6 +19,7 @@ on numpy's SIMD level either.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,6 +187,9 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
 #: resolution of the accumulated sum, so truncation does not alter results
 _KERNEL_CUTOFF = 8.7
 
+#: fewest samples a density is estimated from
+MIN_DENSITY_SAMPLES = 1000
+
 
 def estimate_density(samples, grid) -> DensityEstimate:
     """Gaussian-kernel density estimate on the given grid (scalar samples).
@@ -196,8 +200,9 @@ def estimate_density(samples, grid) -> DensityEstimate:
     """
     samples = np.asarray(samples, dtype=float).ravel()
     grid = np.asarray(grid, dtype=float)
-    if samples.size < 1000:
-        raise NumericalError("density estimation needs at least 1000 samples")
+    if samples.size < MIN_DENSITY_SAMPLES:
+        raise NumericalError(
+            f"density estimation needs at least {MIN_DENSITY_SAMPLES} samples")
     h = silverman_bandwidth(samples)
     if h <= 0.0 or not np.isfinite(h):
         raise NumericalError("zero bandwidth: samples are degenerate")
@@ -374,14 +379,13 @@ def gaussian_gof(samples, sigma_y) -> GofReport:
     )
 
     if d == 1:
-        # imported here so that importing salab never loads scipy
-        from scipy.special import ndtr
-
-        # the sorted copy becomes the cdf in place; the steps of the
-        # empirical cdf are formed one block at a time
+        # the sorted copy becomes the normal cdf in place, and the steps of
+        # the empirical cdf are formed, one block at a time
         cdf = np.sort(samples[:, 0])
-        ndtr(np.divide(cdf, np.sqrt(sigma_y[0, 0]), out=cdf), out=cdf)
+        root = math.sqrt(2.0 * sigma_y[0, 0])
         blocks = [(a, min(n, a + _BLOCK)) for a in range(0, n, _BLOCK)]
+        for a, b in blocks:
+            cdf[a:b] = [0.5 * math.erfc(-x / root) for x in cdf[a:b].tolist()]
         hi = np.max([np.max(np.arange(a + 1, b + 1) / n - cdf[a:b]) for a, b in blocks])
         lo = np.max([np.max(cdf[a:b] - np.arange(a, b) / n) for a, b in blocks])
         ks = float(max(hi, lo))

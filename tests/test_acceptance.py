@@ -15,11 +15,7 @@ from salab.cli import main as cli_main
 from salab.core import ExperimentConfig, seed_rng, validate_config
 from salab.drift import exp_square, grad_quadratic, quartic, quartic_sine
 from salab.figures import run_figure
-from salab.lyapunov import (
-    RESIDUAL_REL_TOL,
-    solve_lyapunov,
-    solve_lyapunov_integral,
-)
+from salab.lyapunov import RESIDUAL_REL_TOL, solve_lyapunov
 from salab.scaling import find_scaling_exponent
 from salab.sde import em_vs_sa_compare, run_em_ensemble
 from salab.simulate import run_ensemble
@@ -29,6 +25,8 @@ from salab.stats import (
     effective_sample_size,
     gaussian_gof,
 )
+
+from lyapunov_oracle import solve_lyapunov_integral
 
 SEED = 2024
 

@@ -124,9 +124,7 @@ class TestSimulateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert sorted(manifest["files"]) == sorted(n for n in names if n != "manifest.json")
         runtime = manifest["runtime"]
-        # scipy's version is recorded when the process has loaded scipy
-        assert set(runtime) == {"python", "numpy", "nproc", "threads", "openblas_num_threads",
-                                *(["scipy"] if "scipy" in sys.modules else [])}
+        assert set(runtime) == {"python", "numpy", "nproc", "threads", "openblas_num_threads"}
         assert runtime["threads"] == 1 and runtime["numpy"] == np.__version__
         assert runtime["openblas_num_threads"] == os.environ["OPENBLAS_NUM_THREADS"]
         header, first, second = (out / "samples_0.1.csv").read_text().splitlines()[:3]
@@ -447,6 +445,24 @@ class TestPipelineCommand:
         assert err == "numerical failure: Gaussian goodness of fit needs at least 2 samples\n"
         assert not (out / "gof.csv").exists()
 
+    @pytest.mark.parametrize("command, scaling", [("test", "0.5"), ("pipeline", "auto")])
+    def test_too_few_samples_for_a_density_exit_2_before_simulating(self, tmp_path, capsys,
+                                                                    command, scaling):
+        body = QUAD_CFG.replace("scaling = 0.5", f"scaling = {scaling}")
+        body = body.replace("samples_per_chain = 32", "samples_per_chain = 100")
+        out = tmp_path / command
+        # 4 chains x 100 records: a 1-d density estimate needs 1000 samples
+        cfg = write_cfg(tmp_path, body.replace("n_chains = 8", "n_chains = 4"))
+        for dry_run in ([], ["--dry-run"]):
+            assert main([command, "--config", cfg, "--out", str(out), *dry_run]) == 2
+            assert capsys.readouterr().err == (
+                "config error: n_chains x samples_per_chain = 400: a 1-d test estimates "
+                "the density, which needs at least 1000 samples\n")
+            assert not out.exists()
+        # 10 x 100 is enough
+        cfg = write_cfg(tmp_path, body.replace("n_chains = 8", "n_chains = 10"))
+        assert main([command, "--config", cfg, "--out", str(out), "--dry-run"]) == 0
+
 
 class TestEmCompareCommand:
     def test_em_compare_csv(self, tmp_path):
@@ -625,23 +641,24 @@ def test_a_failed_run_removes_only_the_empty_directories_it_made(tmp_path, comma
     assert list(kept.iterdir()) == []
 
 
-@pytest.mark.parametrize("command, body, loads_scipy", [
-    ("test", QUAD_CFG.replace("n_chains = 8", "n_chains = 32"), True),
+@pytest.mark.parametrize("command, body", [
+    ("test", QUAD_CFG.replace("n_chains = 8", "n_chains = 32")),
+    ("pipeline", QUAD_CFG.replace("n_chains = 8", "n_chains = 32")
+                         .replace("scaling = 0.5", "scaling = auto")),
+    ("predict", QUAD_CFG),
     ("simulate", "drift = linear\ndrift.a = [[-1.0, 0.0], [0.0, -1.0]]\n"
                  "noise.sigma = [[1.0, 0.0], [0.0, 1.0]]\nalphas = 0.1\nscaling = 0.5\n"
-                 "n_chains = 4\nsamples_per_chain = 8\n", False),
-], ids=["test-1d", "simulate-2d"])
-def test_manifest_records_scipy_only_when_the_run_loaded_it(tmp_path, command, body,
-                                                            loads_scipy):
+                 "n_chains = 4\nsamples_per_chain = 8\n"),
+], ids=["test-1d", "pipeline-1d", "predict-1d", "simulate-2d"])
+def test_manifest_records_scipy_only_when_the_run_loaded_it(tmp_path, command, body):
+    # no command loads scipy, the 1-d KS test included, so no manifest names it
     cfg, out = write_cfg(tmp_path, body), tmp_path / "run"
-    run_salab_process(["-m", "salab", command, "--config", cfg, "--out", str(out)],
-                      check=True)
-    runtime = json.loads((out / "manifest.json").read_text())["runtime"]
-    assert ("scipy" in runtime) is loads_scipy
-    if loads_scipy:
-        import scipy
-
-        assert runtime["scipy"] == scipy.__version__
+    code = ("import sys\nfrom salab.cli import main\ncode = main(sys.argv[1:])\n"
+            "print(code, any(m.partition('.')[0] == 'scipy' for m in sys.modules))")
+    res = run_salab_process(["-c", code, command, "--config", cfg, "--out", str(out)],
+                            check=True)
+    assert res.stdout.split()[-2:] == ["0", "False"]
+    assert "scipy" not in json.loads((out / "manifest.json").read_text())["runtime"]
 
 
 def test_manifest_records_the_process_peak_rss(tmp_path):
