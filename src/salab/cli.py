@@ -39,9 +39,11 @@ from .simulate import engine, moment_summary, run_ensemble
 from .stats import (
     MIN_DENSITY_SAMPLES,
     cf_residual,
+    density_grid,
     estimate_density,
     gaussian_gof,
     log_density_fit,
+    log_fit_exponents,
 )
 
 
@@ -329,6 +331,12 @@ def _config_command(name: str, dry_run: str, check=None):
             if args.out is not None:
                 cfg.out_dir = args.out
             validated = validate_config(cfg)
+            # files of two stepsizes must not share a name; as the alphas
+            # decrease and rounding is monotone, only neighbours can
+            for a, b in zip(validated.alphas, validated.alphas[1:]):
+                if _alpha_tag(a) == _alpha_tag(b):
+                    raise ConfigError(f"alphas {a!r} and {b!r} share the file tag "
+                                      f"{_alpha_tag(a)!r}")
             if check is not None:
                 check(validated)
             if args.dry_run:
@@ -392,8 +400,7 @@ def _run_tests_for(validated, manifest, scaling, threads) -> None:
         manifest.add_ensemble(_alpha_tag(alpha), ens, time.perf_counter() - t0)
         if validated.op.dim == 1:
             flat = ens.flat[:, 0]
-            span = 4.6 * float(flat.std(ddof=1))
-            est = estimate_density(flat, np.linspace(-span, span, 513))
+            est = estimate_density(flat, density_grid(float(flat.std(ddof=1))))
             _emit_density(est, alpha, manifest)
     manifest.engine = engine(validated.op)
     smallest = validated.alphas[-1]
@@ -428,8 +435,8 @@ def _run_tests_for(validated, manifest, scaling, threads) -> None:
         manifest.note("no Gaussian prediction available for this drift/scaling")
 
     if validated.op.dim == 1:
-        q_main = 4 if abs(scaling.exponent - 0.25) < 1e-9 else 2
-        _emit_logfit({q: log_density_fit(est, q) for q in {q_main, 2}}, manifest)
+        _emit_logfit({q: log_density_fit(est, q) for q in log_fit_exponents(scaling.exponent)},
+                     manifest)
 
 
 def _require_density_samples(validated) -> None:
@@ -483,19 +490,10 @@ def _cmd_em_compare(validated, manifest, threads) -> None:
     if not_run:
         manifest.note("em-compare runs the first alpha only; not run: "
                       + ", ".join(map(_alpha_tag, not_run)))
-    result = em_vs_sa_compare(
-        validated.op,
-        alpha,
-        exponent=_resolve_scaling(validated).exponent,
-        n_chains=validated.n_chains,
-        burn_in=validated.burn_in,
-        thin=validated.thin,
-        samples_per_chain=validated.samples_per_chain,
-        seed=validated.seed,
-        threads=threads,
-    )
+    scaling = _resolve_scaling(validated)
+    result = em_vs_sa_compare(validated, alpha, scaling, threads=threads)
     manifest.engine = engine(validated.op)
-    rows = [("alpha", alpha), ("exponent", result.exponent),
+    rows = [("alpha", alpha), ("exponent", scaling.exponent),
             ("rel_err", result.rel_err)]
     rows += list(_matrix_rows("sa_cov", result.sa_cov))
     rows += list(_matrix_rows("em_cov", result.em_cov))

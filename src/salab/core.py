@@ -133,7 +133,7 @@ def require_spd(m, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class PowerScaling:
-    """Power-law normalization g(alpha) = coeff * alpha**exponent.
+    """Power-law normalization g(alpha) = alpha**exponent.
 
     Exponents in (0, 1) guarantee both g(alpha) -> 0 and alpha/g(alpha) -> 0
     as alpha -> 0; exponent 1.0 is representable only so that it can be
@@ -141,16 +141,13 @@ class PowerScaling:
     """
 
     exponent: float
-    coeff: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.exponent <= 1.0):
             raise ConfigError("scaling exponent must lie in (0, 1]")
-        if self.coeff <= 0.0:
-            raise ConfigError("scaling coefficient must be positive")
 
     def __call__(self, alpha: float) -> float:
-        return self.coeff * float(alpha) ** self.exponent
+        return float(alpha) ** self.exponent
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +338,7 @@ def parse_config_file(path) -> ExperimentConfig:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
+    given = {}          # key -> the line that gave it
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -350,6 +348,10 @@ def parse_config_file(path) -> ExperimentConfig:
             continue
         key, _, value = line.partition("=")
         key = key.strip()
+        if key in given:
+            errors.append(f"line {lineno}: key {key!r} already given on line {given[key]}")
+            continue
+        given[key] = lineno
         parsed = _parse_value(value)
         if key == "alphas":
             try:

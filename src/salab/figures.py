@@ -4,7 +4,8 @@ Each figure simulates one drift across a decade ladder of stepsizes, scales
 the iterates by a candidate power law, and reports kernel density curves
 plus a convergence-trend verdict.  With the right exponent the curves pile
 up on a fixed limit shape; with a wrong one they form a self-similar family
-whose spread drifts geometrically, which the trend check detects.
+whose spread drifts geometrically, which the trend check detects.  A figure
+of a single stepsize reports the log-density fits of its limit instead.
 
 Ensembles here use sign noise: the limiting law depends on the noise only
 through its covariance, and sign draws cost a fraction of gaussian ones,
@@ -24,7 +25,7 @@ from .core import NumericalError, PowerScaling
 from .drift import DriftOperator, from_config
 from .noise import make_noise
 from .simulate import engine, require_stable, run_chains
-from .stats import estimate_density, log_density_fit
+from .stats import density_grid, estimate_density, log_density_fit, log_fit_exponents
 
 #: density curves flatten/sharpen 10^|p - p*| per decade under a wrong
 #: exponent; allow half that movement (in log10) between the two smallest
@@ -85,22 +86,28 @@ class FigureSpec:
     drift: str
     exponent: float
     alphas: tuple
-    trend: bool                   # run the convergence-trend check
-    fit_exponents: tuple          # log-density fits to report
+
+    @property
+    def trend(self) -> bool:           # the trend check, on a ladder of 3 or more
+        return len(self.alphas) >= 3
+
+    @property
+    def fit_exponents(self) -> tuple:  # log-density fits, on a single stepsize
+        return () if self.trend else log_fit_exponents(self.exponent)
 
 
 FIGURE_SPECS = {
     # quartic objective: alpha^(1/2) is the wrong scaling, alpha^(1/4) right
-    "fig1": FigureSpec("fig1", "quartic", 0.5, _FIGURE_ALPHAS, True, ()),
-    "fig2": FigureSpec("fig2", "quartic", 0.25, _FIGURE_ALPHAS, True, ()),
-    "fig3": FigureSpec("fig3", "quartic", 0.25, (1e-3,), False, (4, 2)),
+    "fig1": FigureSpec("fig1", "quartic", 0.5, _FIGURE_ALPHAS),
+    "fig2": FigureSpec("fig2", "quartic", 0.25, _FIGURE_ALPHAS),
+    "fig3": FigureSpec("fig3", "quartic", 0.25, (1e-3,)),
     # exp(x^2) objective: alpha^(1/2) correct, limit is gaussian-shaped
-    "fig4": FigureSpec("fig4", "exp_square", 0.5, _FIGURE_ALPHAS, True, ()),
-    "fig5": FigureSpec("fig5", "exp_square", 0.5, (1e-3,), False, (2,)),
+    "fig4": FigureSpec("fig4", "exp_square", 0.5, _FIGURE_ALPHAS),
+    "fig5": FigureSpec("fig5", "exp_square", 0.5, (1e-3,)),
     # quartic-plus-sine objective: alpha^(1/2) correct, alpha^(1/4) wrong
-    "fig10": FigureSpec("fig10", "quartic_sine", 0.5, _FIGURE_ALPHAS, True, ()),
-    "fig11": FigureSpec("fig11", "quartic_sine", 0.25, _FIGURE_ALPHAS, True, ()),
-    "fig12": FigureSpec("fig12", "quartic_sine", 0.5, (1e-3,), False, (2,)),
+    "fig10": FigureSpec("fig10", "quartic_sine", 0.5, _FIGURE_ALPHAS),
+    "fig11": FigureSpec("fig11", "quartic_sine", 0.25, _FIGURE_ALPHAS),
+    "fig12": FigureSpec("fig12", "quartic_sine", 0.5, (1e-3,)),
 }
 
 
@@ -201,8 +208,7 @@ def run_figure(
         sigmas[alpha] = float(y.std(ddof=1))
 
     # one common grid wide enough for the widest curve in the family
-    span = 4.6 * max(sigmas.values())
-    grid = np.linspace(-span, span, 513)
+    grid = density_grid(max(sigmas.values()))
     densities = {a: estimate_density(scaled[a], grid) for a in spec.alphas}
 
     trend = None
@@ -211,13 +217,8 @@ def run_figure(
         trend = convergence_trend_check(
             [densities[a] for a in ordered], [sigmas[a] for a in ordered]
         )
-
-    fits = {}
-    if spec.fit_exponents:
-        alpha = spec.alphas[-1]
-        est = densities[alpha]
-        for q in spec.fit_exponents:
-            fits[q] = log_density_fit(est, q)
+    est = densities[spec.alphas[-1]]
+    fits = {q: log_density_fit(est, q) for q in spec.fit_exponents}
 
     return FigureResult(
         name=name,

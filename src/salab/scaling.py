@@ -10,7 +10,7 @@ is refined by bisection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .core import NumericalError
 from .drift import DriftOperator, eval_drift
 from .stats import fit_line
 
+#: candidate exponents, in increasing order
 DEFAULT_EXPONENT_GRID = (1 / 8, 1 / 6, 1 / 4, 1 / 3, 1 / 2, 2 / 3, 3 / 4)
 
 #: alpha_j = 10^(-2 - j/2), nine points spanning four decades
@@ -65,18 +66,16 @@ class ProbeTrend:
     label: str
 
 
-def _probe_trend(
-    op: DriftOperator, p: float, probe: float, alphas: np.ndarray
-) -> ProbeTrend:
+def _probe_trend(op: DriftOperator, p: float, probe: float) -> ProbeTrend:
     y = _probe_vector(op, probe)
-    values = np.array([scaled_drift(op, p, a, y) for a in alphas])
+    values = np.array([scaled_drift(op, p, a, y) for a in DEFAULT_ALPHA_SEQUENCE])
     mags = np.linalg.norm(values, axis=1)
     if np.any(mags == 0.0):
         # magnitude hits exact zero along the sequence: treat as vanishing
         return ProbeTrend(probe, mags, np.inf, VANISHES)
     signs = np.sign(values)
     flips = np.any((signs[:-1] * signs[1:]) < 0)
-    slope = fit_line(np.log(alphas), np.log(mags))[0]
+    slope = fit_line(np.log(DEFAULT_ALPHA_SEQUENCE), np.log(mags))[0]
     if flips:
         label = OSCILLATES
     elif slope >= SLOPE_TOL:
@@ -99,20 +98,8 @@ def _combine(trends: Sequence[ProbeTrend]) -> str:
     return VANISHES
 
 
-def _checked_alphas(alpha_sequence) -> np.ndarray:
-    alphas = np.asarray(
-        DEFAULT_ALPHA_SEQUENCE if alpha_sequence is None else alpha_sequence,
-        dtype=float,
-    )
-    if alphas.size < 6 or np.any(np.diff(alphas) >= 0):
-        raise NumericalError("alpha sequence must be strictly decreasing, >= 6 points")
-    if np.log10(alphas[0] / alphas[-1]) < 4 - 1e-9:
-        raise NumericalError("alpha sequence must span at least 4 decades")
-    return alphas
-
-
-def _mean_slope(op, p, probes, alphas) -> float:
-    trends = [_probe_trend(op, p, pr, alphas) for pr in probes]
+def _mean_slope(op, p) -> float:
+    trends = [_probe_trend(op, p, pr) for pr in DEFAULT_PROBES]
     slopes = [t.slope for t in trends if np.isfinite(t.slope)]
     if not slopes:
         return np.inf
@@ -123,22 +110,20 @@ def _mean_slope(op, p, probes, alphas) -> float:
 class ScalingReport:
     """Outcome of the exponent search with its supporting evidence."""
 
-    grid: tuple
     classifications: dict
-    exponent: Optional[float]
+    exponent: float
     ftilde: tuple                 # ((probe, F(probe) limit sample), ...)
     evidence: tuple               # rows (p, probe, alpha, magnitude, label)
 
 
-def sample_limit_drift(op: DriftOperator, p: float, probes=None) -> tuple:
-    """Sample the limiting drift at the given exponent over the probe set.
+def sample_limit_drift(op: DriftOperator, p: float) -> tuple:
+    """Sample the limiting drift at the given exponent over DEFAULT_PROBES.
 
     Richardson extrapolation in alpha removes the leading linear-in-alpha
     truncation, so analytic drifts are resolved to ~1e-8 accuracy.
     """
-    probes = DEFAULT_PROBES if probes is None else tuple(probes)
     rows = []
-    for probe in probes:
+    for probe in DEFAULT_PROBES:
         y = _probe_vector(op, probe)
         coarse = scaled_drift(op, p, _LIMIT_ALPHA, y)
         fine = scaled_drift(op, p, _LIMIT_ALPHA / 4.0, y)
@@ -147,72 +132,61 @@ def sample_limit_drift(op: DriftOperator, p: float, probes=None) -> tuple:
     return tuple(rows)
 
 
-def find_scaling_exponent(
-    op: DriftOperator,
-    grid: Optional[Sequence[float]] = None,
-    probes: Optional[Sequence[float]] = None,
-    alpha_sequence: Optional[Sequence[float]] = None,
-) -> ScalingReport:
+def find_scaling_exponent(op: DriftOperator) -> ScalingReport:
     """Locate the unique exponent with a nontrivial scaled-drift limit.
 
-    A grid exponent classified nontrivial wins outright; otherwise the
-    blows-up/vanishes boundary is refined by bisecting on the sign of the
-    fitted slope until the bracket is narrower than EXPONENT_TOL.
+    Each exponent of DEFAULT_EXPONENT_GRID is classified from the probes'
+    trends along DEFAULT_ALPHA_SEQUENCE.  A grid exponent classified
+    nontrivial wins outright; otherwise the blows-up/vanishes boundary is
+    refined by bisecting on the sign of the fitted slope until the bracket
+    is narrower than EXPONENT_TOL.
     """
-    grid = tuple(DEFAULT_EXPONENT_GRID if grid is None else grid)
-    if any(not (0.0 < p < 1.0) for p in grid):
-        raise NumericalError("exponent grid must lie inside (0, 1)")
-    probes = DEFAULT_PROBES if probes is None else tuple(probes)
-    alphas = _checked_alphas(alpha_sequence)
-
+    grid = DEFAULT_EXPONENT_GRID
     evidence = []
     labels = {}
-    for p in sorted(grid):
-        trends = [_probe_trend(op, p, pr, alphas) for pr in probes]
+    for p in grid:
+        trends = [_probe_trend(op, p, pr) for pr in DEFAULT_PROBES]
         labels[p] = _combine(trends)
         for t in trends:
-            for a, m in zip(alphas, t.magnitudes):
+            for a, m in zip(DEFAULT_ALPHA_SEQUENCE, t.magnitudes):
                 evidence.append((p, t.probe, float(a), float(m), t.label))
 
-    ordered = sorted(grid)
-    nontrivial = [p for p in ordered if labels[p] == NONTRIVIAL]
+    nontrivial = [p for p in grid if labels[p] == NONTRIVIAL]
 
-    exponent = None
     if len(nontrivial) == 1:
         exponent = nontrivial[0]
     elif len(nontrivial) >= 2:
         # adjacent near-flat exponents: refine between the outermost pair
-        exponent = _bisect_slope(op, nontrivial[0], nontrivial[-1], probes, alphas)
+        exponent = _bisect_slope(op, nontrivial[0], nontrivial[-1])
     else:
         # slope decreases through zero as p crosses the true exponent
         bracket = None
-        for lo, hi in zip(ordered, ordered[1:]):
+        for lo, hi in zip(grid, grid[1:]):
             if labels[lo] == BLOWS_UP and labels[hi] == VANISHES:
                 bracket = (lo, hi)
                 break
         if bracket is None:
             raise NumericalError("no power-law scaling on grid")
-        exponent = _bisect_slope(op, bracket[0], bracket[1], probes, alphas)
+        exponent = _bisect_slope(op, bracket[0], bracket[1])
 
     return ScalingReport(
-        grid=tuple(ordered),
         classifications=labels,
         exponent=exponent,
-        ftilde=sample_limit_drift(op, exponent, probes),
+        ftilde=sample_limit_drift(op, exponent),
         evidence=tuple(evidence),
     )
 
 
-def _bisect_slope(op, lo, hi, probes, alphas) -> float:
+def _bisect_slope(op, lo, hi) -> float:
     """Bisect on the sign of the fitted slope; the true exponent has slope 0."""
-    s_lo = _mean_slope(op, lo, probes, alphas)
-    s_hi = _mean_slope(op, hi, probes, alphas)
+    s_lo = _mean_slope(op, lo)
+    s_hi = _mean_slope(op, hi)
     if s_lo > 0 or s_hi < 0:
         # bracket does not straddle the zero slope; fall back to the midpoint
         return 0.5 * (lo + hi)
     while hi - lo > EXPONENT_TOL:
         mid = 0.5 * (lo + hi)
-        if _mean_slope(op, mid, probes, alphas) < 0.0:
+        if _mean_slope(op, mid) < 0.0:
             lo = mid
         else:
             hi = mid

@@ -58,7 +58,8 @@ class Ensemble:
 
     Record r of a chain was taken after step burn_in + (r + 1) * thin, so
     samples[:, -1] is each chain's final state.  run_chains records X;
-    run_ensemble records the centered scaled iterate Y = (X - x*) / g(alpha).
+    run_ensemble records the centered scaled iterate Y = (X - x*) / g(alpha),
+    and sde.run_em_ensemble the centered X - x*.
     """
 
     samples: np.ndarray       # (n_kept, samples_per_chain, d)
@@ -312,12 +313,19 @@ def run_ensemble(
         if not isinstance(cfg.scaling, PowerScaling):
             raise NumericalError("no scaling exponent resolved; run the scaling search")
         scaling = cfg.scaling
-    burn_in, thin = resolve_schedule(alpha, cfg.burn_in, cfg.thin)
+    return _config_chains(cfg, alpha, alpha, scaling(alpha), purpose, threads)
+
+
+def _config_chains(cfg: ValidatedConfig, drift_coeff: float, noise_coeff: float,
+                   g: float, purpose: str, threads: int) -> Ensemble:
+    """cfg's chains of X <- X + drift_coeff F(X) + noise_coeff w, recording
+    (X - x*) / g; their schedule, "auto" included, is resolved at drift_coeff."""
+    burn_in, thin = resolve_schedule(drift_coeff, cfg.burn_in, cfg.thin)
     raw = require_stable(run_chains(
         cfg.op,
         cfg.noise,
-        drift_coeff=alpha,
-        noise_coeff=alpha,
+        drift_coeff=drift_coeff,
+        noise_coeff=noise_coeff,
         n_chains=cfg.n_chains,
         burn_in=burn_in,
         thin=thin,
@@ -329,5 +337,5 @@ def run_ensemble(
     # in place, with the roundings of (samples - root) / g: run_chains' array
     # is this call's alone, so no second samples array is ever held
     np.subtract(raw.samples, cfg.op.root, out=raw.samples)
-    np.divide(raw.samples, scaling(alpha), out=raw.samples)
+    np.divide(raw.samples, g, out=raw.samples)
     return raw

@@ -129,15 +129,16 @@ def fit_line(x, y) -> tuple:
     return float(slope), float(mean[1] - slope * mean[0])
 
 
-def _batch_shape(n: int, n_batches: int) -> tuple:
+def _batch_shape(n: int) -> tuple:
     """(batches, size): the first batches * size of n values, in batches of size."""
+    n_batches = N_BATCHES
     if n < 2 * n_batches:
         n_batches = max(2, n // 2)
     return n_batches, n // n_batches
 
 
-def _batch_means(values: np.ndarray, n_batches: int) -> np.ndarray:
-    n_batches, size = _batch_shape(values.shape[0], n_batches)
+def _batch_means(values: np.ndarray) -> np.ndarray:
+    n_batches, size = _batch_shape(values.shape[0])
     trimmed = values[: size * n_batches]
     return trimmed.reshape(n_batches, size, *values.shape[1:]).mean(axis=1)
 
@@ -147,19 +148,19 @@ def _mean_se(means: np.ndarray) -> float:
     return float(means.std(ddof=1) / np.sqrt(means.shape[0]))
 
 
-def batch_means_se(values, n_batches: int = N_BATCHES) -> float:
+def batch_means_se(values) -> float:
     """Standard error of the mean of a (possibly autocorrelated) sequence."""
-    return _mean_se(_batch_means(np.asarray(values, dtype=float), n_batches))
+    return _mean_se(_batch_means(np.asarray(values, dtype=float)))
 
 
-def effective_sample_size(values, n_batches: int = N_BATCHES) -> float:
+def effective_sample_size(values) -> float:
     """Batch-means ESS: marginal variance over long-run variance, times n."""
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     marginal = _variance(values)
     if marginal == 0.0:
         return float(n)
-    means = _batch_means(values, n_batches)
+    means = _batch_means(values)
     batch = n // means.shape[0]
     longrun = batch * means.var(ddof=1)
     if longrun == 0.0:
@@ -189,6 +190,15 @@ _KERNEL_CUTOFF = 8.7
 
 #: fewest samples a density is estimated from
 MIN_DENSITY_SAMPLES = 1000
+
+#: the log-density fit drops grid points below this fraction of the peak
+_TAIL_TRIM = 0.01
+
+
+def density_grid(sigma: float) -> np.ndarray:
+    """The 513-point grid a density is estimated on, over +-4.6 sigma."""
+    span = 4.6 * sigma
+    return np.linspace(-span, span, 513)
 
 
 def estimate_density(samples, grid) -> DensityEstimate:
@@ -232,7 +242,7 @@ class CfResidualReport:
     se: np.ndarray              # combined Monte-Carlo SE per t
 
 
-def default_t_grid(dim: int, seed: int = 0) -> np.ndarray:
+def default_t_grid(dim: int) -> np.ndarray:
     """Frequency probes: signed scalars for d=1, axes plus random directions else."""
     if dim == 1:
         return np.array([[0.25], [-0.25], [0.5], [-0.5], [1.0], [-1.0], [2.0], [-2.0]])
@@ -243,7 +253,7 @@ def default_t_grid(dim: int, seed: int = 0) -> np.ndarray:
         for mag in (0.5, 1.0):
             rows.append(mag * e)
             rows.append(-mag * e)
-    rng = seed_rng(seed, stream_id("t-grid", dim))
+    rng = seed_rng(0, stream_id("t-grid", dim))
     for _ in range(8):
         v = rng.standard_normal(dim)
         rows.append(v / np.linalg.norm(v, axis=0))
@@ -283,7 +293,7 @@ def cf_residual(samples, m_lyap, sigma, t_grid=None) -> CfResidualReport:
     m = min(n, _BLOCK)
     cos, sin, lin, prod = np.empty((4, m))
     summand = np.empty((2, m))                      # real and imaginary parts
-    n_batches, size = _batch_shape(n, N_BATCHES)
+    n_batches, size = _batch_shape(n)
     batch = np.empty((2, size))                     # the batch being filled
     means = np.empty((2, n_batches))                # batch means of re and im
     rows = {}                                       # t.tobytes() -> its row
@@ -422,23 +432,26 @@ class FitReport:
     n_points: int
 
 
-def log_density_fit(est: DensityEstimate, q: float, tail_trim: float = 0.01) -> FitReport:
+def log_fit_exponents(exponent: float) -> tuple:
+    """The q of the log-density fits at scaling exponent p: 2, and 4 at p = 1/4."""
+    return (2, 4) if abs(exponent - 0.25) < 1e-9 else (2,)
+
+
+def log_density_fit(est: DensityEstimate, q: float) -> FitReport:
     """OLS of log density against |y|^q on |y|-symmetrized bins.
 
-    Grid points whose density falls below tail_trim times the peak are
+    Grid points whose density falls below _TAIL_TRIM times the peak are
     discarded; KDE tails there are noise-dominated.
     """
     if q not in (2, 4):
         raise NumericalError("fit exponent q must be 2 or 4")
-    if not (0.0 < tail_trim < 0.5):
-        raise NumericalError("tail_trim must lie in (0, 0.5)")
     # fold the grid by |y|, averaging mirrored density values
     keys = np.round(np.abs(est.grid), 9)
     order = np.argsort(keys)
     keys, dens = keys[order], est.density[order]
     uniq, start = np.unique(keys, return_index=True)
     folded = np.add.reduceat(dens, start) / np.diff(np.append(start, dens.size))
-    keep = folded > tail_trim * folded.max()
+    keep = folded > _TAIL_TRIM * folded.max()
     x, p = uniq[keep] ** q, folded[keep]
     if x.size < 10:
         raise NumericalError("fewer than 10 grid points retained for the fit")

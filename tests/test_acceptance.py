@@ -38,10 +38,10 @@ def _report(num, passed, elapsed, budget, detail):
     assert elapsed <= budget, f"criterion {num} exceeded budget: {elapsed:.1f}s"
 
 
-def _ensemble(drift, alpha, *, shape="gaussian", sigma=((1.0,),), exponent=0.5,
-              n_chains=256, spc=512, burn_in="auto", thin="auto", seed=SEED,
-              drift_params=None, alpha_max=None):
-    cfg = validate_config(ExperimentConfig(
+def _config(drift, alpha, *, shape="gaussian", sigma=((1.0,),), exponent=0.5,
+            n_chains=256, spc=512, burn_in="auto", thin="auto", seed=SEED,
+            drift_params=None, alpha_max=None):
+    return validate_config(ExperimentConfig(
         drift=drift,
         drift_params=drift_params or {},
         noise_shape=shape,
@@ -55,7 +55,10 @@ def _ensemble(drift, alpha, *, shape="gaussian", sigma=((1.0,),), exponent=0.5,
         seed=seed,
         alpha_max=alpha_max,
     ))
-    return run_ensemble(cfg, alpha)
+
+
+def _ensemble(drift, alpha, **fields):
+    return run_ensemble(_config(drift, alpha, **fields), alpha)
 
 
 def _variance_check(flat, target, k_se):
@@ -213,10 +216,9 @@ def test_criterion_9_cf_residual_closed_form():
 
 def test_criterion_10_euler_maruyama():
     t0 = time.perf_counter()
-    from salab.drift import linear
-
-    result = em_vs_sa_compare(linear([[-1.0]]), 0.01, exponent=0.5, n_chains=256,
-                              thin=150, samples_per_chain=1024, seed=SEED)
+    minus_x = {"a": [[-1.0]]}
+    cfg = _config("linear", 0.01, drift_params=minus_x, thin=150, spc=1024)
+    result = em_vs_sa_compare(cfg, 0.01, cfg.scaling)
     v_sa, v_em = result.sa_cov[0, 0], result.em_cov[0, 0]
     se_sa = batch_means_se((result.sa_samples[:, 0] - result.sa_samples[:, 0].mean()) ** 2)
     se_em = batch_means_se((result.em_samples[:, 0] - result.em_samples[:, 0].mean()) ** 2)
@@ -225,8 +227,8 @@ def test_criterion_10_euler_maruyama():
     ladder_ok = True
     ladder = []
     for dt, thin in ((0.01, 25), (0.001, 250)):
-        raw = run_em_ensemble(linear([[-1.0]]), dt, n_chains=256, burn_in=int(30 / dt),
-                              thin=thin, samples_per_chain=320, seed=SEED)
+        raw = run_em_ensemble(_config("linear", dt, drift_params=minus_x,
+                                      burn_in=int(30 / dt), thin=thin, spc=320), dt)
         flat = raw.samples.reshape(-1)
         target = 1.0 / (2.0 - dt)
         passed, err, se = _variance_check(flat, target, 4)

@@ -250,6 +250,27 @@ class TestSimulateCommand:
         assert main(["predict", "--config", cfg, "--out", str(out)]) == 2
         assert "cannot create output directory" in capsys.readouterr().err
 
+    def test_stepsizes_sharing_a_file_tag_exit_2(self, tmp_path, capsys):
+        # both would write samples_0.00123457.csv, the second over the first
+        cfg = write_cfg(tmp_path, QUAD_CFG.replace("alphas = 0.1, 0.01",
+                                                   "alphas = 0.0012345678, 0.0012345671"))
+        out = tmp_path / "sim"
+        for dry_run in ([], ["--dry-run"]):
+            assert main(["simulate", "--config", cfg, "--out", str(out), *dry_run]) == 2
+            assert capsys.readouterr().err == (
+                "config error: alphas 0.0012345678 and 0.0012345671 share the file tag "
+                "'0.00123457'\n")
+            assert not out.exists()
+
+    def test_repeated_key_exits_2(self, tmp_path, capsys):
+        # the last value used to win: predict wrote sigma_y_1_1 = 0.25
+        body = "drift = linear\ndrift.a = [[-1.0]]\ndrift.a = [[-2.0]]\nnoise.sigma = [[1.0]]\n"
+        out = tmp_path / "pred"
+        assert main(["predict", "--config", write_cfg(tmp_path, body), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: line 3: key 'drift.a' already given on line 2\n")
+        assert not out.exists()
+
 
 class TestPredictCommand:
     def test_prediction_csv(self, tmp_path):

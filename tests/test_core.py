@@ -56,8 +56,6 @@ class TestPowerScaling:
             PowerScaling(0.0)
         with pytest.raises(ConfigError):
             PowerScaling(1.5)
-        with pytest.raises(ConfigError):
-            PowerScaling(0.5, coeff=-1)
 
     @given(st.floats(min_value=0.01, max_value=0.99))
     @settings(max_examples=50, deadline=None)
@@ -172,6 +170,14 @@ class TestConfigFile:
         path.write_text("velocity = 11\n")
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_file(path)
+
+    def test_repeated_key(self, tmp_path):
+        # the last value used to win silently
+        path = tmp_path / "exp.cfg"
+        path.write_text("drift = linear\ndrift.a = [[-1.0]]\n\ndrift.a = [[-2.0]]\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config_file(path)
+        assert err.value.errors == ["line 4: key 'drift.a' already given on line 2"]
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "exp.cfg"

@@ -7,7 +7,7 @@ from salab.figures import (
     convergence_trend_check,
     run_figure,
 )
-from salab.stats import DensityEstimate
+from salab.stats import DensityEstimate, log_fit_exponents
 
 
 def fake_curve(grid, sigma):
@@ -49,6 +49,16 @@ class TestFigureSpecs:
     def test_trend_figures_use_the_decade_ladder(self):
         for name in ("fig1", "fig2", "fig4", "fig10", "fig11"):
             assert FIGURE_SPECS[name].alphas == (1e-1, 1e-2, 1e-3, 1e-4)
+
+    def test_a_ladder_gets_the_trend_check_and_one_stepsize_the_log_fits(self):
+        fits = {"fig3": (2, 4), "fig5": (2,), "fig12": (2,)}
+        for name, spec in FIGURE_SPECS.items():
+            if name in fits:
+                assert len(spec.alphas) == 1 and not spec.trend
+                assert spec.fit_exponents == fits[name] == log_fit_exponents(spec.exponent)
+            else:
+                assert len(spec.alphas) >= 3 and spec.trend
+                assert spec.fit_exponents == ()
 
 
 class TestFitFigures:

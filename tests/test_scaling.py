@@ -12,6 +12,7 @@ from salab.drift import (
 )
 from salab.scaling import (
     BLOWS_UP,
+    DEFAULT_EXPONENT_GRID,
     NONTRIVIAL,
     VANISHES,
     find_scaling_exponent,
@@ -56,20 +57,17 @@ class TestScaledDrift:
 
 
 class TestClassifyLimit:
-    # the per-exponent labels of the search, on grids of the exponents checked
-    QUARTIC_GRID = (1 / 8, 1 / 4, 1 / 2)
+    # the per-exponent labels of the search on its grid, which holds 1/8, 1/4
+    # and 1/2, and 1/4, 1/3 < 1/2 < 2/3, 3/4
 
     def test_quartic_quarter_nontrivial(self):
-        labels = find_scaling_exponent(quartic(), grid=self.QUARTIC_GRID).classifications
-        assert labels[0.25] == NONTRIVIAL
+        assert find_scaling_exponent(quartic()).classifications[0.25] == NONTRIVIAL
 
     def test_quartic_half_vanishes(self):
-        labels = find_scaling_exponent(quartic(), grid=self.QUARTIC_GRID).classifications
-        assert labels[0.5] == VANISHES
+        assert find_scaling_exponent(quartic()).classifications[0.5] == VANISHES
 
     def test_quartic_eighth_blows_up(self):
-        labels = find_scaling_exponent(quartic(), grid=self.QUARTIC_GRID).classifications
-        assert labels[0.125] == BLOWS_UP
+        assert find_scaling_exponent(quartic()).classifications[0.125] == BLOWS_UP
 
     def test_exp_square_half_nontrivial(self):
         assert find_scaling_exponent(exp_square()).classifications[0.5] == NONTRIVIAL
@@ -77,22 +75,11 @@ class TestClassifyLimit:
     def test_strongly_convex_sandwich(self):
         # the sigma/L pinch forces exponent 1/2: above it the limit dies,
         # below it the limit explodes
-        grid = (0.25, 0.375, 0.45, 0.55, 0.625, 0.75)
-        labels = find_scaling_exponent(grad_quadratic(), grid=grid).classifications
-        for p in (0.55, 0.625, 0.75):
+        labels = find_scaling_exponent(grad_quadratic()).classifications
+        for p in (2 / 3, 3 / 4):
             assert labels[p] == VANISHES
-        for p in (0.45, 0.375, 0.25):
+        for p in (1 / 3, 1 / 4):
             assert labels[p] == BLOWS_UP
-
-    def test_alpha_sequence_validation(self):
-        with pytest.raises(NumericalError, match="decreasing"):
-            find_scaling_exponent(quartic(), alpha_sequence=[1e-3, 1e-2, 1e-4,
-                                                             1e-5, 1e-6, 1e-7])
-        with pytest.raises(NumericalError, match="4 decades"):
-            find_scaling_exponent(
-                quartic(),
-                alpha_sequence=[1e-2, 5e-3, 2e-3, 1e-3, 5e-4, 2e-4],
-            )
 
 
 class TestFindScalingExponent:
@@ -171,6 +158,6 @@ class TestFindScalingExponent:
 
     def test_evidence_table_shape(self):
         report = find_scaling_exponent(quartic())
-        assert len(report.evidence) == len(report.grid) * 8 * 9
+        assert len(report.evidence) == len(DEFAULT_EXPONENT_GRID) * 8 * 9
         p, probe, alpha, magnitude, label = report.evidence[0]
         assert label in (VANISHES, NONTRIVIAL, BLOWS_UP, "oscillates")

@@ -1,9 +1,17 @@
+import dataclasses
 from math import sqrt
 
 import numpy as np
 import pytest
 
-from salab.core import NumericalError, PowerScaling, seed_rng, stream_id
+from salab.core import (
+    ExperimentConfig,
+    NumericalError,
+    PowerScaling,
+    seed_rng,
+    stream_id,
+    validate_config,
+)
 from salab.drift import DriftOperator, linear, quartic
 from salab.noise import make_noise
 from salab.sde import em_vs_sa_compare, run_em_ensemble
@@ -11,6 +19,12 @@ from salab.simulate import run_chains
 from salab.stats import batch_means_se
 
 STANDARD = make_noise("gaussian", [[1.0]])
+
+
+def config(drift="linear", **fields):
+    """A validated config of gaussian identity noise; linear means F(x) = -x."""
+    params = {"a": [[-1.0]]} if drift == "linear" else {}
+    return validate_config(ExperimentConfig(drift=drift, drift_params=params, **fields))
 
 
 def zero_drift() -> DriftOperator:
@@ -58,23 +72,23 @@ class TestEmStep:
         assert em[1] == pytest.approx((1 - alpha) * em[0] + np.sqrt(alpha) * z[1], abs=1e-15)
 
     def test_ensemble_runs_the_engine_at_dt_and_sqrt_dt(self):
-        op, dt = quartic(), 0.01
+        dt = 0.01
         sizes = dict(n_chains=3, burn_in=7, thin=3, samples_per_chain=5, seed=5)
-        raw = run_em_ensemble(op, dt, **sizes)
-        ref = run_chains(op, STANDARD, dt, sqrt(dt), purpose="em", **sizes)
-        assert raw.samples.tobytes() == ref.samples.tobytes()
+        raw = run_em_ensemble(config("quartic", **sizes), dt)
+        ref = run_chains(quartic(), STANDARD, dt, sqrt(dt), purpose="em", **sizes)
+        assert raw.samples.tobytes() == (ref.samples - quartic().root).tobytes()
 
     def test_nonpositive_step_rejected(self):
         with pytest.raises(NumericalError, match="delta_t must be positive"):
-            run_em_ensemble(zero_drift(), 0.0, n_chains=1, samples_per_chain=1, seed=0)
+            run_em_ensemble(config(n_chains=1, samples_per_chain=1), 0.0)
 
 
 class TestOuDiscretization:
     @pytest.mark.parametrize("dt", [0.01, 0.001])
     def test_variance_matches_discretization_value(self, dt):
-        raw = run_em_ensemble(linear([[-1.0]]), dt, n_chains=256, burn_in=int(30 / dt),
-                              thin=max(1, int(0.25 / dt)), samples_per_chain=256,
-                              seed=21)
+        raw = run_em_ensemble(config(n_chains=256, burn_in=int(30 / dt),
+                                     thin=max(1, int(0.25 / dt)), samples_per_chain=256,
+                                     seed=21), dt)
         flat = raw.samples.reshape(-1)
         target = 1.0 / (2.0 - dt)  # exact AR(1) stationary variance
         se = batch_means_se((flat - flat.mean()) ** 2)
@@ -89,8 +103,8 @@ class TestOuDiscretization:
 class TestEmVsSaCompare:
     def test_linear_chains_coincide_in_law(self):
         result = em_vs_sa_compare(
-            linear([[-1.0]]), 0.01, exponent=0.5, n_chains=256,
-            thin=25, samples_per_chain=512, seed=31,
+            config(n_chains=256, thin=25, samples_per_chain=512, seed=31),
+            0.01, PowerScaling(0.5),
         )
         assert result.rel_err <= 0.02
         # identical AR(1) recursions: variances differ only by Monte Carlo
@@ -103,8 +117,9 @@ class TestEmVsSaCompare:
         # SA magnified by alpha^(-1/4) and EM at dt = alpha share the
         # quartic-well stationary law up to first-order error
         result = em_vs_sa_compare(
-            quartic(), 0.001, exponent=0.25, n_chains=128,
-            burn_in=200_000, thin=1000, samples_per_chain=850, seed=32,
+            config("quartic", alphas=(0.001,), n_chains=128, burn_in=200_000, thin=1000,
+                   samples_per_chain=850, seed=32),
+            0.001, PowerScaling(0.25),
         )
         assert result.rel_err <= 0.1
 
@@ -112,7 +127,7 @@ class TestEmVsSaCompare:
         # burn_in = 0 keeps the first records, on both sides of the comparison
         op, dt = linear([[-1.0]]), 0.01
         sizes = dict(n_chains=4, burn_in=0, thin=1, samples_per_chain=2, seed=3)
-        result = em_vs_sa_compare(op, dt, exponent=0.5, **sizes)
+        result = em_vs_sa_compare(config(**sizes), dt, PowerScaling(0.5))
         sa = run_chains(op, STANDARD, dt, dt, purpose="em-compare-sa", **sizes)
         em = run_chains(op, STANDARD, dt, sqrt(dt), purpose="em", **sizes)
         sa_scaled = (sa.samples - op.root) / PowerScaling(0.5)(dt)
@@ -123,9 +138,11 @@ class TestEmVsSaCompare:
         # alpha = 3 makes x <- -2x + 3w: every chain overflows, so no
         # covariance is left to compare
         with pytest.raises(NumericalError, match="unstable configuration: 8/8"):
-            em_vs_sa_compare(linear([[-1.0]]), 3.0, exponent=0.5, n_chains=8,
-                             burn_in=2000, thin=1, samples_per_chain=4, seed=1)
+            em_vs_sa_compare(config(alphas=(3.0,), alpha_max=3.0, n_chains=8, burn_in=2000,
+                                    thin=1, samples_per_chain=4, seed=1),
+                             3.0, PowerScaling(0.5))
 
     def test_zero_drift_has_no_stationary_law(self):
         with pytest.raises(NumericalError, match="no stationary law"):
-            em_vs_sa_compare(zero_drift(), 0.01, exponent=0.5)
+            em_vs_sa_compare(dataclasses.replace(config(), op=zero_drift()), 0.01,
+                             PowerScaling(0.5))
