@@ -161,14 +161,14 @@ class _Manifest:
     def add(self, path: Path) -> None:
         self.files.append(path.name)
 
-    def add_ensemble(self, tag: str, ens, seconds: float) -> None:
+    def add_ensemble(self, tag: str, ens) -> None:
         """Record an ensemble's chain counts, chain-steps and chain-steps per second."""
         chain_steps = ens.n_chains * (ens.burn_in + ens.samples.shape[1] * ens.thin)
         self.ensembles[tag] = {
             "n_chains": ens.n_chains,
             "n_diverged": ens.n_diverged,
             "chain_steps": chain_steps,
-            "chain_steps_per_s": chain_steps / seconds,
+            "chain_steps_per_s": chain_steps / ens.seconds,
         }
 
     def note(self, text: str) -> None:
@@ -284,9 +284,10 @@ def _emit_density(est, alpha, manifest):
 
 
 def _emit_figure(result: FigureResult, manifest: _Manifest) -> None:
-    """Write a figure's density CSVs, its trend_check.csv and its logfit.csv."""
+    """Record a figure's ensembles and write its density, trend-check and log-fit CSVs."""
     manifest.engine = result.engine
     for alpha in result.alphas:
+        manifest.add_ensemble(_alpha_tag(alpha), result.ensembles[alpha])
         _emit_density(result.densities[alpha], alpha, manifest)
     if result.trend is not None:
         t = result.trend
@@ -358,7 +359,7 @@ def _cmd_simulate(validated, manifest, threads) -> None:
         t0 = time.perf_counter()
         ens = run_ensemble(validated, alpha, scaling, threads=threads)
         tag = _alpha_tag(alpha)
-        manifest.add_ensemble(tag, ens, time.perf_counter() - t0)
+        manifest.add_ensemble(tag, ens)
         path = manifest.out_dir / f"samples_{tag}.csv"
         t1 = time.perf_counter()
         _write_samples(path, ens)
@@ -395,9 +396,8 @@ def _run_tests_for(validated, manifest, scaling, threads) -> None:
         # one ensemble at a time: free the last (flat is a view of it) before
         # the next; only the last one's ensemble and density are read below
         ens = est = flat = None
-        t0 = time.perf_counter()
         ens = run_ensemble(validated, alpha, scaling, threads=threads)
-        manifest.add_ensemble(_alpha_tag(alpha), ens, time.perf_counter() - t0)
+        manifest.add_ensemble(_alpha_tag(alpha), ens)
         if validated.op.dim == 1:
             flat = ens.flat[:, 0]
             est = estimate_density(flat, density_grid(float(flat.std(ddof=1))))
@@ -493,6 +493,8 @@ def _cmd_em_compare(validated, manifest, threads) -> None:
     scaling = _resolve_scaling(validated)
     result = em_vs_sa_compare(validated, alpha, scaling, threads=threads)
     manifest.engine = engine(validated.op)
+    manifest.add_ensemble(_alpha_tag(alpha), result.sa)
+    manifest.add_ensemble(f"em_{_alpha_tag(alpha)}", result.em)
     rows = [("alpha", alpha), ("exponent", scaling.exponent),
             ("rel_err", result.rel_err)]
     rows += list(_matrix_rows("sa_cov", result.sa_cov))
@@ -507,6 +509,9 @@ def _cmd_figure(args) -> int:
     --out/<name>, each with its own manifest.
     """
     names = sorted(FIGURE_SPECS) if args.figures == ["all"] else args.figures
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"figure {', '.join(map(repr, repeated))} named more than once")
     unknown = [name for name in names if name not in FIGURE_SPECS]
     if unknown:
         raise ConfigError(

@@ -21,10 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import NumericalError, PowerScaling
-from .drift import DriftOperator, from_config
-from .noise import make_noise
-from .simulate import engine, require_stable, run_chains
+from .core import ExperimentConfig, NumericalError, PowerScaling, ValidatedConfig, validate_config
+from .simulate import _config_chains, engine
 from .stats import density_grid, estimate_density, log_density_fit, log_fit_exponents
 
 #: density curves flatten/sharpen 10^|p - p*| per decade under a wrong
@@ -57,27 +55,16 @@ def _mixing_steps(drift_name: str, alpha: float) -> float:
     return 1.0 / alpha
 
 
-@dataclass(frozen=True)
-class FigureRun:
-    alpha: float
-    n_chains: int
-    burn_in: int
-    thin: int
-    samples_per_chain: int
-
-
-def _figure_run(drift_name: str, alpha: float) -> FigureRun:
+def _figure_config(drift_name: str, alpha: float, seed: int) -> ValidatedConfig:
+    """The figure rule's ensemble at alpha: sign noise with Sigma = I, and
+    chains, burn-in, thin and records sized by the drift's mixing time."""
     tau = _mixing_steps(drift_name, alpha)
     n_chains = 2048 if tau > 1e5 else 1024
     thin = max(1, ceil(tau / 4.0))
-    spc = max(8, ceil(_N_EFF_TARGET * tau / (n_chains * thin)))
-    return FigureRun(
-        alpha=alpha,
-        n_chains=n_chains,
-        burn_in=ceil(2.5 * tau),
-        thin=thin,
-        samples_per_chain=spc,
-    )
+    return validate_config(ExperimentConfig(
+        drift=drift_name, noise_shape="rademacher", alphas=(alpha,), n_chains=n_chains,
+        burn_in=ceil(2.5 * tau), thin=thin, seed=seed,
+        samples_per_chain=max(8, ceil(_N_EFF_TARGET * tau / (n_chains * thin)))))
 
 
 @dataclass(frozen=True)
@@ -157,32 +144,7 @@ class FigureResult:
     trend: Optional[TrendCheck]
     fits: dict                    # q -> FitReport
     engine: str                   # simulate.engine of the figure's drift
-
-
-def _figure_samples(op: DriftOperator, run: FigureRun, seed: int, threads: int,
-                    cache: Optional[dict]) -> np.ndarray:
-    """Raw (unscaled) stationary samples for one stepsize, cached by run key."""
-    key = (op.name, run, seed)
-    if cache is not None and key in cache:
-        return cache[key]
-    nm = make_noise("rademacher", np.eye(op.dim))
-    raw = require_stable(run_chains(
-        op,
-        nm,
-        drift_coeff=run.alpha,
-        noise_coeff=run.alpha,
-        n_chains=run.n_chains,
-        burn_in=run.burn_in,
-        thin=run.thin,
-        samples_per_chain=run.samples_per_chain,
-        seed=seed,
-        purpose="figure",
-        threads=threads,
-    ))
-    flat = raw.samples.reshape(-1)
-    if cache is not None:
-        cache[key] = flat
-    return flat
+    ensembles: dict               # alpha -> its unscaled simulate.Ensemble
 
 
 def run_figure(
@@ -191,19 +153,25 @@ def run_figure(
     threads: int = 1,
     cache: Optional[dict] = None,
 ) -> FigureResult:
-    """Simulate and analyze one named figure; cache shares raw ensembles."""
+    """Simulate and analyze one named figure.
+
+    cache shares the raw ensembles of one (drift, alpha, seed) between
+    figures; each ensemble carries the wall seconds of the run that made it.
+    """
     if name not in FIGURE_SPECS:
         raise NumericalError(f"unknown figure name {name!r}")
     spec = FIGURE_SPECS[name]
-    op = from_config(spec.drift, {})
     scaling = PowerScaling(spec.exponent)
+    cache = {} if cache is None else cache
 
     scaled = {}
     sigmas = {}
     for alpha in spec.alphas:
-        run = _figure_run(spec.drift, alpha)
-        x = _figure_samples(op, run, seed, threads, cache)
-        y = x / scaling(alpha)
+        cfg = _figure_config(spec.drift, alpha, seed)
+        key = (spec.drift, alpha, seed)
+        if key not in cache:
+            cache[key] = _config_chains(cfg, alpha, alpha, 1.0, "figure", threads)
+        y = cache[key].flat[:, 0] / scaling(alpha)
         scaled[alpha] = y
         sigmas[alpha] = float(y.std(ddof=1))
 
@@ -226,5 +194,6 @@ def run_figure(
         densities=densities,
         trend=trend,
         fits=fits,
-        engine=engine(op),
+        engine=engine(cfg.op),
+        ensembles={a: cache[(spec.drift, a, seed)] for a in spec.alphas},
     )

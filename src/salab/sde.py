@@ -36,8 +36,8 @@ class EmCompareResult:
     sa_cov: np.ndarray
     em_cov: np.ndarray
     rel_err: float
-    sa_samples: np.ndarray    # (n, d), scaled SA records
-    em_samples: np.ndarray    # (n, d), EM records centered at the root
+    sa: Ensemble              # scaled SA records
+    em: Ensemble              # EM records centered at the root
 
 
 def em_vs_sa_compare(cfg: ValidatedConfig, alpha: float, scaling: PowerScaling, *,
@@ -54,16 +54,16 @@ def em_vs_sa_compare(cfg: ValidatedConfig, alpha: float, scaling: PowerScaling, 
     if all(float(np.abs(eval_drift(op, op.root + row)).max()) == 0.0 for row in probes):
         raise NumericalError("no stationary law: drift vanishes near the root")
 
-    sa_flat = run_ensemble(cfg, alpha, scaling, threads=threads, purpose="em-compare-sa").flat
-    em_flat = run_em_ensemble(cfg, float(alpha), threads=threads).flat
-    sa_cov = sample_moments(sa_flat)[1]
-    em_cov = sample_moments(em_flat)[1]
+    sa = run_ensemble(cfg, alpha, scaling, threads=threads, purpose="em-compare-sa")
+    em = run_em_ensemble(cfg, float(alpha), threads=threads)
+    sa_cov = sample_moments(sa.flat)[1]
+    em_cov = sample_moments(em.flat)[1]
     rel_err = float(np.linalg.norm(sa_cov - em_cov, axis=(0, 1))
                     / np.linalg.norm(em_cov, axis=(0, 1)))
     return EmCompareResult(
         sa_cov=sa_cov,
         em_cov=em_cov,
         rel_err=rel_err,
-        sa_samples=sa_flat,
-        em_samples=em_flat,
+        sa=sa,
+        em=em,
     )

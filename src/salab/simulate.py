@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
+from time import perf_counter
 from typing import Optional
 
 import numpy as np
@@ -54,7 +55,8 @@ def resolve_schedule(alpha: float, burn_in="auto", thin="auto") -> tuple:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Records of the chains that stayed finite, and the schedule that made them.
+    """Records of the chains that stayed finite, the schedule that made them,
+    and the wall seconds run_chains took to step them.
 
     Record r of a chain was taken after step burn_in + (r + 1) * thin, so
     samples[:, -1] is each chain's final state.  run_chains records X;
@@ -68,6 +70,7 @@ class Ensemble:
     n_diverged: int
     burn_in: int
     thin: int
+    seconds: float = 0.0
 
     @property
     def flat(self) -> np.ndarray:
@@ -273,6 +276,7 @@ def run_chains(
             samples[ids[0] : ids[-1] + 1], seed, label, init,
         )
 
+    t0 = perf_counter()     # after _kernel_for, so no build or load is timed
     if threads > 1 and len(groups) > 1:
         # imported here, as a run of one chain group starts no pool
         from concurrent.futures import ThreadPoolExecutor
@@ -292,6 +296,7 @@ def run_chains(
         n_diverged=int((~alive).sum()),
         burn_in=burn_in,
         thin=thin,
+        seconds=perf_counter() - t0,
     )
 
 

@@ -220,8 +220,8 @@ def test_criterion_10_euler_maruyama():
     cfg = _config("linear", 0.01, drift_params=minus_x, thin=150, spc=1024)
     result = em_vs_sa_compare(cfg, 0.01, cfg.scaling)
     v_sa, v_em = result.sa_cov[0, 0], result.em_cov[0, 0]
-    se_sa = batch_means_se((result.sa_samples[:, 0] - result.sa_samples[:, 0].mean()) ** 2)
-    se_em = batch_means_se((result.em_samples[:, 0] - result.em_samples[:, 0].mean()) ** 2)
+    se_sa = batch_means_se((result.sa.flat[:, 0] - result.sa.flat[:, 0].mean()) ** 2)
+    se_em = batch_means_se((result.em.flat[:, 0] - result.em.flat[:, 0].mean()) ** 2)
     agree = abs(v_sa - v_em) <= 4 * float(np.hypot(se_sa, se_em))
 
     ladder_ok = True

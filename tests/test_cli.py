@@ -13,7 +13,7 @@ import pytest
 import salab._step as step
 import salab.cli as cli
 from salab.cli import _write_csv, main
-from salab.figures import FIGURE_SPECS
+from salab.figures import FIGURE_SPECS, FigureSpec
 from salab.simulate import Ensemble, run_ensemble
 
 QUAD_CFG = """
@@ -306,6 +306,14 @@ class TestFigureCommand:
         assert "unknown figure name 'fig99'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    def test_repeated_name_exits_2(self, tmp_path, capsys, dry_run):
+        out = tmp_path / "figs"
+        assert main(["figure", "fig3", "fig5", "fig3", "--out", str(out), *dry_run]) == 2
+        captured = capsys.readouterr()
+        assert "figure 'fig3' named more than once" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_all_dry_run_names_every_figure(self, tmp_path, capsys):
         out = tmp_path / "figs"
         assert main(["figure", "all", "--out", str(out), "--dry-run"]) == 0
@@ -336,6 +344,23 @@ class TestFigureCommand:
             assert (both / name / "manifest.json").exists()
             assert read_bytes(both / name) == read_bytes(single)
             assert len(read_bytes(single)) == 2
+
+    def test_manifests_record_every_ensemble_cached_ones_included(self, tmp_path,
+                                                                  monkeypatch):
+        # two cheap quartic figures: "wide"'s ladder holds "one"'s stepsize
+        monkeypatch.setitem(FIGURE_SPECS, "wide", FigureSpec("wide", "quartic", 0.25,
+                                                             (1e-1, 1e-2, 1e-3)))
+        monkeypatch.setitem(FIGURE_SPECS, "one", FigureSpec("one", "quartic", 0.25, (1e-2,)))
+        out = tmp_path / "figs"
+        assert main(["figure", "wide", "one", "--out", str(out), "--seed", "1"]) == 0
+        wide, one = (json.loads((out / name / "manifest.json").read_text())["ensembles"]
+                     for name in ("wide", "one"))
+        assert set(wide) == {"0.1", "0.01", "0.001"} and set(one) == {"0.01"}
+        # the figure rule's sizes at alpha = 1e-3, as in fig3
+        assert wide["0.001"]["n_chains"] == 1024
+        assert wide["0.001"]["chain_steps"] == 1024 * (173926 + 16 * 17393)
+        # the cached ensemble keeps the speed of the run that made it
+        assert one["0.01"] == wide["0.01"] and one["0.01"]["chain_steps_per_s"] > 0
 
     def test_fit_figure_outputs(self, tmp_path):
         out = tmp_path / "f5"
@@ -501,6 +526,13 @@ class TestEmCompareCommand:
         assert main(["em-compare", "--config", cfg, "--out", str(out)]) == 0
         text = (out / "em_compare.csv").read_text()
         assert "rel_err" in text and "sa_cov_1_1" in text
+        # both sides' chains: 32 x (auto burn-in 200 + 128 records x auto thin 20)
+        ensembles = json.loads((out / "manifest.json").read_text())["ensembles"]
+        assert set(ensembles) == {"0.05", "em_0.05"}
+        for rec in ensembles.values():
+            assert rec["n_chains"] == 32 and rec["n_diverged"] == 0
+            assert rec["chain_steps"] == 32 * (200 + 128 * 20)
+            assert rec["chain_steps_per_s"] > 0
 
     @pytest.mark.parametrize("noise", [
         "noise.shape = uniform\nnoise.sigma = [[1.0]]",
@@ -741,3 +773,19 @@ def test_importing_the_cli_loads_no_scipy():
     code = "import sys, salab.cli; print(any(m.startswith('scipy') for m in sys.modules))"
     out = run_salab_process(["-c", code], check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_benchmark_workloads_record_the_chain_steps_they_are_scored_by(tmp_path, monkeypatch):
+    # perfbench divides each workload's chain-steps, worked out by hand in
+    # perfbench/workloads.py, by the run's CPU time: the manifest must agree
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import WORKLOADS
+
+    assert {w.chain_steps for w in WORKLOADS.values()} == {463_067_136, 27_340_800,
+                                                           34_406_400}
+    for name, w in WORKLOADS.items():
+        out = tmp_path / name
+        assert main(w.argv(tmp_path, out, seed=3, threads=2)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sum(rec["chain_steps"] for rec in manifest["ensembles"].values()) \
+            == w.chain_steps, name

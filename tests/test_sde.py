@@ -131,8 +131,8 @@ class TestEmVsSaCompare:
         sa = run_chains(op, STANDARD, dt, dt, purpose="em-compare-sa", **sizes)
         em = run_chains(op, STANDARD, dt, sqrt(dt), purpose="em", **sizes)
         sa_scaled = (sa.samples - op.root) / PowerScaling(0.5)(dt)
-        assert result.sa_samples.tobytes() == sa_scaled.reshape(-1, 1).tobytes()
-        assert result.em_samples.tobytes() == (em.samples - op.root).reshape(-1, 1).tobytes()
+        assert result.sa.flat.tobytes() == sa_scaled.reshape(-1, 1).tobytes()
+        assert result.em.flat.tobytes() == (em.samples - op.root).reshape(-1, 1).tobytes()
 
     def test_diverged_chains_are_rejected(self):
         # alpha = 3 makes x <- -2x + 3w: every chain overflows, so no
