@@ -21,22 +21,23 @@
  * reading the same stream.  numpy's ziggurat tables are
  * local symbols of that archive, so init() reads them back through
  * random_standard_normal before the first run, and _step.load() then
- * checks a few thousand draws of every shape against numpy's.  Each
- * unit draw z is scaled as noise.sample_block scales it: w_i = (z_0 l_i0
- * + ... + z_{d-1} l_i,d-1) * coeff, with L the lower Cholesky factor of
- * Sigma.
+ * checks a few thousand draws of every shape against numpy's.
  *
  * Every step is the numpy body's, operation for operation and rounding for
  * rounding:  g = F(x) for every coordinate before any coordinate moves;
- * g *= dc; x += g; x += w.  The sums run in order of k, each product and
- * each sum rounded on its own, as drift._ordered_product adds them.  It
+ * g *= dc; x += g; x += w, with w_i = (z_0 l_i0 + ... + z_{d-1} l_i,d-1)
+ * coeff the unit draws z scaled as noise.sample_block scales them, L the
+ * lower Cholesky factor of Sigma.  The step scales each row of w itself,
+ * just before that row of x moves.  The sums run in order of k, each
+ * product and each sum rounded on its own, as drift._ordered_product adds
+ * them.  It
  * must be built with -ffp-contract=off (no fused multiply-add) and never
  * with -ffast-math, so that each chain gives the same bits as the numpy
  * body.
  *
  * run walks the chains a tile of 64 at a time.  For each sub-block of
- * steps it fills the tile's noise, packed sign words at d = 1 and drawn
- * values otherwise, then steps the tile with the chain loop innermost: the
+ * steps it fills the tile's noise, packed sign words at d = 1 and unit
+ * draws otherwise, then steps the tile with the chain loop innermost: the
  * chains are independent, so the loop runs at the throughput of the
  * arithmetic rather than at the latency of one chain's dependent
  * operations, and the tile's constant width lets the compiler vectorize
@@ -55,7 +56,8 @@
  * neither may use FMA, so they write the same bits.
  *
  * The library also prints the rows of samples_<alpha>.csv as csv.writer
- * and repr() would (format_samples, at the end of this file).
+ * and repr() would (format_samples, at the end of this file).  It stops at
+ * a row with a value it does not print, which Python then writes.
  */
 
 #include <math.h>
@@ -266,15 +268,17 @@ int init(void)
     return 0;
 }
 
-/* One step of a tile of d-dimensional states with drawn noise w, where
- * w[i * TILE + c] is the draw of chain c.  Each row i of g = F(x) dc is
+/* One step of a tile of d-dimensional states with unit draws z, where
+ * z[k * TILE + c] is draw k of chain c.  Each row i of g = F(x) dc is
  * computed for the whole tile before any coordinate moves, with the chain
  * loop innermost, so A is read once per step and the states at unit
- * stride; each chain's sum still runs in order of k. */
-INLINE void step(long kind, long d, const struct drift *f, double *restrict xs,
-                 double *restrict g, const double *restrict w)
+ * stride; each chain's sum still runs in order of k.  Then row i of the
+ * noise, w_i = (z_0 l_i0 + ... + z_{d-1} l_i,d-1) coeff, is summed into w
+ * and row i of x moves by g_i, then by w_i. */
+INLINE void step(long kind, long d, const struct drift *f, const struct noise *nz,
+                 double *restrict xs, double *restrict g, const double *restrict z)
 {
-    double dc = f->dc;
+    double dc = f->dc, coeff = nz->coeff, w[TILE];
     for (long i = 0; i < d; i++) {
         double *restrict gi = g + i * TILE;
         if (kind == NEG_CUBE) {
@@ -295,9 +299,20 @@ INLINE void step(long kind, long d, const struct drift *f, double *restrict xs,
         for (long c = 0; c < TILE; c++)
             gi[c] = (gi[c] + bi) * dc;
     }
-    for (long i = 0; i < d * TILE; i += TILE)
+    for (long i = 0; i < d; i++) {
+        const double *li = nz->l + i * d;
+        double *restrict xi = xs + i * TILE, *restrict gi = g + i * TILE, li0 = li[0];
         for (long c = 0; c < TILE; c++)
-            xs[i + c] = (xs[i + c] + g[i + c]) + w[i + c];
+            w[c] = z[c] * li0;
+        for (long k = 1; k < d; k++) {
+            const double *restrict zk = z + k * TILE;
+            double lik = li[k];
+            for (long c = 0; c < TILE; c++)
+                w[c] = w[c] + zk[c] * lik;
+        }
+        for (long c = 0; c < TILE; c++)
+            xi[c] = (xi[c] + gi[c]) + w[c] * coeff;
+    }
 }
 
 /* Record r of the t chains of a tile of d-dimensional states: coordinate
@@ -317,22 +332,17 @@ static void load(double *xs, const double *x, long t, long d)
             xs[i * TILE + c] = x[c * d + i];
 }
 
-/* The next m steps of scaled noise of the t chains of a tile, each drawn
- * from its chain's stream: w[(s * d + i) * TILE + c] is coordinate i of
- * chain c at step s.  z takes the tile's unit draws, laid out as w is; L z
- * is then summed for the whole tile at once, with the chain loop
- * innermost.  word and left carry each chain's partly used sign word and
- * its unused bits from one sub-block to the next. */
+/* The next m steps of unit draws of the t chains of a tile, each drawn
+ * from its chain's stream: z[(s * d + i) * TILE + c] is coordinate i of
+ * chain c at step s.  word and left carry each chain's partly used sign
+ * word and its unused bits from one sub-block to the next. */
 INLINE void draw(const struct noise *nz, long d, struct stream *ss, long t, long m,
-                 double *restrict z, double *restrict w, uint64_t *word, int *left)
+                 double *restrict z, uint64_t *word, int *left)
 {
     long n = m * d;
-    const double *l = nz->l;
-    double coeff = nz->coeff;
     if (nz->shape == NOISELESS) {
-        /* z = 0 and L = 0, so every sum is 0 and every draw 0 coeff */
-        for (long j = 0; j < n * TILE; j++)
-            w[j] = 0.0 * coeff;
+        /* z = 0, which step() scales to 0 coeff */
+        memset(z, 0, n * TILE * sizeof *z);
         return;
     }
     for (long c = 0; c < t; c++) {
@@ -383,36 +393,21 @@ INLINE void draw(const struct noise *nz, long d, struct stream *ss, long t, long
         }
         s->pos = pos;
     }
-    for (long s = 0; s < m; s++)
-        for (long i = 0; i < d; i++) {
-            const double *li = l + i * d, *restrict zs = z + s * d * TILE;
-            double *restrict wi = w + (s * d + i) * TILE, li0 = li[0];
-            for (long c = 0; c < TILE; c++)
-                wi[c] = zs[c] * li0;
-            for (long k = 1; k < d; k++) {
-                const double *restrict zk = zs + k * TILE;
-                double lik = li[k];
-                for (long c = 0; c < TILE; c++)
-                    wi[c] = wi[c] + zk[c] * lik;
-            }
-            for (long c = 0; c < TILE; c++)
-                wi[c] = wi[c] * coeff;
-        }
 }
 
 /* Advances a tile of D-dimensional states through steps s0 .. s1 - 1 of a
- * sub-block.  Drawn noise is step-major, w + s * D * TILE the draws of
- * step s.  Packed d = 1 sign noise (words not NULL) has draw s of chain c
+ * sub-block.  Drawn noise is step-major, z + s * D * TILE the unit draws
+ * of step s.  Packed d = 1 sign noise (words not NULL) has draw s of chain c
  * in bit s % 64 of words[(s / 64) * TILE + c]: a set bit adds -lo, a clear
  * one lo, whose bits are lo_bits.  That update is fused, one pass per
  * step, and picks the draw with pick_sign. */
-INLINE void advance(long kind, long D, const struct drift *f, double *restrict xs,
-                    double *restrict g, const double *restrict w,
+INLINE void advance(long kind, long D, const struct drift *f, const struct noise *nz,
+                    double *restrict xs, double *restrict g, const double *restrict z,
                     const uint64_t *restrict words, uint64_t lo_bits, long s0, long s1)
 {
     for (long s = s0; s < s1; s++) {
         if (words == NULL) {
-            step(kind, D, f, xs, g, w + s * D * TILE);
+            step(kind, D, f, nz, xs, g, z + s * D * TILE);
             continue;
         }
         const uint64_t *restrict ws = words + (s >> 6) * TILE;
@@ -446,10 +441,10 @@ CLONES int run(const struct drift *drift, const struct noise *nz, const uint64_t
     int packed = nz->shape == RADEMACHER && d == 1;
     long sub = packed ? 0 : d < SUB_DRAWS ? SUB_DRAWS / d : 1,
          block = packed ? 64 * SIGN_WORDS : sub;
-    double *xs = calloc((2 * d + 2 * sub * d) * TILE, sizeof *xs);
+    double *xs = calloc((2 * d + sub * d) * TILE, sizeof *xs);
     if (xs == NULL)
         return -1;
-    double *g = xs + d * TILE, *w = g + d * TILE, *z = w + sub * d * TILE,
+    double *g = xs + d * TILE, *z = g + d * TILE,
            lo = -(nz->l[0] * nz->coeff);
     uint64_t words[SIGN_WORDS * TILE] = {0}, word[TILE], lo_bits;
     memcpy(&lo_bits, &lo, sizeof lo);
@@ -470,22 +465,22 @@ CLONES int run(const struct drift *drift, const struct noise *nz, const uint64_t
                     for (long j = 0; j < (m + 63) / 64; j++)
                         words[j * TILE + c] = next_word(ss + c);
             else
-                draw(nz, d, ss, t, m, z, w, word, left);
+                draw(nz, d, ss, t, m, z, word, left);
             /* record r is the state after step next = burn_in + (r + 1) thin */
             for (long s = 0, e; s < m; s = e) {
                 e = next - k < m ? next - k : m;
                 if (packed && f->kind == NEG_CUBE)
-                    advance(NEG_CUBE, 1, f, xs, g, NULL, words, lo_bits, s, e);
+                    advance(NEG_CUBE, 1, f, nz, xs, g, NULL, words, lo_bits, s, e);
                 else if (packed)
-                    advance(AFFINE, 1, f, xs, g, NULL, words, lo_bits, s, e);
+                    advance(AFFINE, 1, f, nz, xs, g, NULL, words, lo_bits, s, e);
                 else if (f->kind == NEG_CUBE)
-                    advance(NEG_CUBE, 1, f, xs, g, w, NULL, 0, s, e);
+                    advance(NEG_CUBE, 1, f, nz, xs, g, z, NULL, 0, s, e);
                 else if (d == 1)
-                    advance(AFFINE, 1, f, xs, g, w, NULL, 0, s, e);
+                    advance(AFFINE, 1, f, nz, xs, g, z, NULL, 0, s, e);
                 else if (d == 2)
-                    advance(AFFINE, 2, f, xs, g, w, NULL, 0, s, e);
+                    advance(AFFINE, 2, f, nz, xs, g, z, NULL, 0, s, e);
                 else
-                    advance(AFFINE, d, f, xs, g, w, NULL, 0, s, e);
+                    advance(AFFINE, d, f, nz, xs, g, z, NULL, 0, s, e);
                 if (k + e == next) {
                     record(xs, t, d, ot, spc, r++);
                     next += thin;
@@ -635,40 +630,27 @@ static char *fmt_int(int64_t i, char *p)
 
 /* Prints rows row, row + 1, ... up to row end of a samples CSV into buf,
  * sets *used to the bytes printed and returns the first row it did not
- * reach.  Row r is chain ids[r / spc] at step steps[r % spc], with values
- * y[r d] .. y[r d + d - 1].  A row with a value that fmt_value does not
- * print is left out: its index goes to holes[2 h] and the offset in buf
- * where it belongs to holes[2 h + 1], for h < *n_holes.  So is a row that
- * might not fit in the cap bytes of an empty buf.  It stops before a row
- * that might not fit in what is left of buf, and before a row to leave
- * out once max_holes are.  It touches no Python object, so ctypes runs it
- * without the GIL. */
+ * print.  Row r is chain ids[r / spc] at step steps[r % spc], with values
+ * y[r d] .. y[r d + d - 1].  It stops before a row with a value that
+ * fmt_value does not print, and before a row that might not fit in what
+ * is left of the cap bytes of buf.  It touches no Python object, so
+ * ctypes runs it without the GIL. */
 long format_samples(const int64_t *ids, const int64_t *steps, long spc, const double *y,
-                    long d, long row, long end, char *buf, long cap, int64_t *holes,
-                    long max_holes, long *used, long *n_holes)
+                    long d, long row, long end, char *buf, long cap, long *used)
 {
     char *p = buf;
-    long h = 0;
-    *used = *n_holes = 0;
+    *used = 0;
     if (row >= end)
         return row;
     long c = row / spc, r = row % spc;
-    for (; row < end; row++, r = r + 1 < spc ? r + 1 : (c++, 0)) {
+    for (; row < end && cap - (p - buf) >= ROW_MAX(d);
+         row++, r = r + 1 < spc ? r + 1 : (c++, 0)) {
         const double *yr = y + row * d;
         long i = 0;
         while (i < d && formattable(yr[i]))
             i++;
-        int fits = cap - (p - buf) >= ROW_MAX(d);
-        if (!fits && p > buf)
+        if (i < d)
             break;
-        if (i < d || !fits) {
-            if (h == max_holes)
-                break;
-            holes[2 * h] = row;
-            holes[2 * h + 1] = p - buf;
-            h++;
-            continue;
-        }
         p = fmt_int(ids[c], p);
         *p++ = ',';
         p = fmt_int(steps[r], p);
@@ -680,6 +662,5 @@ long format_samples(const int64_t *ids, const int64_t *steps, long spc, const do
         *p++ = '\n';
     }
     *used = p - buf;
-    *n_holes = h;
     return row;
 }

@@ -1,8 +1,10 @@
 """The compiled step kernel (_step.c), built on first use and loaded with ctypes.
 
 The kernel runs each chain's Philox stream itself, from the chain's key,
-and the fast path of numpy's gaussian ziggurat inline.  The same library
-prints the rows of samples_<alpha>.csv (format_samples).  The source is
+and the fast path of numpy's gaussian ziggurat inline, and scales the unit
+draws inside each step.  The same library prints the rows of
+samples_<alpha>.csv (format_samples), up to a row with a value it does not
+print, which Python then writes.  The source is
 compiled with the local ``cc`` and linked against numpy's static
 ``numpy/random/lib/libnpyrandom.a``, whose random_standard_normal makes the
 draws the fast path rejects and gives back numpy's ziggurat tables, into
@@ -111,8 +113,7 @@ class Kernel:
         lib.init.argtypes = []
         lib.init.restype = ctypes.c_int
         lib.format_samples.argtypes = [_ptr, _ptr, _long, _ptr, _long, _long, _long, _ptr,
-                                       _long, _ptr, _long, ctypes.POINTER(_long),
-                                       ctypes.POINTER(_long)]
+                                       _long, ctypes.POINTER(_long)]
         lib.format_samples.restype = _long
         self._lib = lib
 
@@ -137,32 +138,27 @@ class Kernel:
         if status != 0:
             raise MemoryError("step kernel could not allocate its buffers")
 
-    def format_samples(self, chain_ids, steps, samples, row, buf, holes) -> tuple:
+    def format_samples(self, chain_ids, steps, samples, row, buf) -> tuple:
         """Prints rows row, row + 1, ... of a samples CSV into buf.
 
         samples is the C-contiguous float64 (n, spc, d) array of records,
         chain_ids the (n,) and steps the (spc,) int64 arrays of their chains
-        and steps, buf a C-contiguous uint8 array and holes a C-contiguous
-        int64 (k, 2) one.  Row r is `chain,step,y_1..y_d\\r\\n` for record
-        r % spc of chain r // spc, the bytes csv.writer writes for it.  A
-        row with a value outside FORMAT_RANGE (nan, inf, too small or too
-        large), or one that might not fit in an empty buf, is left out, and
-        holes[h] is (its row, the offset in buf where it belongs).  Printing
-        stops before a row that might not fit in what is left of buf, and
-        before a row to leave out once k are.  Returns the first row not
-        reached, the number of bytes printed and the number of holes.
+        and steps, and buf a C-contiguous uint8 array.  Row r is
+        `chain,step,y_1..y_d\\r\\n` for record r % spc of chain r // spc,
+        the bytes csv.writer writes for it.  Printing stops before a row
+        with a value outside FORMAT_RANGE (nan, inf, too small or too
+        large), and before a row that might not fit in what is left of buf.
+        Returns the first row not printed and the number of bytes printed.
         """
         n, spc, d = samples.shape
         if not 0 <= row <= n * spc:
             raise ValueError(f"no row {row} among {n * spc}")
-        used, n_holes = _long(), _long()
+        used = _long()
         row = self._lib.format_samples(
             _data(chain_ids, np.int64, (n,)), _data(steps, np.int64, (spc,)), spc,
             _data(samples, np.float64, (n, spc, d)), d, row, n * spc,
-            _data(buf, np.uint8, buf.shape), buf.size,
-            _data(holes, np.int64, (len(holes), 2)), len(holes),
-            ctypes.byref(used), ctypes.byref(n_holes))
-        return row, used.value, n_holes.value
+            _data(buf, np.uint8, buf.shape), buf.size, ctypes.byref(used))
+        return row, used.value
 
 
 def _includes() -> list:
@@ -276,24 +272,24 @@ def _format_probes() -> np.ndarray:
 
 def _format_check(kernel: Kernel) -> bool:
     """Whether the kernel prints each of _format_probes() as repr() does, and
-    leaves out exactly the rows of those outside FORMAT_RANGE."""
+    leaves to Python exactly the rows of those outside FORMAT_RANGE."""
     values = _format_probes()
     n = len(values)
     samples = values.reshape(n, 1, 1)
     ids, steps = np.arange(n, dtype=np.int64), np.zeros(1, np.int64)
     lines = [f"{i},0,{v!r}\r\n".encode() for i, v in enumerate(values.tolist())]
-    # room for every row and every hole, so one call reaches them all
-    buf, holes = np.empty(128 * n, np.uint8), np.empty((n, 2), np.int64)
-    row, used, n_holes = kernel.format_samples(ids, steps, samples, 0, buf, holes)
-    text, start = [], 0
-    for r, at in holes[:n_holes].tolist():
-        text += [buf[start:at].tobytes(), lines[r]]
-        start = at
-    text.append(buf[start:used].tobytes())
+    # room for every row, so each call stops only at a row it does not print
+    buf, text, left, row = np.empty(128 * n, np.uint8), [], [], 0
+    while row < n:
+        row, used = kernel.format_samples(ids, steps, samples, row, buf)
+        text.append(buf[:used].tobytes())
+        if row < n:
+            text.append(lines[row])
+            left.append(row)
+            row += 1
     lo, hi = FORMAT_RANGE
     outside = [i for i, v in enumerate(values.tolist()) if not (lo <= abs(v) < hi or v == 0)]
-    return (row == n and holes[:n_holes, 0].tolist() == outside
-            and b"".join(text) == b"".join(lines))
+    return left == outside and b"".join(text) == b"".join(lines)
 
 
 @cache

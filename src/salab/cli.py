@@ -63,10 +63,8 @@ def _write_csv(path: Path, header, rows) -> None:
 # rows of samples_<alpha>.csv formatted into one string per write by Python
 _SAMPLE_ROWS = 1 << 15
 
-# bytes of samples_<alpha>.csv the compiled formatter prints per call, and
-# the rows it may leave to Python per call
+# bytes of samples_<alpha>.csv the compiled formatter prints per call
 _FORMAT_BYTES = 1 << 20
-_FORMAT_HOLES = 4096
 
 
 def _sample_lines(chain_ids, steps, flat, rows) -> list:
@@ -88,10 +86,10 @@ def _write_samples(path: Path, ens) -> None:
     """samples_<alpha>.csv: a `chain,step,y_1..y_d` row per chain and record.
 
     The compiled library prints the rows into a buffer of _FORMAT_BYTES
-    without the GIL.  It leaves out each row it cannot print (a value it
-    does not format), whose line `_sample_lines` then puts in its place.
-    When the library is not loaded, `_sample_lines` writes every row,
-    _SAMPLE_ROWS at a time, so memory stays bounded.
+    without the GIL.  It stops at a row it cannot print (a value it does
+    not format), which `_sample_lines` then writes.  When the library is
+    not loaded, `_sample_lines` writes every row, _SAMPLE_ROWS at a time,
+    so memory stays bounded.
     """
     n_records, d = ens.samples.shape[1:]
     steps = ens.burn_in + ens.thin * np.arange(1, n_records + 1, dtype=np.int64)
@@ -109,22 +107,16 @@ def _write_samples(path: Path, ens) -> None:
                 rows = np.arange(lo, min(lo + _SAMPLE_ROWS, len(flat)))
                 fh.write("".join(_sample_lines(ids, steps, flat, rows)).encode())
             return
-        buf, holes = np.empty(_FORMAT_BYTES, np.uint8), np.empty((_FORMAT_HOLES, 2), np.int64)
-        row = 0
+        buf, row = np.empty(_FORMAT_BYTES, np.uint8), 0
         while row < len(flat):
-            row, used, n_holes = kernel.format_samples(ids, steps, samples, row, buf, holes)
-            if n_holes == 0:
+            row, used = kernel.format_samples(ids, steps, samples, row, buf)
+            if used:
                 fh.write(buf.data[:used])
-                continue
-            # the lines left out, each put in at its offset in the printed text
-            left, at = holes[:n_holes].T
-            text, parts, start = buf[:used].tobytes().decode(), [], 0
-            for offset, line in zip(at.tolist(), _sample_lines(ids, steps, flat, left)):
-                parts.append(text[start:offset])
-                parts.append(line)
-                start = offset
-            parts.append(text[start:])
-            fh.write("".join(parts).encode())
+            else:
+                # a row the library does not print
+                (line,) = _sample_lines(ids, steps, flat, np.array([row]))
+                fh.write(line.encode())
+                row += 1
 
 
 class _Manifest:

@@ -224,6 +224,9 @@ def test_criterion_10_euler_maruyama():
     se_em = batch_means_se((result.em.flat[:, 0] - result.em.flat[:, 0].mean()) ** 2)
     agree = abs(v_sa - v_em) <= 4 * float(np.hypot(se_sa, se_em))
 
+    # the EM variance at each dt is within 4 SE of its exact 1 / (2 - dt);
+    # the step from dt = 0.01 to 0.001 (0.0023) is below one SE, so no
+    # ordering of the two measured variances is asserted
     ladder_ok = True
     ladder = []
     for dt, thin in ((0.01, 25), (0.001, 250)):
@@ -233,13 +236,12 @@ def test_criterion_10_euler_maruyama():
         target = 1.0 / (2.0 - dt)
         passed, err, se = _variance_check(flat, target, 4)
         ladder_ok &= passed
-        ladder.append(target)
-    ladder_ok &= abs(ladder[1] - 0.5) < abs(ladder[0] - 0.5)
+        ladder.append(f"dt={dt:g} var {flat.var(ddof=1):.5f} (exact {target:.5f}, se {se:.5f})")
 
     ok = result.rel_err <= 0.02 and agree and ladder_ok
     _report(10, ok, time.perf_counter() - t0, 60,
             f"rel_err={result.rel_err:.4f} (<=0.02), var gap {abs(v_sa-v_em):.2e}, "
-            f"OU ladder {ladder[0]:.5f} -> {ladder[1]:.5f} -> 0.5")
+            f"OU ladder {'; '.join(ladder)}")
 
 
 def _run_cli(tmp, name, args):

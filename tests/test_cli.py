@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from math import ceil
 from pathlib import Path
@@ -97,11 +98,9 @@ class TestWriteSamples:
                        n_diverged=1, burn_in=7, thin=3)
         if block == "small":
             # three rows per Python write; room for one or two rows at a
-            # time in the compiled formatter's buffer, and for one row left
-            # to Python
+            # time in the compiled formatter's buffer
             monkeypatch.setattr(cli, "_SAMPLE_ROWS", 3)
             monkeypatch.setattr(cli, "_FORMAT_BYTES", 140)
-            monkeypatch.setattr(cli, "_FORMAT_HOLES", 1)
         cli._write_samples(tmp_path / "bulk.csv", ens)
         steps = [7 + (r + 1) * 3 for r in range(n_records)]
         rows = ([c, step, *y] for c, chain in zip(ens.chain_ids.tolist(), values.tolist())
@@ -109,6 +108,24 @@ class TestWriteSamples:
         _write_csv(tmp_path / "rows.csv", ["chain", "step", *(f"y_{i + 1}" for i in range(d))],
                    rows)
         assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_compiled_writer_holds_one_buffer(self, tmp_path):
+        # about 4 MB of rows, with rows the compiled formatter does not
+        # print in every 1 MB buffer: the text is never copied around them
+        if step.load() is None:
+            pytest.skip("the compiled library is not loaded")
+        values = np.random.default_rng(5).normal(size=(100, 1000, 2))
+        values.reshape(-1)[::20_011] = np.nan
+        ens = Ensemble(samples=values, chain_ids=np.arange(100), n_chains=100,
+                       n_diverged=0, burn_in=0, thin=1)
+        tracemalloc.start()
+        try:
+            cli._write_samples(tmp_path / "samples.csv", ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "samples.csv").stat().st_size > 3 * cli._FORMAT_BYTES
+        assert peak < 2 * cli._FORMAT_BYTES, peak
 
 
 class TestSimulateCommand:

@@ -123,8 +123,9 @@ def test_source_compiles_without_warnings(tmp_path):
 def test_sign_tile_is_vectorized_for_each_drift_kind(tmp_path):
     # the full tile's chain loops, in each clone of the kernel, are what
     # make it fast: the fused d = 1 sign loop of advance(), once per drift
-    # kind, carries fig3, and the row-wise step() at d = 1 and d = 2 the
-    # gaussian workloads; a VLA or an aliasing store silently stops them
+    # kind, carries fig3, and the row-wise step() at d = 1 and d = 2, which
+    # also scales the drawn noise, the gaussian workloads; a VLA or an
+    # aliasing store silently stops them
     res = step.compile_source(step.SOURCE.read_bytes(), tmp_path / "step.so",
                               "-fopt-info-vec-optimized")
     stderr = res.stderr.decode()
@@ -153,10 +154,11 @@ def test_sign_tile_is_vectorized_for_each_drift_kind(tmp_path):
     vectorized(signs, len(step.KINDS))
     # step()'s chain loops in order: neg_cube's row; affine's first product,
     # later products and bias at d = 1, 2 and a runtime d (later products
-    # only above d = 1); the update at all four
+    # only above d = 1); then, at all four, the noise row's first product,
+    # its later products (above d = 1 only) and the update
     rows = chain_loops("INLINE void step(")
-    assert len(rows) == 5, rows
-    for widths, instances in zip(rows, (1, 3, 2, 3, 4)):
+    assert len(rows) == 7, rows
+    for widths, instances in zip(rows, (1, 3, 2, 3, 4, 2, 4)):
         vectorized(widths, instances)
 
 
@@ -325,11 +327,10 @@ def printed(kernel, values, per_row=100):
     samples[: len(values)] = values
     samples = samples.reshape(rows, 1, per_row)
     ids, steps = np.arange(rows, dtype=np.int64), np.zeros(1, np.int64)
-    buf, holes = np.empty(1 << 20, np.uint8), np.empty((1, 2), np.int64)
-    text, row = [], 0
+    buf, text, row = np.empty(1 << 20, np.uint8), [], 0
     while row < rows:
-        row, used, n_holes = kernel.format_samples(ids, steps, samples, row, buf, holes)
-        assert n_holes == 0, f"format_samples left out row {holes[0, 0]}"
+        row, used = kernel.format_samples(ids, steps, samples, row, buf)
+        assert used, f"format_samples stopped at row {row}"
         text.append(buf[:used].tobytes())
     lines = b"".join(text).decode().split("\r\n")
     assert lines.pop() == ""
@@ -371,46 +372,42 @@ def test_format_samples_prints_what_repr_prints(kernel):
                                    5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
                                    np.inf, -np.inf, np.nan])
 def test_format_samples_leaves_out_rows_with_a_value_it_does_not_print(kernel, value):
-    # rows of 2 values: the rows holding value and -value are left out, and
-    # each hole says where its row belongs
+    # rows of 2 values: printing stops before each row holding value or
+    # -value, which prints nothing, and resumes after it
     samples = np.array([[1.0, 2.0], [3.0, value], [-value, 4.0], [5.0, 6.0]]).reshape(4, 1, 2)
     ids, steps = np.arange(4, dtype=np.int64), np.array([7], np.int64)
-    buf, holes = np.empty(1024, np.uint8), np.empty((2, 2), np.int64)
-    row, used, n_holes = kernel.format_samples(ids, steps, samples, 0, buf, holes)
-    assert (row, buf[:used].tobytes()) == (4, b"0,7,1.0,2.0\r\n3,7,5.0,6.0\r\n")
-    assert holes[:n_holes].tolist() == [[1, 13], [2, 13]]
-    # with room for one hole it stops before the second
-    row, used, n_holes = kernel.format_samples(ids, steps, samples, 0, buf, holes[:1])
-    assert (row, used, n_holes) == (2, 13, 1)
-    assert kernel.format_samples(ids, steps, samples, 2, buf, holes[:0]) == (2, 0, 0)
+    buf = np.empty(1024, np.uint8)
+    calls = []
+    for start in (0, 1, 2, 3, 4):
+        row, used = kernel.format_samples(ids, steps, samples, start, buf)
+        calls.append((start, row, buf[:used].tobytes()))
+    assert calls == [(0, 1, b"0,7,1.0,2.0\r\n"), (1, 1, b""), (2, 2, b""),
+                     (3, 4, b"3,7,5.0,6.0\r\n"), (4, 4, b"")]
 
 
 def test_format_samples_stops_before_a_row_that_might_not_fit(kernel):
     samples = np.full((3, 2, 1), 0.5)
     ids, steps = np.array([0, 1, 2**62], np.int64), np.array([-3, 2**62], np.int64)
-    holes = np.empty((6, 2), np.int64)
-    assert kernel.format_samples(ids, steps, samples, 0, np.empty(1000, np.uint8), holes)[::2] \
-        == (6, 0)
+    assert kernel.format_samples(ids, steps, samples, 0, np.empty(1000, np.uint8))[0] == 6
     # a row of one value takes at most 2 * 21 + 26 + 2 bytes
     buf = np.empty(70, np.uint8)
-    assert kernel.format_samples(ids, steps, samples, 0, buf, holes) == \
-        (1, len(b"0,-3,0.5\r\n"), 0)
-    row, used, _ = kernel.format_samples(ids, steps, samples, 5, buf, holes)
+    assert kernel.format_samples(ids, steps, samples, 0, buf) == (1, len(b"0,-3,0.5\r\n"))
+    row, used = kernel.format_samples(ids, steps, samples, 5, buf)
     assert (row, buf[:used].tobytes()) == (6, f"{2**62},{2**62},0.5\r\n".encode())
-    # a row that might not fit in an empty buffer is left out
-    assert kernel.format_samples(ids, steps, samples, 4, np.empty(69, np.uint8), holes) == \
-        (6, 0, 2)
-    assert holes[:2].tolist() == [[4, 0], [5, 0]]
+    # a row that might not fit in an empty buffer is not printed
+    assert kernel.format_samples(ids, steps, samples, 4, np.empty(69, np.uint8)) == (4, 0)
     # no records, so no rows
-    assert kernel.format_samples(ids, steps[:0], samples[:, :0], 0, buf, holes) == (0, 0, 0)
+    assert kernel.format_samples(ids, steps[:0], samples[:, :0], 0, buf) == (0, 0)
     with pytest.raises(ValueError, match="no row 7"):
-        kernel.format_samples(ids, steps, samples, 7, buf, holes)
+        kernel.format_samples(ids, steps, samples, 7, buf)
     with pytest.raises(ValueError, match="C-contiguous"):
-        kernel.format_samples(ids, steps, np.full((3, 2, 2), 0.5)[:, :, :1], 0, buf, holes)
+        kernel.format_samples(ids, steps, np.full((3, 2, 2), 0.5)[:, :, :1], 0, buf)
     with pytest.raises(ValueError, match="int64"):
-        kernel.format_samples(ids.astype(np.int32), steps, samples, 0, buf, holes)
+        kernel.format_samples(ids.astype(np.int32), steps, samples, 0, buf)
     with pytest.raises(ValueError, match="shape"):
-        kernel.format_samples(ids, steps, samples, 0, buf, np.empty(12, np.int64))
+        kernel.format_samples(ids[:2], steps, samples, 0, buf)
+    with pytest.raises(ValueError, match="uint8"):
+        kernel.format_samples(ids, steps, samples, 0, buf.view(np.int8))
 
 
 def test_failed_format_check_falls_back_to_the_python_writer(fresh_kernel, tmp_path,
