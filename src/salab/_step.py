@@ -8,30 +8,39 @@ print, which Python then writes.  The source is
 compiled with the local ``cc`` and linked against numpy's static
 ``numpy/random/lib/libnpyrandom.a``, whose random_standard_normal makes the
 draws the fast path rejects and gives back numpy's ziggurat tables, into
-``${XDG_CACHE_HOME:-~/.cache}/salab/step-<key>.so``.  The key is a sha256
-of everything the build reads: the source, CFLAGS, the numpy version and
-the bytes of libnpyrandom.a.  The build writes a temporary file and renames
+``${XDG_CACHE_HOME:-~/.cache}/salab/step-<key>.so``.  The key is a blake2b
+of everything the build reads and everything numpy's reference draws
+depend on: the source, CFLAGS, the numpy version, the bytes of
+libnpyrandom.a, of numpy.random's _philox, _generator, bit_generator and
+_common extension modules, and of salab's noise.py, core.py and this
+module.  The build writes a temporary file and renames
 it into place while holding a lock, so concurrent first uses never load a
 half-written library.  ctypes releases the GIL for the length of each call.
 On loading, the kernel reads the tables (init), then draws a few
-thousand values of every noise shape, which must be numpy's bit for bit
-(_self_check), and prints about a thousand values, which must be repr()'s
-(_format_check).  Without a compiler, numpy's archive or a header, when the
-cache cannot be written, or when the tables or either check fail, load()
-returns None: the engine keeps its numpy body and samples_<alpha>.csv its
-Python writer, which write the same bytes.
+thousand values of every noise shape, whose digest must be that of numpy's
+draws (_self_check), and prints about a thousand values, which must be
+repr()'s (_format_check).  The digest of numpy's draws is computed once per
+key, from seed_rng Generators, and kept beside the library as
+``step-<key>.ref`` (written only from numpy's draws, when missing), so a
+run on a built kernel loads neither numpy.random nor (through hashlib)
+OpenSSL; only the cf residual's t-grid of d >= 2 `test` and `pipeline`
+runs still makes a Generator.  Without a compiler, numpy's archive or a
+header, when the cache cannot be written, or when the tables or either
+check fail, load() returns None: the engine keeps its numpy body and
+samples_<alpha>.csv its Python writer, which write the same bytes.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
 from functools import cache
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
+
+from .core import blake2b, philox_key
 
 #: compiler flags: no fused multiply-add and no fast-math, so every rounding
 #: is the one numpy makes
@@ -188,12 +197,36 @@ def compile_source(source: bytes, target: Path, *extra: str):
     return subprocess.run(argv, input=source, capture_output=True, timeout=120)
 
 
-def cache_key(source: bytes, library: bytes) -> str:
-    """sha256 of the source, CFLAGS, the numpy version and libnpyrandom.a's bytes."""
-    h = hashlib.sha256()
-    for part in (source, " ".join(CFLAGS).encode(), np.__version__.encode(), library):
+def _key_files() -> list:
+    """The files whose bytes the key covers besides the source: the archive
+    the build links, and the numpy.random extension modules and salab
+    modules that numpy's reference draws (_numpy_digest) run through.
+
+    The modules are found by name, as the import system finds them, without
+    importing numpy.random.
+    """
+    import importlib.machinery
+
+    package, files = LIBRARY.parent.parent, [LIBRARY]
+    for name in ("_philox", "_generator", "bit_generator", "_common"):
+        paths = [package / f"{name}{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        # with none there, opening the first raises the OSError
+        files.append(next((path for path in paths if path.exists()), paths[0]))
+    return [*files, *(SOURCE.with_name(f) for f in ("noise.py", "core.py", "_step.py"))]
+
+
+def cache_key(source: bytes) -> str:
+    """blake2b of the source, CFLAGS, the numpy version and the bytes of
+    _key_files(), each read in 64 KB chunks."""
+    h = blake2b(digest_size=32)
+    for part in (source, " ".join(CFLAGS).encode(), np.__version__.encode()):
         h.update(len(part).to_bytes(8, "little"))
         h.update(part)
+    for path in _key_files():
+        with open(path, "rb") as f:
+            h.update(os.fstat(f.fileno()).st_size.to_bytes(8, "little"))
+            while chunk := f.read(1 << 16):
+                h.update(chunk)
     return h.hexdigest()
 
 
@@ -222,29 +255,72 @@ def _build(source: bytes, target: Path) -> None:
                 os.remove(tmp)
 
 
-def _self_check(kernel: Kernel) -> bool:
-    """Whether the kernel's draws of every noise shape are the numpy body's
-    (noise._unit_variance_block), bit for bit.
+#: the self-check's noise shapes and dimensions, and the Philox keys of its
+#: two chains
+_CHECKS = (("gaussian", 1), ("gaussian", 2), ("uniform", 1), ("uniform", 2),
+           ("rademacher", 1), ("rademacher", 3), ("noiseless", 1))
+_CHECK_KEYS = (philox_key(20240917, 0), philox_key(20240917, 1))
 
-    Two chains make about 1,024 unit draws each, per shape and d, with
-    F(x) = -x, dc = 1, L = I and coeff = 1, so that each record is a draw
-    (x + (-x) = 0, then 0 + z = z).
-    """
-    from .core import philox_key, seed_rng
-    from .noise import _unit_variance_block
 
-    keys = np.array([philox_key(20240917, c) for c in range(2)], np.uint64)
-    for shape, d in (("gaussian", 1), ("gaussian", 2), ("uniform", 1), ("uniform", 2),
-                     ("rademacher", 1), ("rademacher", 3), ("noiseless", 1)):
-        steps = 1024 // d
-        x, out = np.ones((2, d)), np.empty((2, steps, d))
+def _digest(blocks) -> bytes:
+    """The hex blake2b of the arrays' bytes, in order, as ASCII."""
+    h = blake2b(digest_size=32)
+    for block in blocks:
+        h.update(block.tobytes())
+    return h.hexdigest().encode()
+
+
+def _kernel_digest(kernel: Kernel) -> bytes:
+    """Digest of the kernel's draws for every case of _CHECKS: each chain
+    makes about 1,024 unit draws, with F(x) = -x, dc = 1, L = I and coeff = 1,
+    so that each record is a draw (x + (-x) = 0, then 0 + z = z)."""
+    keys, outs = np.array(_CHECK_KEYS, np.uint64), []
+    for shape, d in _CHECKS:
+        x, out = np.ones((2, d)), np.empty((2, 1024 // d, d))
         kernel.run(("affine", -np.eye(d), np.zeros(d), 1.0), (shape, np.eye(d), 1.0),
                    keys, x, out, burn_in=0, thin=1)
-        for c, key in enumerate(keys):
-            z = _unit_variance_block(shape, seed_rng(*key), steps, d)
-            if out[c].tobytes() != z.tobytes():
-                return False
-    return True
+        outs.extend(out)
+    return _digest(outs)
+
+
+def _numpy_digest() -> bytes:
+    """Digest of the numpy body's draws (noise._unit_variance_block) from
+    seed_rng Generators, for the same cases, keys and order."""
+    from .core import seed_rng
+    from .noise import _unit_variance_block
+
+    return _digest(_unit_variance_block(shape, seed_rng(*key), 1024 // d, d)
+                   for shape, d in _CHECKS for key in _CHECK_KEYS)
+
+
+def _self_check(kernel: Kernel, ref: Path) -> bool:
+    """Whether the kernel's draws of every noise shape are the numpy body's,
+    bit for bit: whether their digest is the one ref holds.
+
+    When ref is missing or unreadable, numpy's digest is computed and
+    written to it (a temporary file renamed into place) first.  Only numpy's
+    draws ever write ref, and the key covers every input they depend on, so
+    a ref holds numpy's digest for its key.
+    """
+    try:
+        expected = ref.read_bytes()
+    except OSError:
+        expected = _numpy_digest()
+        tmp = ref.with_name(f".ref-{os.getpid()}-{ref.name}")
+        try:
+            tmp.write_bytes(expected)
+            os.replace(tmp, ref)
+        except OSError:
+            pass  # a cache it cannot write: the digest is numpy's all the same
+    return _kernel_digest(kernel) == expected
+
+
+def _splitmix64(n: int, seed: int) -> np.ndarray:
+    """The first n words of Vigna's splitmix64 from seed, in uint64 arithmetic."""
+    z = np.uint64(seed) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def _format_probes() -> np.ndarray:
@@ -253,18 +329,18 @@ def _format_probes() -> np.ndarray:
     The edges of FORMAT_RANGE and their neighbours, +-0.0, ties between
     two shortest digit strings (2**50 + 0.25 prints as ...624.2 and
     2**50 + 0.75 as ...624.8), the neighbours of each power of two in
-    range, whose lower neighbour is nearer than the upper one, and random
-    bit patterns, in the range and anywhere (nan, inf, subnormals).
+    range, whose lower neighbour is nearer than the upper one, and
+    pseudo-random bit patterns (_splitmix64), in the range and anywhere
+    (nan, inf, subnormals).
     """
     lo, hi = FORMAT_RANGE
     edges = np.array([lo, hi, 0.0, 0.1, 1.0, 2.0**50 + 0.25, 2.0**50 + 0.75,
                       2.0**49 + 0.25, 2.0**49 + 0.75, 5e-324, np.inf, np.nan])
     edges = np.concatenate([edges, np.nextafter(edges[:2], 0), np.nextafter(edges[:2], np.inf)])
     powers = np.ldexp(1.0, np.arange(-15, 56))
-    rng = np.random.default_rng(20240917)
-    bits = np.array([lo, hi]).view(np.uint64)
-    in_range = rng.integers(bits[0], bits[1], 256, dtype=np.uint64).view(np.float64)
-    anywhere = rng.integers(0, 2**64, 64, dtype=np.uint64, endpoint=False).view(np.float64)
+    words, bits = _splitmix64(320, 20240917), np.array([lo, hi]).view(np.uint64)
+    in_range = (bits[0] + words[:256] % (bits[1] - bits[0])).view(np.float64)
+    anywhere = words[256:].view(np.float64)
     values = np.concatenate([edges, np.nextafter(powers, 0), powers,
                              np.nextafter(powers, np.inf), in_range, anywhere])
     return np.concatenate([values, -values])
@@ -299,14 +375,15 @@ def load() -> Optional[Kernel]:
     repr()'s."""
     try:
         source = SOURCE.read_bytes()
-        key = cache_key(source, LIBRARY.read_bytes())
+        key = cache_key(source)
         cache_dir = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
         target = Path(cache_dir) / "salab" / f"step-{key}.so"
         if not target.exists():
             _build(source, target)
         lib = ctypes.CDLL(str(target))
         kernel = Kernel(lib)
-        if lib.init() != 0 or not _self_check(kernel) or not _format_check(kernel):
+        if (lib.init() != 0 or not _self_check(kernel, target.with_suffix(".ref"))
+                or not _format_check(kernel)):
             return None
         return kernel
     except (OSError, ImportError, AttributeError):

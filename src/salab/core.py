@@ -12,12 +12,17 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 import numpy as np
+
+try:
+    # hashlib's own blake2b: `import hashlib` would also load OpenSSL's libcrypto
+    from _blake2 import blake2b
+except ImportError:  # a Python built without _blake2
+    from hashlib import blake2b
 
 _MASK64 = (1 << 64) - 1
 
@@ -61,7 +66,7 @@ def seed_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 def stream_id(*labels: Any) -> int:
     """Stable 64-bit stream id derived from a tuple of printable labels."""
-    return _id(hashlib.blake2b(repr(labels).encode("utf-8"), digest_size=8))
+    return _id(blake2b(repr(labels).encode("utf-8"), digest_size=8))
 
 
 def stream_ids(labels: tuple, lasts) -> list:
@@ -73,7 +78,7 @@ def stream_ids(labels: tuple, lasts) -> list:
     """
     if not labels:
         raise ValueError("stream_ids needs at least one label before the last")
-    prefix = hashlib.blake2b(repr((*labels, 0))[:-2].encode("utf-8"), digest_size=8)
+    prefix = blake2b(repr((*labels, 0))[:-2].encode("utf-8"), digest_size=8)
     ids = []
     for last in lasts:
         h = prefix.copy()

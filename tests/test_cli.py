@@ -731,6 +731,24 @@ def test_manifest_records_scipy_only_when_the_run_loaded_it(tmp_path, command, b
     assert "scipy" not in json.loads((out / "manifest.json").read_text())["runtime"]
 
 
+def test_compiled_run_loads_neither_numpy_random_nor_openssl(tmp_path):
+    # on a warm cache the kernel's draws are checked against the digest of
+    # numpy's kept beside it, so no Generator is made and no hashlib loaded
+    if step.load() is None:
+        pytest.skip("the compiled library is not loaded")
+    cfg = write_cfg(tmp_path, "drift = quartic\nnoise.shape = rademacher\nnoise.sigma = [[1.0]]\n"
+                              "alphas = 0.01\nscaling = 0.25\nn_chains = 8\n"
+                              "samples_per_chain = 16\n")
+    code = ("import sys\nfrom salab.cli import main\ncode = main(sys.argv[1:])\n"
+            "print(code, 'numpy.random' in sys.modules, '_hashlib' in sys.modules)")
+    for run in ("first", "warm"):
+        out = tmp_path / run
+        res = run_salab_process(["-c", code, "simulate", "--config", cfg, "--out", str(out)],
+                                check=True)
+    assert res.stdout.split()[-3:] == ["0", "False", "False"]
+    assert json.loads((out / "manifest.json").read_text())["engine"] == "compiled"
+
+
 def test_manifest_records_the_process_peak_rss(tmp_path):
     cfg, out = write_cfg(tmp_path, QUAD_CFG), tmp_path / "run"
     # a forked child's ru_maxrss starts at its parent's peak, so the run is
@@ -788,6 +806,13 @@ def test_each_command_holds_one_ensemble_at_a_time(tmp_path, monkeypatch, comman
 def test_importing_the_cli_loads_no_scipy():
     # scipy costs more than a second of start-up; only the statistics load it
     code = "import sys, salab.cli; print(any(m.startswith('scipy') for m in sys.modules))"
+    out = run_salab_process(["-c", code], check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_importing_the_cli_loads_no_openssl():
+    # hashlib's import loads OpenSSL's libcrypto, a few MB salab never uses
+    code = "import sys, salab.cli; print('_hashlib' in sys.modules)"
     out = run_salab_process(["-c", code], check=True)
     assert out.stdout.strip() == "False"
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,19 @@ class TestSeedRng:
         lasts = [0, 1, 7, 4095, 4096, 2**63, -3, "x", 0.25, (2, 3)]
         assert stream_ids(labels, lasts) == [stream_id(*labels, last) for last in lasts]
         assert stream_ids(labels, []) == []
+
+    @pytest.mark.parametrize("labels", [("simulate", "linear", "gaussian", "0.005"),
+                                        ("t-grid", 2), (0.5, None, (1, "a"))])
+    def test_stream_ids_are_hashlibs_blake2b(self, labels):
+        # every stream is keyed by these ids, so the blake2b salab takes
+        # from _blake2 must give hashlib's values
+        def expected(*labels):
+            digest = hashlib.blake2b(repr(labels).encode("utf-8"), digest_size=8).digest()
+            return int.from_bytes(digest, "little")
+
+        lasts = [0, 4096, 2**63, "x"]
+        assert stream_id(*labels) == expected(*labels)
+        assert stream_ids(labels, lasts) == [expected(*labels, last) for last in lasts]
 
     def test_stream_ids_need_a_label_before_the_last(self):
         with pytest.raises(ValueError, match="at least one label"):

@@ -433,10 +433,89 @@ def test_failed_self_check_falls_back_to_the_numpy_body(fresh_kernel, tmp_path, 
     sizes = dict(n_chains=70, burn_in=300, thin=7, samples_per_chain=5, seed=8)
     compiled = sim.run_chains(op, nm, 0.01, 0.02, **sizes)
     monkeypatch.setattr(step, "load", functools.cache(step.load.__wrapped__))
-    monkeypatch.setattr(step, "_self_check", lambda kernel: False)
+    monkeypatch.setattr(step, "_self_check", lambda kernel, ref: False)
     assert sim.engine(op) == "numpy"
     assert sim.run_chains(op, nm, 0.01, 0.02, **sizes).samples.tobytes() == \
         compiled.samples.tobytes()
+
+
+def reference_file():
+    """The digest file beside the kernel that the cache at XDG_CACHE_HOME holds."""
+    key = step.cache_key(step.SOURCE.read_bytes())
+    return Path(os.environ["XDG_CACHE_HOME"]) / "salab" / f"step-{key}.ref"
+
+
+def test_wrong_reference_digest_falls_back_to_the_numpy_body(fresh_kernel, monkeypatch):
+    op, nm = quartic(), make_noise("rademacher", [[0.5]])
+    sizes = dict(n_chains=70, burn_in=300, thin=7, samples_per_chain=5, seed=8)
+    compiled = sim.run_chains(op, nm, 0.01, 0.02, **sizes)
+    ref = reference_file()
+    assert ref.read_bytes() == step._numpy_digest()
+    # a well-formed digest of draws that are not numpy's
+    wrong = step._digest([np.ones(1)])
+    ref.write_bytes(wrong)
+    monkeypatch.setattr(step, "load", functools.cache(step.load.__wrapped__))
+    assert step.load() is None
+    assert sim.engine(op) == "numpy"
+    assert sim.run_chains(op, nm, 0.01, 0.02, **sizes).samples.tobytes() == \
+        compiled.samples.tobytes()
+    # the file is never rewritten from the kernel's draws
+    assert ref.read_bytes() == wrong
+
+
+def test_missing_reference_file_is_rewritten_from_numpys_draws(fresh_kernel, monkeypatch):
+    ref = reference_file()
+    expected = ref.read_bytes()
+    ref.unlink()
+    monkeypatch.setattr(step, "load", functools.cache(step.load.__wrapped__))
+    assert step.load() is not None
+    assert ref.read_bytes() == expected == step._numpy_digest()
+    assert step._kernel_digest(step.load()) == expected
+    # and the temporary file it was written through is gone
+    assert sorted(p.suffix for p in ref.parent.iterdir()) == [".lock", ".ref", ".so"]
+
+
+def test_self_check_computes_numpys_digest_only_without_a_reference(fresh_kernel, monkeypatch,
+                                                                     tmp_path):
+    calls = []
+    digest = step._numpy_digest
+    monkeypatch.setattr(step, "_numpy_digest", lambda: calls.append(1) or digest())
+    ref = tmp_path / "step.ref"
+    assert step._self_check(fresh_kernel, ref) and calls == [1]
+    assert step._self_check(fresh_kernel, ref) and calls == [1]
+    # a cache it cannot write still gets numpy's digest compared
+    assert step._self_check(fresh_kernel, tmp_path / "no-dir" / "step.ref") and calls == [1, 1]
+
+
+def test_key_covers_every_input_of_numpys_reference(tmp_path, monkeypatch):
+    # a copy of the files the key reads, each changed by one byte in turn
+    files = step._key_files()
+    names = [p.name for p in files]
+    for name in ("_philox", "_generator", "bit_generator", "_common"):
+        assert sum(n.startswith(f"{name}.") for n in names) == 1, name
+    assert names[0] == "libnpyrandom.a" and names[-3:] == ["noise.py", "core.py", "_step.py"]
+    package, salab = tmp_path / "random", tmp_path / "salab"
+    (package / "lib").mkdir(parents=True)
+    salab.mkdir()
+    copies = [package / "lib" / names[0], *(package / n for n in names[1:-3]),
+              *(salab / n for n in names[-3:])]
+    for src, dst in zip(files, copies):
+        dst.write_bytes(src.read_bytes()[:100_000])
+    monkeypatch.setattr(step, "LIBRARY", copies[0])
+    monkeypatch.setattr(step, "SOURCE", salab / "_step.c")
+    assert step._key_files() == copies
+    source = b"int x;"
+    keys = {step.cache_key(source), step.cache_key(source + b" ")}
+    for path in copies:
+        data = path.read_bytes()
+        path.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+        keys.add(step.cache_key(source))
+        path.write_bytes(data)
+    assert len(keys) == 2 + len(copies)
+    assert step.cache_key(source) in keys
+    copies[1].unlink()
+    with pytest.raises(OSError):
+        step.cache_key(source)
 
 
 @pytest.mark.parametrize("missing", ["archive", "header"])
@@ -505,9 +584,10 @@ def test_fallback_writes_the_compiled_bytes(tmp_path, failure):
         if shutil.which("cc") is not None:
             manifest = json.loads((tmp_path / f"{name}-compiled" / "manifest.json").read_text())
             assert manifest["engine"] == "compiled"
-            key = step.cache_key(step.SOURCE.read_bytes(), step.LIBRARY.read_bytes())
+            key = step.cache_key(step.SOURCE.read_bytes())
             built = sorted(p.name for p in (cache / "salab").glob("*.so"))
             assert built == [f"step-{key}.so"]
+            assert (cache / "salab" / f"step-{key}.ref").read_bytes() == step._numpy_digest()
 
 
 def test_kernel_rejects_buffers_it_cannot_step(fresh_kernel):
