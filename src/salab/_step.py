@@ -23,8 +23,7 @@ repr()'s (_format_check).  The digest of numpy's draws is computed once per
 key, from seed_rng Generators, and kept beside the library as
 ``step-<key>.ref`` (written only from numpy's draws, when missing), so a
 run on a built kernel loads neither numpy.random nor (through hashlib)
-OpenSSL; only the cf residual's t-grid of d >= 2 `test` and `pipeline`
-runs still makes a Generator.  Without a compiler, numpy's archive or a
+OpenSSL.  Without a compiler, numpy's archive or a
 header, when the cache cannot be written, or when the tables or either
 check fail, load() returns None: the engine keeps its numpy body and
 samples_<alpha>.csv its Python writer, which write the same bytes.

@@ -307,12 +307,12 @@ def _emit_scaling_report(op, manifest):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _config_command(name: str, dry_run: str, check=None):
+def _config_command(name: str, dry_run: str, checks=()):
     """Make body(validated, manifest, threads) the handler of subcommand `name`.
 
-    check(validated), if given, may reject the config first.  Then --dry-run
-    prints dry_run with {n_alphas}, the number of stepsizes, and writes
-    nothing; otherwise body runs and the manifest is written.
+    Each check(validated) of checks, in order, may reject the config first.
+    Then --dry-run prints dry_run with {n_alphas}, the number of stepsizes,
+    and writes nothing; otherwise body runs and the manifest is written.
     """
     def decorate(body):
         def handler(args) -> int:
@@ -330,7 +330,7 @@ def _config_command(name: str, dry_run: str, check=None):
                 if _alpha_tag(a) == _alpha_tag(b):
                     raise ConfigError(f"alphas {a!r} and {b!r} share the file tag "
                                       f"{_alpha_tag(a)!r}")
-            if check is not None:
+            for check in checks:
                 check(validated)
             if args.dry_run:
                 print(dry_run.format(n_alphas=len(validated.alphas)))
@@ -368,7 +368,13 @@ def _cmd_simulate(validated, manifest, threads) -> None:
     manifest.engine = engine(validated.op)
 
 
-@_config_command("predict", "predict: would write prediction.csv")
+def _require_noise(validated) -> None:
+    if validated.noise.shape == "noiseless":
+        raise ConfigError("noise.shape = noiseless has Sigma = 0, so there is no stationary "
+                          "law to predict or test: predict, test and pipeline need noise")
+
+
+@_config_command("predict", "predict: would write prediction.csv", checks=(_require_noise,))
 def _cmd_predict(validated, manifest, threads) -> None:
     _emit_prediction(validated, manifest)
 
@@ -446,20 +452,19 @@ def _require_density_samples(validated) -> None:
 
 
 @_config_command("test", "test: would simulate and write verification CSVs",
-                 check=_require_density_samples)
+                 checks=(_require_noise, _require_density_samples))
 def _cmd_test(validated, manifest, threads) -> None:
     scaling = _resolve_scaling(validated)
     _run_tests_for(validated, manifest, scaling, threads)
 
 
-def _check_pipeline(validated) -> None:
+def _require_auto_scaling(validated) -> None:
     if validated.scaling != "auto":
         raise ConfigError("pipeline requires scaling = auto")
-    _require_density_samples(validated)
 
 
 @_config_command("pipeline", "pipeline: would run find-scaling, simulate, predict, test",
-                 check=_check_pipeline)
+                 checks=(_require_auto_scaling, _require_noise, _require_density_samples))
 def _cmd_pipeline(validated, manifest, threads) -> None:
     report = _emit_scaling_report(validated.op, manifest)
     scaling = PowerScaling(report.exponent)
@@ -476,7 +481,7 @@ def _require_identity_noise(validated) -> None:
 
 
 @_config_command("em-compare", "em-compare: would write em_compare.csv",
-                 check=_require_identity_noise)
+                 checks=(_require_identity_noise,))
 def _cmd_em_compare(validated, manifest, threads) -> None:
     alpha, *not_run = validated.alphas
     if not_run:

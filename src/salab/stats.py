@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumericalError, require_spd, seed_rng, stream_id
+from .core import NumericalError, require_spd
 from .drift import _ordered_product
 
 #: batches used for batch-means standard errors and effective sample size
@@ -243,20 +243,19 @@ class CfResidualReport:
 
 
 def default_t_grid(dim: int) -> np.ndarray:
-    """Frequency probes: signed scalars for d=1, axes plus random directions else."""
+    """Frequency probes, one t of each +-t pair, whose residuals are conjugates.
+
+    d = 1: 0.25, 0.5, 1 and 2.  Else each axis at 0.5 and then 1, then for
+    each pair i < j the diagonals (e_i + e_j)/sqrt(2) and (e_i - e_j)/sqrt(2),
+    so every covariance entry has a probe.
+    """
     if dim == 1:
-        return np.array([[0.25], [-0.25], [0.5], [-0.5], [1.0], [-1.0], [2.0], [-2.0]])
-    rows = []
+        return np.array([[0.25], [0.5], [1.0], [2.0]])
+    eye = np.eye(dim)
+    rows = [mag * e for e in eye for mag in (0.5, 1.0)]
     for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        for mag in (0.5, 1.0):
-            rows.append(mag * e)
-            rows.append(-mag * e)
-    rng = seed_rng(0, stream_id("t-grid", dim))
-    for _ in range(8):
-        v = rng.standard_normal(dim)
-        rows.append(v / np.linalg.norm(v, axis=0))
+        for j in range(i + 1, dim):
+            rows += [(eye[i] + eye[j]) / math.sqrt(2.0), (eye[i] - eye[j]) / math.sqrt(2.0)]
     return np.array(rows)
 
 
@@ -267,12 +266,6 @@ def cf_residual(samples, m_lyap, sigma, t_grid=None) -> CfResidualReport:
     covariance solves the Lyapunov equation for (M, Sigma).  Standard errors
     come from batch means over the sample order, so correlated ensembles get
     honest error bars.
-
-    Negating t negates the phase, t'M y and the sine exactly, and leaves
-    t'St and the cosine as they are, so each summand becomes its conjugate:
-    a probe whose exact negation is an earlier row takes that row's
-    (re, -im, se) without a pass over the samples.  A zero im is computed
-    again, as negating it cannot tell which zero the sum would give.
     """
     samples = _sample_matrix(samples)
     n, d = samples.shape
@@ -296,13 +289,7 @@ def cf_residual(samples, m_lyap, sigma, t_grid=None) -> CfResidualReport:
     n_batches, size = _batch_shape(n)
     batch = np.empty((2, size))                     # the batch being filled
     means = np.empty((2, n_batches))                # batch means of re and im
-    rows = {}                                       # t.tobytes() -> its row
     for j, t in enumerate(t_grid):
-        mirror = rows.get((-t).tobytes())
-        rows[t.tobytes()] = j
-        if mirror is not None and res_im[mirror] != 0.0:
-            res_re[j], res_im[j], ses[j] = res_re[mirror], -res_im[mirror], ses[mirror]
-            continue
         quad = float(_dot(t, _dot(sigma, t)))
         mt = _dot(m_lyap.T, t)
 

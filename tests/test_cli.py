@@ -526,6 +526,26 @@ class TestPipelineCommand:
         cfg = write_cfg(tmp_path, body.replace("n_chains = 8", "n_chains = 10"))
         assert main([command, "--config", cfg, "--out", str(out), "--dry-run"]) == 0
 
+    @pytest.mark.parametrize("command", ["predict", "test", "pipeline"])
+    @pytest.mark.parametrize("body", [
+        "drift = linear\ndrift.a = [[-1.0, 0.0], [0.0, -1.0]]\n"
+        "noise.sigma = [[0.0, 0.0], [0.0, 0.0]]\n",
+        "drift = grad_quadratic\ndrift.hessian = [[1.0]]\nnoise.sigma = [[0.0]]\n",
+    ], ids=["linear-2d", "quadratic-1d"])
+    def test_noiseless_noise_exits_2_before_simulating(self, tmp_path, capsys, command, body):
+        # unchecked, both pass --dry-run and a run fails only after simulating:
+        # "Sigma not positive definite" (exit 2) or a zero KDE bandwidth (exit 3)
+        body += ("noise.shape = noiseless\nalphas = 0.1\nscaling = auto\n"
+                 "n_chains = 32\nsamples_per_chain = 32\n")
+        out = tmp_path / command
+        for dry_run in ([], ["--dry-run"]):
+            assert main([command, "--config", write_cfg(tmp_path, body), "--out", str(out),
+                         *dry_run]) == 2
+            assert capsys.readouterr().err == (
+                "config error: noise.shape = noiseless has Sigma = 0, so there is no "
+                "stationary law to predict or test: predict, test and pipeline need noise\n")
+            assert not out.exists()
+
 
 class TestEmCompareCommand:
     def test_em_compare_csv(self, tmp_path):
@@ -731,19 +751,25 @@ def test_manifest_records_scipy_only_when_the_run_loaded_it(tmp_path, command, b
     assert "scipy" not in json.loads((out / "manifest.json").read_text())["runtime"]
 
 
-def test_compiled_run_loads_neither_numpy_random_nor_openssl(tmp_path):
+@pytest.mark.parametrize("command, body", [
+    ("simulate", "drift = quartic\nnoise.shape = rademacher\nnoise.sigma = [[1.0]]\n"
+                 "alphas = 0.01\nscaling = 0.25\nn_chains = 8\nsamples_per_chain = 16\n"),
+    ("pipeline", "drift = linear\ndrift.a = [[-1.0, 0.5], [0.0, -2.0]]\n"
+                 "noise.sigma = [[1.0, 0.0], [0.0, 1.0]]\nalphas = 0.01\nscaling = auto\n"
+                 "n_chains = 8\nsamples_per_chain = 16\n"),
+], ids=["simulate-quartic", "pipeline-2d"])
+def test_compiled_run_loads_neither_numpy_random_nor_openssl(tmp_path, command, body):
     # on a warm cache the kernel's draws are checked against the digest of
-    # numpy's kept beside it, so no Generator is made and no hashlib loaded
+    # numpy's kept beside it, so no Generator is made and no hashlib loaded;
+    # the cf residual's probes are fixed, so a 2-d pipeline makes none either
     if step.load() is None:
         pytest.skip("the compiled library is not loaded")
-    cfg = write_cfg(tmp_path, "drift = quartic\nnoise.shape = rademacher\nnoise.sigma = [[1.0]]\n"
-                              "alphas = 0.01\nscaling = 0.25\nn_chains = 8\n"
-                              "samples_per_chain = 16\n")
+    cfg = write_cfg(tmp_path, body)
     code = ("import sys\nfrom salab.cli import main\ncode = main(sys.argv[1:])\n"
             "print(code, 'numpy.random' in sys.modules, '_hashlib' in sys.modules)")
     for run in ("first", "warm"):
         out = tmp_path / run
-        res = run_salab_process(["-c", code, "simulate", "--config", cfg, "--out", str(out)],
+        res = run_salab_process(["-c", code, command, "--config", cfg, "--out", str(out)],
                                 check=True)
     assert res.stdout.split()[-3:] == ["0", "False", "False"]
     assert json.loads((out / "manifest.json").read_text())["engine"] == "compiled"

@@ -228,8 +228,8 @@ class TestCfResidual:
         return samples, m, root @ root.T + np.eye(d)
 
     @staticmethod
-    def mirror_grid(name, d):
-        """A t grid of probes and their exact negations, in various orders."""
+    def probe_grid(name, d):
+        """A t grid with repeated and negated probes, in various orders."""
         t = seed_rng(2, 30 + d).standard_normal(d)
         half = np.zeros(d)
         half[0] = 0.5
@@ -237,17 +237,17 @@ class TestCfResidual:
         flipped[0] = -0.5        # [-0.5, +0.0, ...] is not -[0.5, 0.0, ...]
         return {
             "default": default_t_grid(d),
-            "reversed": -default_t_grid(d),             # every -t before its t
+            "negated": -default_t_grid(d),
             "repeated": np.array([t, t, -t, t, -t]),
             "signed_zero": np.array([half, flipped, -half]),
             "zero": np.array([np.zeros(d), -np.zeros(d), np.zeros(d)]),
         }[name]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("grid", ["reversed", "repeated", "signed_zero", "zero"])
-    def test_mirrored_probes_are_the_computed_ones(self, d, grid):
+    @pytest.mark.parametrize("grid", ["default", "negated", "repeated", "signed_zero", "zero"])
+    def test_a_probes_row_does_not_depend_on_the_rest_of_the_grid(self, d, grid):
         samples, m, sigma = self.skewed_case(d)
-        t_grid = self.mirror_grid(grid, d)
+        t_grid = self.probe_grid(grid, d)
         rep = cf_residual(samples, m, sigma, t_grid=t_grid)
         alone = [cf_residual(samples, m, sigma, t_grid=[row]) for row in t_grid]
         for got, name in ((rep.residual_real, "residual_real"),
@@ -255,20 +255,28 @@ class TestCfResidual:
             want = np.concatenate([getattr(r, name) for r in alone])
             assert got.tobytes() == want.tobytes(), name
 
-    @pytest.mark.parametrize("grid, d, computed", [
-        ("default", 1, 4), ("default", 2, 12), ("default", 3, 14),
-        ("repeated", 2, 2), ("signed_zero", 2, 2), ("signed_zero", 3, 2), ("zero", 2, 3),
-    ])
-    def test_mirrored_probes_take_no_pass_over_the_samples(self, monkeypatch, grid, d,
-                                                          computed):
+    @pytest.mark.parametrize("d, probes", [(1, 4), (2, 6), (3, 12)])
+    def test_each_probe_of_the_default_grid_takes_one_pass(self, monkeypatch, d, probes):
         samples, m, sigma = self.skewed_case(d, n=1000)
         passes = []
         dot = stats._dot
-        # each computed probe projects every sample block on t and on M't
+        # each probe projects every sample block on t and on M't
         monkeypatch.setattr(stats, "_dot",
                             lambda x, v: passes.append(len(x) == 1000) or dot(x, v))
-        cf_residual(samples, m, sigma, t_grid=self.mirror_grid(grid, d))
-        assert sum(passes) == 2 * computed
+        rep = cf_residual(samples, m, sigma)
+        assert len(rep.t_grid) == probes and sum(passes) == 2 * probes
+
+    def test_fixed_grid_sees_a_wrong_cross_covariance(self):
+        # N(0, [[0.5, 0.3], [0.3, 0.5]]) has the marginals of the limit law
+        # N(0, I/2) of M = -I, Sigma = I, and the wrong correlation: at t the
+        # residual is (|t|^2 - 2 t'Ct) exp(-t'Ct / 2), zero on the axes only
+        cov = np.array([[0.5, 0.3], [0.3, 0.5]])
+        samples = seed_rng(2, 40).standard_normal((100_000, 2)) @ np.linalg.cholesky(cov).T
+        rep = cf_residual(samples, -np.eye(2), np.eye(2))
+        z = np.hypot(rep.residual_real, rep.residual_imag) / rep.se
+        axes = np.count_nonzero(rep.t_grid, axis=1) == 1
+        assert axes.sum() == 4 and np.all(z[axes] <= 5.0)
+        assert np.max(z[~axes]) > 10.0
 
     def test_memory_is_a_few_blocks_and_one_batch(self):
         n = 262_144
@@ -278,8 +286,8 @@ class TestCfResidual:
         assert peak <= FEW_BLOCKS + 16 * n // stats.N_BATCHES
 
     def test_default_grid_shapes(self):
-        assert default_t_grid(1).shape == (8, 1)
-        assert default_t_grid(3).shape == (4 * 3 + 8, 3)
+        assert default_t_grid(1).shape == (4, 1)
+        assert default_t_grid(3).shape == (12, 3)
 
 
 class TestGaussianGof:
