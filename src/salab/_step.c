@@ -88,7 +88,7 @@
 #endif
 
 enum { NEG_CUBE, AFFINE };
-enum { GAUSSIAN, UNIFORM, RADEMACHER, NOISELESS };
+enum { GAUSSIAN, UNIFORM, RADEMACHER };
 
 struct drift {
     long kind, d;
@@ -340,11 +340,6 @@ INLINE void draw(const struct noise *nz, long d, struct stream *ss, long t, long
                  double *restrict z, uint64_t *word, int *left)
 {
     long n = m * d;
-    if (nz->shape == NOISELESS) {
-        /* z = 0, which step() scales to 0 coeff */
-        memset(z, 0, n * TILE * sizeof *z);
-        return;
-    }
     for (long c = 0; c < t; c++) {
         struct stream *s = ss + c;
         double *restrict zc = z + c;

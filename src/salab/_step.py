@@ -40,6 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .core import blake2b, philox_key
+from .noise import SHAPES
 
 #: compiler flags: no fused multiply-add and no fast-math, so every rounding
 #: is the one numpy makes
@@ -55,9 +56,6 @@ _long, _double, _ptr = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
 #: the drifts the kernel steps, in the order of _step.c's enum:
 #: F(x) = -x^3 (d = 1) and x A^T + b (any d)
 KINDS = ("neg_cube", "affine")
-
-#: the noise shapes the kernel draws, in the order of _step.c's enum
-SHAPES = ("gaussian", "uniform", "rademacher", "noiseless")
 
 #: format_samples prints the values of magnitude in [lo, hi), and +-0.0:
 #: those repr() prints in fixed notation
@@ -257,7 +255,7 @@ def _build(source: bytes, target: Path) -> None:
 #: the self-check's noise shapes and dimensions, and the Philox keys of its
 #: two chains
 _CHECKS = (("gaussian", 1), ("gaussian", 2), ("uniform", 1), ("uniform", 2),
-           ("rademacher", 1), ("rademacher", 3), ("noiseless", 1))
+           ("rademacher", 1), ("rademacher", 3))
 _CHECK_KEYS = (philox_key(20240917, 0), philox_key(20240917, 1))
 
 

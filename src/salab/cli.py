@@ -368,13 +368,7 @@ def _cmd_simulate(validated, manifest, threads) -> None:
     manifest.engine = engine(validated.op)
 
 
-def _require_noise(validated) -> None:
-    if validated.noise.shape == "noiseless":
-        raise ConfigError("noise.shape = noiseless has Sigma = 0, so there is no stationary "
-                          "law to predict or test: predict, test and pipeline need noise")
-
-
-@_config_command("predict", "predict: would write prediction.csv", checks=(_require_noise,))
+@_config_command("predict", "predict: would write prediction.csv")
 def _cmd_predict(validated, manifest, threads) -> None:
     _emit_prediction(validated, manifest)
 
@@ -452,7 +446,7 @@ def _require_density_samples(validated) -> None:
 
 
 @_config_command("test", "test: would simulate and write verification CSVs",
-                 checks=(_require_noise, _require_density_samples))
+                 checks=(_require_density_samples,))
 def _cmd_test(validated, manifest, threads) -> None:
     scaling = _resolve_scaling(validated)
     _run_tests_for(validated, manifest, scaling, threads)
@@ -464,7 +458,7 @@ def _require_auto_scaling(validated) -> None:
 
 
 @_config_command("pipeline", "pipeline: would run find-scaling, simulate, predict, test",
-                 checks=(_require_auto_scaling, _require_noise, _require_density_samples))
+                 checks=(_require_auto_scaling, _require_density_samples))
 def _cmd_pipeline(validated, manifest, threads) -> None:
     report = _emit_scaling_report(validated.op, manifest)
     scaling = PowerScaling(report.exponent)

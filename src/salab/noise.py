@@ -11,15 +11,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, as_square_matrix, require_spd
+from .core import ConfigError, require_spd
 from .drift import _ordered_product
 
 _SQRT3 = np.sqrt(3.0)
 
+#: the noise shapes, in the order of _step.c's enum
+SHAPES = ("gaussian", "uniform", "rademacher")
+
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Noise distribution: shape in {gaussian, uniform, rademacher, noiseless}.
+    """Noise distribution: one of SHAPES, with symmetric positive definite Sigma.
 
     ``cholesky`` is the cached lower factor of Sigma; draws are
     cholesky @ z with z made of i.i.d. unit-variance zero-mean entries of
@@ -36,16 +39,8 @@ class NoiseModel:
 
 
 def make_noise(shape: str, sigma) -> NoiseModel:
-    """Build a noise model, enforcing symmetric positive definite Sigma.
-
-    Sigma = 0 is allowed only for the special "noiseless" debug shape, which
-    bypasses all stationary analysis.
-    """
-    if shape == "noiseless":
-        sigma = as_square_matrix(sigma, "noise sigma")
-        return NoiseModel(shape=shape, sigma=np.zeros_like(sigma),
-                          cholesky=np.zeros_like(sigma))
-    if shape not in ("gaussian", "uniform", "rademacher"):
+    """Build a noise model, enforcing symmetric positive definite Sigma."""
+    if shape not in SHAPES:
         raise ConfigError(f"unknown noise shape {shape!r}")
     sigma = require_spd(sigma, "noise sigma")
     chol = np.linalg.cholesky(sigma)
@@ -78,8 +73,6 @@ def _unit_variance_block(shape: str, rng: np.random.Generator, n: int, d: int) -
     if shape == "rademacher":
         bits = sign_bits(sign_words(rng, n * d))[: n * d]
         return (bits * 2.0 - 1.0).reshape(n, d)
-    if shape == "noiseless":
-        return np.zeros((n, d))
     raise ConfigError(f"unknown noise shape {shape!r}")
 
 
@@ -88,13 +81,7 @@ def sample_block(nm: NoiseModel, rng: np.random.Generator, n: int) -> np.ndarray
 
     Row s is L z_s summed in one fixed order, as drift._ordered_product
     sums (no fused multiply-add), so its bits never depend on n, as a BLAS
-    product's can, and the compiled kernel draws the same.  At d = 1 each
-    draw is scaled in place by the one Cholesky entry: the same single
-    product, without the overhead.
+    product's can, and the compiled kernel draws the same.
     """
-    z = _unit_variance_block(nm.shape, rng, n, nm.dim)
-    if nm.dim == 1:
-        z *= nm.cholesky[0, 0]
-        return z
-    return _ordered_product(z, nm.cholesky)
+    return _ordered_product(_unit_variance_block(nm.shape, rng, n, nm.dim), nm.cholesky)
 

@@ -526,24 +526,23 @@ class TestPipelineCommand:
         cfg = write_cfg(tmp_path, body.replace("n_chains = 8", "n_chains = 10"))
         assert main([command, "--config", cfg, "--out", str(out), "--dry-run"]) == 0
 
-    @pytest.mark.parametrize("command", ["predict", "test", "pipeline"])
+    @pytest.mark.parametrize("command", ["predict", "test", "pipeline", "simulate",
+                                         "em-compare", "find-scaling"])
     @pytest.mark.parametrize("body", [
         "drift = linear\ndrift.a = [[-1.0, 0.0], [0.0, -1.0]]\n"
         "noise.sigma = [[0.0, 0.0], [0.0, 0.0]]\n",
         "drift = grad_quadratic\ndrift.hessian = [[1.0]]\nnoise.sigma = [[0.0]]\n",
     ], ids=["linear-2d", "quadratic-1d"])
     def test_noiseless_noise_exits_2_before_simulating(self, tmp_path, capsys, command, body):
-        # unchecked, both pass --dry-run and a run fails only after simulating:
-        # "Sigma not positive definite" (exit 2) or a zero KDE bandwidth (exit 3)
+        # every noise shape has a positive definite Sigma, so Sigma = 0 has
+        # no shape: validation rejects it before any chain runs
         body += ("noise.shape = noiseless\nalphas = 0.1\nscaling = auto\n"
                  "n_chains = 32\nsamples_per_chain = 32\n")
         out = tmp_path / command
         for dry_run in ([], ["--dry-run"]):
             assert main([command, "--config", write_cfg(tmp_path, body), "--out", str(out),
                          *dry_run]) == 2
-            assert capsys.readouterr().err == (
-                "config error: noise.shape = noiseless has Sigma = 0, so there is no "
-                "stationary law to predict or test: predict, test and pipeline need noise\n")
+            assert capsys.readouterr().err == "config error: unknown noise shape 'noiseless'\n"
             assert not out.exists()
 
 

@@ -18,13 +18,10 @@ class TestConstruction:
             make_noise("gaussian", [[1.0, 2.0], [2.0, 1.0]])
 
     def test_rejects_unknown_shape(self):
-        with pytest.raises(ConfigError, match="unknown noise shape"):
-            make_noise("levy", [[1.0]])
-
-    def test_noiseless_debug_mode(self):
-        nm = make_noise("noiseless", [[0.0]])
-        draws = sample_block(nm, seed_rng(0, 0), 100)
-        assert np.all(draws == 0.0)
+        # every shape has a positive definite Sigma: no Sigma = 0 shape either
+        for shape, sigma in (("levy", [[1.0]]), ("noiseless", [[0.0]])):
+            with pytest.raises(ConfigError, match=f"unknown noise shape '{shape}'"):
+                make_noise(shape, sigma)
 
 
 class TestMoments:

@@ -57,9 +57,11 @@ def body(request, monkeypatch):
     return request.param
 
 
-def one_step(op, nm, alpha, x0, seed):
-    """X_1 of chain 0 started at x0: one SA update alpha (F(x0) + w)."""
-    raw = run_chains(op, nm, alpha, alpha, n_chains=1, burn_in=0, thin=1,
+def one_step(op, nm, alpha, x0, seed, noise_coeff=None):
+    """X_1 of chain 0 started at x0: one update alpha F(x0) + noise_coeff w,
+    by default the SA update alpha (F(x0) + w)."""
+    noise_coeff = alpha if noise_coeff is None else noise_coeff
+    raw = run_chains(op, nm, alpha, noise_coeff, n_chains=1, burn_in=0, thin=1,
                      samples_per_chain=1, seed=seed, init=x0)
     return raw.samples[0, 0]
 
@@ -118,14 +120,15 @@ SIGMA = {2: [[1.0, 0.3], [0.3, 0.5]],
 
 
 class TestStepChain:
+    # noise_coeff = 0: the drift step alone
     def test_noiseless_linear(self):
         op = linear([[-1.0]])
-        nm = make_noise("noiseless", [[0.0]])
-        assert one_step(op, nm, 0.1, [1.0], 0) == pytest.approx([0.9])
+        nm = make_noise("gaussian", [[1.0]])
+        assert one_step(op, nm, 0.1, [1.0], 0, noise_coeff=0.0) == pytest.approx([0.9])
 
     def test_noiseless_cubic(self):
-        nm = make_noise("noiseless", [[0.0]])
-        assert one_step(quartic(), nm, 0.1, [2.0], 0) == pytest.approx([1.2])
+        nm = make_noise("gaussian", [[1.0]])
+        assert one_step(quartic(), nm, 0.1, [2.0], 0, noise_coeff=0.0) == pytest.approx([1.2])
 
     def test_pure_noise_step(self):
         # F(0) = 0, so the update is exactly alpha * w
@@ -137,14 +140,10 @@ class TestStepChain:
 
 class TestRunEnsemble:
     def test_noiseless_from_root_stays_at_root(self):
-        cfg = validate_config(
-            ExperimentConfig(
-                drift="grad_quadratic", noise_shape="noiseless",
-                noise_sigma=[[0.0]], alphas=(0.01,), scaling=0.5,
-                n_chains=4, samples_per_chain=16,
-            )
-        )
-        ens = run_ensemble(cfg, 0.01)
+        # gaussian draws at noise_coeff = 0 leave the drift alone, which
+        # vanishes at the root
+        ens = run_chains(grad_quadratic(), make_noise("gaussian", [[1.0]]), 0.01, 0.0,
+                         n_chains=4, burn_in=1000, thin=100, samples_per_chain=16, seed=0)
         assert np.all(ens.samples == 0.0)
 
     def test_stationary_variance_matches_ar1(self):
@@ -391,8 +390,6 @@ def reference_noise(nm, rng, n):
                 z[s, j] = 1.0 if (int(words[i // 64]) >> (i % 64)) & 1 else -1.0
     elif nm.shape == "gaussian":
         z = rng.standard_normal((n, d))
-    elif nm.shape == "noiseless":
-        z = np.zeros((n, d))
     else:
         z = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(n, d))
     chol = nm.cholesky.tolist()
@@ -426,12 +423,13 @@ def reference_chain(op, nm, drift_coeff, noise_coeff, c, *, burn_in, thin,
     return np.array(records)
 
 
-def assert_chains_match_reference(op, nm, n_chains, chains, **sizes):
-    """The given chains of one run_chains call equal reference_chain bit for bit."""
-    raw = run_chains(op, nm, 0.01, 0.02, n_chains=n_chains, **sizes)
+def assert_chains_match_reference(op, nm, n_chains, chains, noise_coeff=0.02, **sizes):
+    """The given chains of one run_chains call, at drift_coeff 0.01 and
+    noise_coeff, equal reference_chain bit for bit."""
+    raw = run_chains(op, nm, 0.01, noise_coeff, n_chains=n_chains, **sizes)
     assert raw.n_diverged == 0
     for c in chains:
-        records = reference_chain(op, nm, 0.01, 0.02, c, **sizes)
+        records = reference_chain(op, nm, 0.01, noise_coeff, c, **sizes)
         assert raw.samples[c].tobytes() == records.tobytes(), c
 
 
@@ -506,25 +504,26 @@ class TestEngineMatchesReference:
     @pytest.mark.parametrize("op", [linear([[-1.5]], [0.7]), grad_quadratic([[2.5]])],
                              ids=["linear", "grad_quadratic"])
     @pytest.mark.parametrize(
-        "shape, sigma, blocks",
+        "shape, sigma, blocks, noise_coeff",
         [
-            ("gaussian", [[1.3]], "long"),
-            ("gaussian", [[1.3]], "short"),
-            ("uniform", [[0.8]], "long"),
-            ("uniform", [[0.8]], "short"),
-            ("noiseless", [[0.0]], "short"),
-            ("rademacher", [[0.5]], "long"),
+            ("gaussian", [[1.3]], "long", 0.02),
+            ("gaussian", [[1.3]], "short", 0.02),
+            ("uniform", [[0.8]], "long", 0.02),
+            ("uniform", [[0.8]], "short", 0.02),
+            ("gaussian", [[1.3]], "short", 0.0),
+            ("rademacher", [[0.5]], "long", 0.02),
         ],
         ids=["gaussian-long", "gaussian-short", "uniform-long", "uniform-short",
              "noiseless", "sign"],
     )
-    def test_affine_chains_on_both_bodies(self, op, shape, sigma, blocks, body):
-        # Chains start off the root, so the noiseless ones move too.  Long
-        # blocks cross the numpy body's window and block edges; short ones
-        # run one block shorter than a full one.
+    def test_affine_chains_on_both_bodies(self, op, shape, sigma, blocks, noise_coeff, body):
+        # Chains start off the root, so the noiseless ones (noise_coeff 0)
+        # move too.  Long blocks cross the numpy body's window and block
+        # edges; short ones run one block shorter than a full one.
         sizes = EDGE_SIZES if blocks == "long" else SHORT_SIZES
         assert_chains_match_reference(op, make_noise(shape, sigma), EDGE_CHAINS,
-                                      EDGE_CHAIN_IDS, seed=15, init=[3.0], **sizes)
+                                      EDGE_CHAIN_IDS, noise_coeff, seed=15, init=[3.0],
+                                      **sizes)
 
     # about an eighth (gaussian) and a quarter (sign) of the chains diverge
     @pytest.mark.parametrize("shape, sigma", [("gaussian", [[30.0]]),
@@ -543,18 +542,19 @@ class TestEngineMatchesReference:
     @pytest.mark.parametrize("op", [linear(ROUNDING_A, ROUNDING_B), grad_quadratic(ROUNDING_H),
                                     linear(ROUNDING_A3, ROUNDING_B3)],
                              ids=["linear-d2", "grad_quadratic-d2", "linear-d3"])
-    @pytest.mark.parametrize("shape, blocks", [("gaussian", "long"), ("gaussian", "short"),
-                                               ("uniform", "short"), ("noiseless", "short"),
-                                               ("rademacher", "long")],
+    @pytest.mark.parametrize("shape, blocks, noise_coeff",
+                             [("gaussian", "long", 0.02), ("gaussian", "short", 0.02),
+                              ("uniform", "short", 0.02), ("gaussian", "short", 0.0),
+                              ("rademacher", "long", 0.02)],
                              ids=["gaussian-long", "gaussian-short", "uniform-short",
                                   "noiseless", "sign"])
-    def test_rounding_affine_chains_on_both_bodies(self, op, shape, blocks, body):
+    def test_rounding_affine_chains_on_both_bodies(self, op, shape, blocks, noise_coeff, body):
         # Coefficients whose products round, started off the root, with
-        # the long and short blocks of test_affine_chains_on_both_bodies
-        d = op.dim
-        nm = make_noise(shape, np.zeros((d, d)) if shape == "noiseless" else SIGMA[d])
+        # the long and short blocks and the noise_coeff 0 case of
+        # test_affine_chains_on_both_bodies
         sizes = EDGE_SIZES if blocks == "long" else SHORT_SIZES
-        assert_chains_match_reference(op, nm, EDGE_CHAINS, EDGE_CHAIN_IDS, seed=16,
+        assert_chains_match_reference(op, make_noise(shape, SIGMA[op.dim]), EDGE_CHAINS,
+                                      EDGE_CHAIN_IDS, noise_coeff, seed=16,
                                       init=op.root + 3.0, **sizes)
 
     def test_wide_affine_chains_on_worker_threads(self, monkeypatch):

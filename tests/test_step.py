@@ -18,7 +18,7 @@ import salab.simulate as sim
 from salab.core import philox_key, seed_rng
 from salab.drift import (DriftOperator, contractive_tanh, exp_square, grad_quadratic, linear,
                          quartic, quartic_sine)
-from salab.noise import make_noise
+from salab.noise import SHAPES, make_noise
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -188,7 +188,7 @@ def test_compiled_body_draws_no_noise_in_python(fresh_kernel, monkeypatch):
            linear([[-1.3, 0.7, 0.1], [0.2, -2.1, 0.3], [-0.4, 0.6, -1.7]], [0.1, -0.3, 0.7]))
     for op in ops:
         d = op.dim
-        for shape in ("gaussian", "uniform", "noiseless", "rademacher"):
+        for shape in SHAPES:
             nm = make_noise(shape, np.eye(d))
             ens = sim.run_chains(op, nm, 0.01, 0.01, n_chains=10, burn_in=10, thin=3,
                                  samples_per_chain=4, seed=1)
