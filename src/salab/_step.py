@@ -53,6 +53,9 @@ LIBRARY = Path(np.__file__).with_name("random") / "lib" / "libnpyrandom.a"
 
 _long, _double, _ptr = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
 
+#: the largest value of a C long, which ctypes would wrap rather than reject
+_LONG_MAX = 2 ** (8 * ctypes.sizeof(_long) - 1) - 1
+
 #: the drifts the kernel steps, in the order of _step.c's enum:
 #: F(x) = -x^3 (d = 1) and x A^T + b (any d)
 KINDS = ("neg_cube", "affine")
@@ -138,6 +141,10 @@ class Kernel:
         spc = out.shape[1] if out.ndim == 3 else 0
         if thin < 1 or burn_in < 0:
             raise ValueError(f"no schedule of burn-in {burn_in} and thin {thin}")
+        # the kernel counts to step burn_in + (spc + 1) * thin
+        if burn_in + (spc + 1) * thin > _LONG_MAX:
+            raise ValueError(f"the schedule of burn-in {burn_in}, thin {thin} and {spc} "
+                             f"records counts past {_LONG_MAX}, a C long's largest value")
         status = self._lib.run(f, nz, _data(keys, np.uint64, (n, 2)),
                                _data(x, np.float64, (n, f.d)), n,
                                _data(out, np.float64, (n, spc, f.d)), spc, burn_in, thin)

@@ -119,11 +119,20 @@ def _write_samples(path: Path, ens) -> None:
                 row += 1
 
 
+def _write_file(path: Path, write) -> None:
+    """write(path), with an OSError from writing it a ConfigError that names path."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 class _Manifest:
     """Makes out_dir, then collects the files and durations of one subcommand run.
 
     Leaving its with block writes manifest.json, or, if the run failed,
-    removes each directory it made that is still empty, never another.
+    removes each directory it made that is still empty, never another.  A
+    file it cannot write is a ConfigError.
     """
 
     def __init__(self, command: str, out_dir, seed, config_snapshot,
@@ -150,8 +159,10 @@ class _Manifest:
     def __enter__(self) -> "_Manifest":
         return self
 
-    def add(self, path: Path) -> None:
-        self.files.append(path.name)
+    def write(self, name: str, write) -> None:
+        """Write out_dir's file name with write(path), and list it."""
+        _write_file(self.out_dir / name, write)
+        self.files.append(name)
 
     def add_ensemble(self, tag: str, ens) -> None:
         """Record an ensemble's chain counts, chain-steps and chain-steps per second."""
@@ -168,9 +179,7 @@ class _Manifest:
         print(text)
 
     def emit(self, header, rows, name: str) -> None:
-        path = self.out_dir / name
-        _write_csv(path, header, rows)
-        self.add(path)
+        self.write(name, lambda path: _write_csv(path, header, rows))
 
     def __exit__(self, failure, exc, tb) -> None:
         if failure is not None:
@@ -181,7 +190,6 @@ class _Manifest:
                     break
             return
         self.durations["total_s"] = time.perf_counter() - self._t0
-        path = self.out_dir / "manifest.json"
         payload = {
             "command": self.command,
             "version": __version__,
@@ -198,7 +206,9 @@ class _Manifest:
         peak = _peak_rss_mb()
         if peak is not None:
             payload["peak_rss_mb"] = peak
-        path.write_text(json.dumps(payload, indent=2, default=str), encoding="utf-8")
+        text = json.dumps(payload, indent=2, default=str)
+        _write_file(self.out_dir / "manifest.json",
+                    lambda path: path.write_text(text, encoding="utf-8"))
 
 
 def _runtime(threads: int) -> dict:
@@ -352,11 +362,9 @@ def _cmd_simulate(validated, manifest, threads) -> None:
         ens = run_ensemble(validated, alpha, scaling, threads=threads)
         tag = _alpha_tag(alpha)
         manifest.add_ensemble(tag, ens)
-        path = manifest.out_dir / f"samples_{tag}.csv"
         t1 = time.perf_counter()
-        _write_samples(path, ens)
+        manifest.write(f"samples_{tag}.csv", lambda path: _write_samples(path, ens))
         manifest.durations[f"samples_{tag}_s"] = time.perf_counter() - t1
-        manifest.add(path)
         mom = moment_summary(ens)
         mrows = [("alpha", alpha), ("n_samples", mom.count),
                  ("n_diverged", ens.n_diverged),

@@ -205,6 +205,37 @@ _COUNT_KEYS = (
 )
 
 
+#: the largest signed 64-bit integer: the bound on the kernel's step counts
+#: and on the bytes of one ensemble's records
+_INT64_MAX = 2**63 - 1
+
+
+def _size_errors(alphas, counts: dict, d: int) -> list:
+    """What of the chains' schedules, "auto" resolved at each alpha, and of
+    their records does not fit in a signed 64-bit count.
+
+    A run counts to step burn_in + (samples_per_chain + 1) * thin, one
+    record's stride past the last record.
+    """
+    from .simulate import resolve_schedule
+
+    errors, spc = [], counts["samples_per_chain"]
+    for alpha in alphas:
+        try:
+            burn_in, thin = resolve_schedule(alpha, counts["burn_in"], counts["thin"])
+            fits = burn_in + (spc + 1) * thin <= _INT64_MAX
+        except OverflowError:       # "auto" at an alpha so small that 10 / alpha is inf
+            fits = False
+        if not fits:
+            errors.append(f"alpha {alpha:g}: burn_in + (samples_per_chain + 1) * thin is "
+                          f"more than 2^63 - 1 steps (burn_in = {counts['burn_in']}, "
+                          f"thin = {counts['thin']})")
+    if counts["n_chains"] * spc * d * 8 > _INT64_MAX:
+        errors.append("n_chains * samples_per_chain * d * 8 is more than 2^63 - 1 bytes "
+                      "of records")
+    return errors
+
+
 def _as_int(value) -> int:
     """An integer field's value; fractions, bools and text are errors, never truncated."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_)):
@@ -287,6 +318,8 @@ def validate_config(cfg: ExperimentConfig) -> ValidatedConfig:
         if minimum is not None and counts[name] < minimum:
             errors.append(f"{name} must be >= {minimum}")
 
+    if not errors:
+        errors = _size_errors(alphas, counts, op.dim)
     if errors:
         raise ConfigError(errors)
 

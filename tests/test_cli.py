@@ -267,6 +267,15 @@ class TestSimulateCommand:
         assert main(["predict", "--config", cfg, "--out", str(out)]) == 2
         assert "cannot create output directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["samples_0.1.csv", "moments_0.1.csv", "manifest.json"])
+    def test_a_file_it_cannot_write_exits_2(self, tmp_path, capsys, name):
+        out = tmp_path / "sim"
+        (out / name).mkdir(parents=True)
+        cfg = write_cfg(tmp_path, QUAD_CFG)
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot write {out / name}: Is a directory\n")
+
     def test_stepsizes_sharing_a_file_tag_exit_2(self, tmp_path, capsys):
         # both would write samples_0.00123457.csv, the second over the first
         cfg = write_cfg(tmp_path, QUAD_CFG.replace("alphas = 0.1, 0.01",
@@ -287,6 +296,60 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == (
             "config error: line 3: key 'drift.a' already given on line 2\n")
         assert not out.exists()
+
+
+def size_cfg(**changes) -> str:
+    """A 1-d gaussian config, with changes to its counts, as config lines."""
+    keys = {"drift": "grad_quadratic", "noise.sigma": "[[1.0]]", "alphas": 0.01,
+            "scaling": "auto", "n_chains": 4, "samples_per_chain": 300, **changes}
+    return "".join(f"{key} = {value}\n" for key, value in keys.items())
+
+
+def schedule_error(alpha, burn_in="auto", thin="auto") -> str:
+    return (f"config error: alpha {alpha}: burn_in + (samples_per_chain + 1) * thin is "
+            f"more than 2^63 - 1 steps (burn_in = {burn_in}, thin = {thin})\n")
+
+
+RECORDS_ERROR = ("config error: n_chains * samples_per_chain * d * 8 is more than 2^63 - 1 "
+                 "bytes of records\n")
+
+#: changes to size_cfg() that count past 2^63 - 1, and the error each gives.
+#: ctypes passed the kernel's counts modulo 2^64: a thin of 2^64 + 1 ran as
+#: 1, and ceil(10 / 1e-300) and ceil(1 / 1e-300) as 0
+SIZE_CASES = {
+    "thin-2^64+1": (dict(thin=2**64 + 1), schedule_error("0.01", thin=2**64 + 1)),
+    "burn-in-2^64+5": (dict(burn_in=2**64 + 5), schedule_error("0.01", burn_in=2**64 + 5)),
+    # burn_in + 300 thin fits; the step one stride past the last record does not
+    "one-stride-past": (dict(burn_in=2**63 - 1 - 300, thin=1),
+                        schedule_error("0.01", burn_in=2**63 - 1 - 300, thin=1)),
+    "auto-at-1e-300": (dict(alphas=1e-300), schedule_error("1e-300")),
+    # 10 / alpha is inf, which ceil cannot round
+    "auto-at-5e-324": (dict(alphas=5e-324), schedule_error("4.94066e-324")),
+    "n-chains-1e30": (dict(n_chains=1e30), RECORDS_ERROR),
+    "records-one-chain-past": (dict(n_chains=(2**63 - 1) // 2400 + 1), RECORDS_ERROR),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+@pytest.mark.parametrize("case", SIZE_CASES)
+def test_counts_past_64_bits_exit_2_before_simulating(tmp_path, capsys, command, case):
+    changes, message = SIZE_CASES[case]
+    out = tmp_path / "run"
+    cfg = write_cfg(tmp_path, size_cfg(**changes))
+    for dry_run in (["--dry-run"], []):
+        assert main([command, "--config", cfg, "--out", str(out), *dry_run]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+
+def test_the_64_bit_bounds_are_exact(tmp_path, capsys):
+    # the largest counts that fit pass, and those one past them do not; a
+    # chain holds 300 records of 8 bytes
+    for fits, past in ((dict(burn_in=2**63 - 1 - 301, thin=1), "one-stride-past"),
+                       (dict(n_chains=(2**63 - 1) // 2400), "records-one-chain-past")):
+        for changes, code in ((fits, 0), (SIZE_CASES[past][0], 2)):
+            cfg = write_cfg(tmp_path, size_cfg(**changes))
+            assert main(["simulate", "--config", cfg, "--dry-run"]) == code, changes
 
 
 class TestPredictCommand:
@@ -707,9 +770,10 @@ def test_pipeline_bytes_do_not_depend_on_numpys_simd_level(tmp_path):
 
 
 def test_an_ensemble_too_large_to_allocate_exits_3(tmp_path):
-    # 8e17 bytes of chain ids: more than any address space, so the
-    # allocation fails at once whatever the memory overcommit policy
-    cfg = write_cfg(tmp_path, QUAD_CFG.replace("n_chains = 8", "n_chains = 100000000000000000"))
+    # 8e16 bytes of chain ids: more than any address space, so the
+    # allocation fails at once whatever the memory overcommit policy; its
+    # 2.6e18 bytes of records are fewer than the 2^63 that validation rejects
+    cfg = write_cfg(tmp_path, QUAD_CFG.replace("n_chains = 8", "n_chains = 10000000000000000"))
     out = run_salab_process(["-m", "salab", "simulate", "--config", cfg,
                              "--out", str(tmp_path / "run")])
     assert out.returncode == 3
@@ -719,7 +783,7 @@ def test_an_ensemble_too_large_to_allocate_exits_3(tmp_path):
 
 @pytest.mark.parametrize("command", ["simulate", "test"])
 def test_a_failed_run_removes_only_the_empty_directories_it_made(tmp_path, command):
-    cfg = write_cfg(tmp_path, QUAD_CFG.replace("n_chains = 8", "n_chains = 100000000000000000"))
+    cfg = write_cfg(tmp_path, QUAD_CFG.replace("n_chains = 8", "n_chains = 10000000000000000"))
     kept = tmp_path / "kept"
     kept.mkdir()
     # a new nested --out, an existing empty one and a new one inside it

@@ -1,8 +1,14 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import salab._step as step
 from salab.core import ConfigError, seed_rng
-from salab.noise import _unit_variance_block, make_noise, sample_block, sign_words
+from salab.noise import SHAPES, _unit_variance_block, make_noise, sample_block, sign_words
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SQRT6 = np.sqrt(6.0)
 
@@ -22,6 +28,19 @@ class TestConstruction:
         for shape, sigma in (("levy", [[1.0]]), ("noiseless", [[0.0]])):
             with pytest.raises(ConfigError, match=f"unknown noise shape '{shape}'"):
                 make_noise(shape, sigma)
+
+
+def test_the_shape_list_is_written_once():
+    # the kernel's list, the names and order of its C enum, and README's
+    assert step.SHAPES == SHAPES
+    source = (ROOT / "src" / "salab" / "_step.c").read_text()
+    enums = [[name.strip() for name in body.split(",")]
+             for body in re.findall(r"enum\s*\{([^}]*)\}", source)]
+    assert [s.upper() for s in SHAPES] in enums
+    assert sum("GAUSSIAN" in names for names in enums) == 1
+    (listed,) = re.findall(r"^noise\.shape = \w+ +# (.*)$",
+                           (ROOT / "README.md").read_text(), flags=re.M)
+    assert listed.split(" | ") == list(SHAPES)
 
 
 class TestMoments:

@@ -558,36 +558,52 @@ def test_import_and_dry_run_build_nothing(tmp_path):
     assert json.loads((tmp_path / "q" / "manifest.json").read_text())["engine"] == "numpy"
 
 
+#: the runs of test_fallback_writes_the_compiled_bytes: --out, command and config
+FALLBACK_RUNS = (("q", "simulate", QUARTIC_CFG), ("g", "simulate", GRAD_CFG),
+                 ("p", "pipeline", PIPELINE_CFG))
+
+
+@pytest.fixture(scope="module")
+def compiled_runs(tmp_path_factory):
+    """The directory of FALLBACK_RUNS made with the usual kernel, built into
+    an empty cache by the first of them, and that cache."""
+    tmp = tmp_path_factory.mktemp("compiled")
+    cache = tmp / "cache"
+    for name, command, text in FALLBACK_RUNS:
+        cfg = tmp / f"{name}.cfg"
+        cfg.write_text(text)
+        res = run_salab(["-m", "salab", command, "--config", str(cfg), "--out", name], tmp, cache)
+        assert res.returncode == 0, res.stderr
+    return tmp, cache
+
+
 @pytest.mark.parametrize("failure", ["no-compiler", "unwritable-cache"])
-def test_fallback_writes_the_compiled_bytes(tmp_path, failure):
-    for name, command, text in (("q", "simulate", QUARTIC_CFG), ("g", "simulate", GRAD_CFG),
-                                ("p", "pipeline", PIPELINE_CFG)):
+def test_fallback_writes_the_compiled_bytes(tmp_path, compiled_runs, failure):
+    compiled, cache = compiled_runs
+    for name, command, text in FALLBACK_RUNS:
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(text)
-        args = ["-m", "salab", command, "--config", str(cfg), "--out"]
+        args = ["-m", "salab", command, "--config", str(cfg), "--out", name]
         if failure == "no-compiler":
             empty = tmp_path / "empty"
             empty.mkdir(exist_ok=True)
-            res = run_salab([*args, f"{name}-fallback"], tmp_path, tmp_path / "c1", path=empty)
+            res = run_salab(args, tmp_path, tmp_path / "c1", path=empty)
         else:
             blocked = tmp_path / "not-a-dir"
             blocked.write_text("")
-            res = run_salab([*args, f"{name}-fallback"], tmp_path, blocked)
+            res = run_salab(args, tmp_path, blocked)
         assert res.returncode == 0, res.stderr
-        manifest = json.loads((tmp_path / f"{name}-fallback" / "manifest.json").read_text())
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
         assert manifest["engine"] == "numpy"
-
-        cache = tmp_path / "c2"
-        res = run_salab([*args, f"{name}-compiled"], tmp_path, cache)
-        assert res.returncode == 0, res.stderr
-        assert csv_bytes(tmp_path / f"{name}-fallback") == csv_bytes(tmp_path / f"{name}-compiled")
+        assert csv_bytes(tmp_path / name) == csv_bytes(compiled / name)
         if shutil.which("cc") is not None:
-            manifest = json.loads((tmp_path / f"{name}-compiled" / "manifest.json").read_text())
+            manifest = json.loads((compiled / name / "manifest.json").read_text())
             assert manifest["engine"] == "compiled"
-            key = step.cache_key(step.SOURCE.read_bytes())
-            built = sorted(p.name for p in (cache / "salab").glob("*.so"))
-            assert built == [f"step-{key}.so"]
-            assert (cache / "salab" / f"step-{key}.ref").read_bytes() == step._numpy_digest()
+    if shutil.which("cc") is not None:
+        key = step.cache_key(step.SOURCE.read_bytes())
+        built = sorted(p.name for p in (cache / "salab").glob("*.so"))
+        assert built == [f"step-{key}.so"]
+        assert (cache / "salab" / f"step-{key}.ref").read_bytes() == step._numpy_digest()
 
 
 def test_kernel_rejects_buffers_it_cannot_step(fresh_kernel):
@@ -618,7 +634,12 @@ def test_kernel_rejects_buffers_it_cannot_step(fresh_kernel):
         kernel.run(("cube", None, None, 0.1), signs, keys, x, out, burn_in=1, thin=3)
     with pytest.raises(ValueError, match="noise shape"):
         kernel.run(cube, ("cauchy", np.eye(1), 0.1), keys, x, out, burn_in=1, thin=3)
-    for burn_in, thin in ((1, 0), (-1, 3)):
+    # ctypes would pass a count modulo 2^64: a thin of 2^64 + 1 as 1, a
+    # burn-in of 2^64 + 5 as 5 and one of 2^63 as -2^63.  And burn-in
+    # 2^63 - 12 with 3 records of thin 3 ends at step 2^63 - 3, but the
+    # kernel counts to one stride past the last record
+    for burn_in, thin in ((1, 0), (-1, 3), (1, 2**64 + 1), (2**64 + 5, 3), (2**63, 3),
+                          (2**63 - 12, 3)):
         with pytest.raises(ValueError, match="schedule"):
             kernel.run(cube, signs, keys, x, out, burn_in=burn_in, thin=thin)
 
