@@ -44,12 +44,11 @@ from .core import blake2b, philox_key
 from .noise import SHAPES
 
 #: compiler flags: no fused multiply-add and no fast-math, so every rounding
-#: is the one numpy makes.  On x86-64 the assembler also pads the code so
-#: that no jump crosses or ends on a 32-byte boundary.  Intel's microcode
-#: for its JCC erratum slows such a jump, so without the padding a step
-#: loop's speed depends on where an edit elsewhere moves it: one moved onto
-#: a boundary ran fig3's quartic sign steps 1.4x slower.  An assembler
-#: without the option fails the build, which leaves the numpy body in charge.
+#: is the one numpy makes.  On x86-64 the assembler pads the code so that no
+#: jump crosses or ends on a 32-byte boundary, which Intel's JCC-erratum
+#: microcode makes slow, so a step loop's speed does not hang on where
+#: edits elsewhere move it.  An assembler without the option fails the
+#: build, which leaves the numpy body in charge.
 CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC",
           *(("-Wa,-mbranches-within-32B-boundaries",)
             if platform.machine().lower() in ("x86_64", "amd64") else ()))

@@ -342,7 +342,7 @@ def test_counts_past_64_bits_exit_2_before_simulating(tmp_path, capsys, command,
         assert not out.exists()
 
 
-def test_the_64_bit_bounds_are_exact(tmp_path, capsys):
+def test_the_64_bit_bounds_are_exact(tmp_path):
     # the largest counts that fit pass, and those one past them do not; a
     # chain holds 300 records of 8 bytes
     for fits, past in ((dict(burn_in=2**63 - 1 - 301, thin=1), "one-stride-past"),
