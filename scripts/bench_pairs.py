@@ -18,10 +18,11 @@ process.  One untimed run per side comes first, so the compiled kernel is
 built before any timed run.
 
 Per run it records the CPU seconds (user + system), the peak RSS from
-os.wait4, and from its manifest.json the engine and manifest_peak_rss_mb,
-the run's own VmHWM: a forked child's ru_maxrss starts at this process's
-high-water mark, which puts a floor under it, and VmHWM has no such
-floor.  The numpy body writes the
+os.wait4, and from its manifest.json the engine, the kernel_isa (the
+compiled kernel's clone; None on the numpy body, and on a tree whose
+manifest does not record it) and manifest_peak_rss_mb, the run's own
+VmHWM: a forked child's ru_maxrss starts at this process's high-water
+mark, which puts a floor under it, and VmHWM has no such floor.  The numpy body writes the
 compiled kernel's bytes, so a kernel that failed to build or load would
 time a different program unseen: a run whose engine is not "compiled", or
 a pair whose two runs name different engines, is listed as a problem.
@@ -141,6 +142,7 @@ def run_pairs(name: str, srcs: dict, seeds: list, work: Path) -> dict:
             problems.extend(f"{label}: {p}" for p in gate(name, out))
             manifest = json.loads((out / "manifest.json").read_text())
             rec["engine"] = manifest["engine"]
+            rec["kernel_isa"] = manifest["runtime"].get("kernel_isa")
             rec["manifest_peak_rss_mb"] = manifest.get("peak_rss_mb")
             if rec["engine"] != "compiled":
                 problems.append(f"{label}: engine {rec['engine']}, not compiled")
@@ -156,7 +158,8 @@ def run_pairs(name: str, srcs: dict, seeds: list, work: Path) -> dict:
             runs[side].append(rec)
             print(f"{name} seed {seed} {side:6s} cpu_s {rec['cpu_s']:.3f} "
                   f"peak_rss_mb {rec['peak_rss_mb']:.2f} manifest_peak_rss_mb "
-                  f"{_fmt(rec.get('manifest_peak_rss_mb'), '.2f')} engine {rec.get('engine')}",
+                  f"{_fmt(rec.get('manifest_peak_rss_mb'), '.2f')} engine {rec.get('engine')} "
+                  f"kernel_isa {rec.get('kernel_isa')}",
                   flush=True)
         engines = {side: runs[side][-1].get("engine") for side in SIDES}
         if engines["parent"] != engines["change"]:
@@ -170,7 +173,8 @@ def run_pairs(name: str, srcs: dict, seeds: list, work: Path) -> dict:
     record = {"command": list(w.args) + ["--threads", str(THREADS)], "seeds": seeds,
               "problems": problems, "identical_csvs": len(seeds) - len(differing),
               "differing_csvs": differing,
-              "engines": {side: [r.get("engine") for r in runs[side]] for side in SIDES}}
+              "engines": {side: [r.get("engine") for r in runs[side]] for side in SIDES},
+              "kernel_isa": {side: [r.get("kernel_isa") for r in runs[side]] for side in SIDES}}
     record["change_wins"] = {
         m: sum(p.get(m) is not None and c.get(m) is not None and c[m] < p[m]
                for p, c in zip(runs["parent"], runs["change"]))
@@ -209,8 +213,9 @@ def main(argv=None) -> int:
         "about": "Alternating parent/change runs of each workload's salab command, one seed "
                  "per pair; cpu_s and peak_rss_mb from os.wait4 (ru_maxrss starts at this "
                  "process's own peak); manifest_peak_rss_mb is the peak_rss_mb of each "
-                 "run's manifest.json, the run's own VmHWM; engines are each run's manifest "
-                 "engine; change_wins counts the pairs where the change read lower.",
+                 "run's manifest.json, the run's own VmHWM; engines and kernel_isa are each "
+                 "run's manifest engine and runtime kernel_isa; change_wins counts the pairs "
+                 "where the change read lower.",
         "machine": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                     "platform": platform.platform()},
         "sides": {side: {"src": str(given), "src_sha256": tree_hash(srcs[side])}

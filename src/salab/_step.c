@@ -50,10 +50,16 @@
  * every loop reads it at unit stride.  Record r of a chain is its state
  * after step burn_in + (r + 1) * thin, written to out[chain, r].
  *
- * On x86-64 with glibc, gcc or clang builds the entry point twice, for
- * AVX2 and for the baseline, and picks one when the library is loaded.
- * Both clones are compiled from this source with the same flags, and
- * neither may use FMA, so they write the same bits.
+ * On x86-64 with glibc, gcc or clang builds the entry point and the Philox
+ * refill three times, for x86-64-v4 (AVX-512), for AVX2 and for the
+ * baseline, and glibc's resolver picks one of each when the library is
+ * loaded; isa() names the one run takes.  The v4 clone steps a tile eight
+ * chains to a vector, the AVX2 clone four, and the v4 refill multiplies
+ * with BMI2's mulx.  Each clone of run calls its own clone of refill.  All
+ * clones are compiled from this source with the same flags, and none may
+ * use FMA, though x86-64-v4 and AVX2 hosts have it: -ffp-contract=off
+ * keeps every product and sum rounded on its own, so they write the same
+ * bits.
  *
  * The library also prints the rows of samples_<alpha>.csv as csv.writer
  * and repr() would (format_samples, at the end of this file).  It stops at
@@ -82,8 +88,10 @@
 #define MINUS_ONE_BITS 0xBFF0000000000000u
 
 #if defined(__x86_64__) && defined(__GLIBC__) && (defined(__GNUC__) || defined(__clang__))
-#define CLONES __attribute__((target_clones("avx2", "default")))
+#define CLONED 1
+#define CLONES __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
 #else
+#define CLONED 0
 #define CLONES
 #endif
 
@@ -134,7 +142,7 @@ INLINE uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi)
 /* The stream's next BUF_WORDS words, a block of four at a time: ten
  * rounds, the key bumped between rounds.  The rounds are unrolled, so each
  * round's multiplies can start as soon as their inputs are ready. */
-static void refill(struct stream *s)
+CLONES static void refill(struct stream *s)
 {
     uint64_t ctr = s->ctr;
     for (int j = 0; j < BUF_WORDS; j += 4) {
@@ -176,13 +184,16 @@ INLINE uint64_t next_word(struct stream *s)
     return take(s, &s->pos);
 }
 
-/* The sign draw of a random bit: the double whose bits are v_bits, with its
- * sign bit flipped when bit is 1.  A branch on the bit would be mispredicted
- * every other draw; this is the kernel's one sign pick. */
-INLINE double pick_sign(uint64_t v_bits, uint64_t bit)
+/* The sign draw of the random bit at bit 63 of word: the double whose bits
+ * are v_bits, with its sign bit flipped when that bit is 1.  The other bits
+ * of word are masked off, so a shift that brings the draw to bit 63 is the
+ * only work a caller does: on AVX-512 the pick is one vpsllq and one
+ * vpternlogq.  A branch on the bit would be mispredicted every other draw;
+ * this is the kernel's one sign pick. */
+INLINE double pick_sign(uint64_t v_bits, uint64_t word)
 {
     double v;
-    v_bits ^= bit << 63;
+    v_bits ^= word & (uint64_t)1 << 63;
     memcpy(&v, &v_bits, sizeof v);
     return v;
 }
@@ -379,7 +390,7 @@ INLINE void draw(const struct noise *nz, long d, struct stream *ss, long t, long
                     wd = take(s, &pos);
                     lf = 64;
                 }
-                zc[j * TILE] = pick_sign(MINUS_ONE_BITS, wd & 1);
+                zc[j * TILE] = pick_sign(MINUS_ONE_BITS, wd << 63);
                 wd >>= 1;
                 lf--;
             }
@@ -395,7 +406,8 @@ INLINE void draw(const struct noise *nz, long d, struct stream *ss, long t, long
  * of step s.  Packed d = 1 sign noise (words not NULL) has draw s of chain c
  * in bit s % 64 of words[(s / 64) * TILE + c]: a set bit adds -lo, a clear
  * one lo, whose bits are lo_bits.  That update is fused, one pass per
- * step, and picks the draw with pick_sign. */
+ * step, and picks the draw with pick_sign from the word shifted left by
+ * 63 - s % 64, which brings draw s to bit 63. */
 INLINE void advance(long kind, long D, const struct drift *f, const struct noise *nz,
                     double *restrict xs, double *restrict g, const double *restrict z,
                     const uint64_t *restrict words, uint64_t lo_bits, long s0, long s1)
@@ -409,7 +421,7 @@ INLINE void advance(long kind, long D, const struct drift *f, const struct noise
         unsigned bit = (unsigned)(s & 63);
         for (long c = 0; c < TILE; c++) {
             double v = xs[c], gc = kind == NEG_CUBE ? -(v * v * v) : v * f->a[0] + f->b[0];
-            xs[c] = (v + gc * f->dc) + pick_sign(lo_bits, ws[c] >> bit & 1);
+            xs[c] = (v + gc * f->dc) + pick_sign(lo_bits, ws[c] << (63 - bit));
         }
     }
 }
@@ -486,6 +498,21 @@ CLONES int run(const struct drift *drift, const struct noise *nz, const uint64_t
     }
     free(xs);
     return 0;
+}
+
+/* The clone of run that glibc's resolver picks on this CPU, by the
+ * resolver's own tests in its order: "x86-64-v4", "avx2" or "default",
+ * which is also the name on a build without clones. */
+const char *isa(void)
+{
+#if CLONED
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("x86-64-v4"))
+        return "x86-64-v4";
+    if (__builtin_cpu_supports("avx2"))
+        return "avx2";
+#endif
+    return "default";
 }
 
 /* ------------------------------------------------------------------------

@@ -112,7 +112,8 @@ def _noise(shape, cholesky, coeff, d) -> Noise:
 
 class Kernel:
     """Runs a group of chains through their whole schedule in one call (run),
-    and prints the rows of samples CSVs (format_samples).
+    and prints the rows of samples CSVs (format_samples).  isa names the
+    clone of run this CPU takes: "x86-64-v4", "avx2" or "default".
 
     drift is (kind, a, b, dc): a drift F of one of the KINDS, its
     coefficients and dc.  For affine, a is the C-contiguous float64 (d, d)
@@ -131,7 +132,10 @@ class Kernel:
         lib.format_samples.argtypes = [_ptr, _ptr, _long, _ptr, _long, _long, _long, _ptr,
                                        _long, ctypes.POINTER(_long)]
         lib.format_samples.restype = _long
+        lib.isa.argtypes = []
+        lib.isa.restype = ctypes.c_char_p
         self._lib = lib
+        self.isa = lib.isa().decode()
 
     def run(self, drift, noise, keys, x, out, burn_in, thin) -> None:
         """Steps chain c from state x[c] through burn_in + spc * thin steps.

@@ -199,7 +199,7 @@ class _Manifest:
             "notes": self.notes,
             "engine": self.engine,
             "durations": self.durations,
-            "runtime": _runtime(self.threads),
+            "runtime": _runtime(self.threads, self.engine),
         }
         if self.ensembles:
             payload["ensembles"] = self.ensembles
@@ -211,9 +211,19 @@ class _Manifest:
                     lambda path: path.write_text(text, encoding="utf-8"))
 
 
-def _runtime(threads: int) -> dict:
-    """What a run's speed depends on and its bytes do not: kept out of the CSVs."""
+def _runtime(threads: int, body) -> dict:
+    """What a run's speed depends on and its bytes do not: kept out of the CSVs.
+
+    kernel_isa is the compiled kernel's clone (_step.Kernel.isa) when body,
+    the engine of the chains run, is "compiled", else None.
+    """
     affinity = getattr(os, "sched_getaffinity", None)   # not on macOS or Windows
+    if body == "compiled":
+        from ._step import load     # loaded already, by the chains it ran
+
+        kernel_isa = load().isa
+    else:
+        kernel_isa = None
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -221,6 +231,7 @@ def _runtime(threads: int) -> dict:
         "threads": threads,
         # set to "1" by importing salab unless the caller set it first
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "kernel_isa": kernel_isa,
     }
 
 

@@ -141,7 +141,8 @@ class TestSimulateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert sorted(manifest["files"]) == sorted(n for n in names if n != "manifest.json")
         runtime = manifest["runtime"]
-        assert set(runtime) == {"python", "numpy", "nproc", "threads", "openblas_num_threads"}
+        assert set(runtime) == {"python", "numpy", "nproc", "threads", "openblas_num_threads",
+                                "kernel_isa"}
         assert runtime["threads"] == 1 and runtime["numpy"] == np.__version__
         assert runtime["openblas_num_threads"] == os.environ["OPENBLAS_NUM_THREADS"]
         header, first, second = (out / "samples_0.1.csv").read_text().splitlines()[:3]
@@ -462,6 +463,8 @@ class TestFigureCommand:
             assert main(["figure", "fig3", "--out", str(outs[body]), "--seed", "2"]) == 0
             manifest = json.loads((outs[body] / "manifest.json").read_text())
             assert manifest["engine"] == body
+            isa = manifest["runtime"]["kernel_isa"]
+            assert isa == (step.load().isa if body == "compiled" else None)
         assert read_bytes(outs["compiled"]) == read_bytes(outs["numpy"])
 
 

@@ -20,11 +20,12 @@ def test_verify_theorems_reports_three_ok_cases():
     assert sum(line.endswith("-> OK") for line in out.stdout.splitlines()) == 3
 
 
-def bench_pairs(parent, change, record, env=None):
-    """One fig3_quartic pair of bench_pairs.py at seed 11."""
+def bench_pairs(parent, change, record, env=None, workload="fig3_quartic"):
+    """One pair of bench_pairs.py at seed 11, of fig3_quartic, the cheapest
+    workload on the compiled body, unless another workload is named."""
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), str(parent), str(change),
-         "--pairs", "1", "--seed", "11", "--workload", "fig3_quartic",
+         "--pairs", "1", "--seed", "11", "--workload", workload,
          "--out", str(record)],
         capture_output=True, text=True, timeout=300, env=env,
     )
@@ -48,6 +49,9 @@ def test_bench_pairs_runs_one_pair_of_identical_trees(tmp_path):
     run = pairs["fig3_quartic"]
     engine = "compiled" if compiled else "numpy"
     assert run["engines"] == {"parent": [engine], "change": [engine]}
+    (isa,) = run["kernel_isa"]["parent"]
+    assert run["kernel_isa"]["change"] == [isa]
+    assert isa in (("x86-64-v4", "avx2", "default") if compiled else (None,))
     assert run["seeds"] == [11]
     assert all("engine numpy, not compiled" in p for p in run["problems"])
     assert len(run["problems"]) == (0 if compiled else 4)    # warm-up and timed runs
@@ -61,7 +65,8 @@ def test_bench_pairs_runs_one_pair_of_identical_trees(tmp_path):
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_bench_pairs_lists_a_side_that_fell_back_to_the_numpy_body(tmp_path):
     # a kernel source that does not compile: that side runs the numpy
-    # body, which writes the same bytes, so only the engine tells
+    # body, which writes the same bytes, so only the engine tells; the
+    # workload is simulate_wide, the cheapest on the numpy body
     broken = tmp_path / "broken"
     shutil.copytree(ROOT / "src", broken / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -69,10 +74,11 @@ def test_bench_pairs_lists_a_side_that_fell_back_to_the_numpy_body(tmp_path):
         fh.write("\n#error no kernel\n")
     record = tmp_path / "pairs.json"
     env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache")}
-    out = bench_pairs(ROOT, broken, record, env)
+    out = bench_pairs(ROOT, broken, record, env, workload="simulate_wide")
     assert out.returncode == 1, out.stdout + out.stderr
-    run = json.loads(record.read_text())["pairs"]["fig3_quartic"]
+    run = json.loads(record.read_text())["pairs"]["simulate_wide"]
     assert run["engines"] == {"parent": ["compiled"], "change": ["numpy"]}
+    assert run["kernel_isa"]["change"] == [None] and run["kernel_isa"]["parent"] != [None]
     assert run["problems"] == ["change seed 11 (warm-up): engine numpy, not compiled",
                                "change seed 11: engine numpy, not compiled",
                                "seed 11: engines differ: "

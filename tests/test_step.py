@@ -1,5 +1,6 @@
 """The compiled step kernel: its build, its dispatch and its numpy fallback."""
 
+import ctypes
 import functools
 import json
 import os
@@ -64,6 +65,10 @@ samples_per_chain = 512
 """
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+#: x86-64 with glibc builds an x86-64-v4 clone of the kernel, at 64-byte
+#: vectors, and an AVX2 clone, at 32-byte vectors, beside the baseline one
+CLONED = platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc"
 
 
 def run_salab(args, tmp_path, cache, path=None):
@@ -131,8 +136,6 @@ def test_sign_tile_is_vectorized_for_each_drift_kind(tmp_path):
     stderr = res.stderr.decode()
     if res.returncode != 0 or "optimized:" not in stderr:
         pytest.skip("cc does not report vectorized loops with -fopt-info-vec-optimized")
-    # x86-64 with glibc builds an AVX2 clone beside the baseline one
-    avx2 = platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc"
     lines = list(enumerate(step.SOURCE.read_text().splitlines(), 1))
     reports = [(int(m.group(1)), int(m.group(2))) for m in re.finditer(
         r"<stdin>:(\d+):\d+: optimized: loop vectorized using (\d+) byte vectors", stderr)]
@@ -146,9 +149,9 @@ def test_sign_tile_is_vectorized_for_each_drift_kind(tmp_path):
                 if start < i < end and "for (long c = 0; c < TILE; c++)" in line]
 
     def vectorized(widths, instances):
-        assert len(widths) == instances * (2 if avx2 else 1), stderr
-        if avx2:
-            assert widths.count(32) == instances, stderr
+        assert len(widths) == instances * (3 if CLONED else 1), stderr
+        if CLONED:
+            assert widths.count(64) == widths.count(32) == instances, stderr
 
     (signs,) = chain_loops("INLINE void advance(")
     vectorized(signs, len(step.KINDS))
@@ -160,6 +163,73 @@ def test_sign_tile_is_vectorized_for_each_drift_kind(tmp_path):
     assert len(rows) == 7, rows
     for widths, instances in zip(rows, (1, 3, 2, 3, 4, 2, 4)):
         vectorized(widths, instances)
+
+
+#: the clones of run and refill in _step.c's target_clones list, each with
+#: the numpy CPU features a host needs to run it
+CLONE_FEATURES = {
+    "arch=x86-64-v4": ("AVX2", "BMI", "BMI2", "F16C", "FMA3", "LZCNT", "MOVBE",
+                       "AVX512F", "AVX512CD", "AVX512BW", "AVX512DQ", "AVX512VL"),
+    "avx2": ("AVX2",),
+    "default": (),
+}
+
+
+def cpu_features() -> dict:
+    """numpy's map of the host's CPU features, by numpy's names."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:     # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+@needs_cc
+@pytest.mark.skipif(not CLONED, reason="only x86-64 with glibc builds clones")
+@pytest.mark.parametrize("clone", CLONE_FEATURES)
+def test_every_clone_writes_the_same_bits(kernel, tmp_path, clone):
+    # the loader runs one clone on a host, so each is built here on its
+    # own: target_clones(...) becomes target(clone), or no attribute for
+    # the baseline, and its records must be the loaded kernel's
+    source = step.SOURCE.read_text()
+    (listed,) = re.findall(r"target_clones\((.*)\)\)\)", source)
+    assert re.findall(r'"([^"]+)"', listed) == list(CLONE_FEATURES)
+    missing = [f for f in CLONE_FEATURES[clone] if not cpu_features().get(f)]
+    if missing:
+        pytest.skip(f"this CPU lacks {', '.join(missing)} for the {clone} clone")
+    attribute = "" if clone == "default" else f'__attribute__((target("{clone}")))'
+    single = source.replace(f"__attribute__((target_clones({listed})))", attribute)
+    res = step.compile_source(single.encode(), tmp_path / "clone.so")
+    assert res.returncode == 0, res.stderr.decode()
+    lib = ctypes.CDLL(str(tmp_path / "clone.so"))
+    assert lib.init() == 0
+    one = step.Kernel(lib)
+
+    # two tiles, the second partial, through three blocks of packed sign
+    # words and many sub-blocks of drawn noise
+    n = KERNEL_TILE + 6
+    keys = np.array([philox_key(13, c) for c in range(n)], np.uint64)
+    cases = [(("neg_cube", None, None, 0.01), "rademacher", np.eye(1))]
+    for a, b, chol in (([[-1.3]], [0.1], [[0.7]]),
+                       ([[-1.3, 0.7], [0.2, -2.1]], [0.1, -0.3], [[0.9, 0.0], [0.4, 0.6]])):
+        for shape in SHAPES:
+            cases.append((("affine", np.array(a), np.array(b), 0.01), shape, np.array(chol)))
+    for drift, shape, chol in cases:
+        d = len(chol)
+        runs = []
+        for k in (kernel, one):
+            x, out = np.linspace(-2.0, 2.0, n * d).reshape(n, d), np.empty((n, 16, d))
+            k.run(drift, (shape, chol, 0.1), keys, x, out, burn_in=1000, thin=517)
+            runs.append(out.tobytes())
+        assert runs[0] == runs[1], (clone, drift[0], shape, d)
+
+
+def test_isa_names_the_clone_the_cpu_takes(kernel):
+    # the first clone of the list whose features the CPU has, as glibc's
+    # resolver picks it; a build without clones has only the baseline
+    runs = [c for c, features in CLONE_FEATURES.items()
+            if CLONED and all(cpu_features().get(f) for f in features)]
+    assert kernel.isa == (runs[0].removeprefix("arch=") if runs else "default")
 
 
 def test_only_the_quartic_drift_takes_the_kernel(fresh_kernel):
