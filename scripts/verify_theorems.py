@@ -17,7 +17,7 @@ import numpy as np
 from salab.core import ExperimentConfig, validate_config
 from salab.lyapunov import predict_stationary
 from salab.simulate import run_ensemble
-from salab.stats import cf_residual, gaussian_gof
+from salab.stats import cf_residual, gaussian_gof, summarize
 
 CASES = [
     ("gradient descent", dict(drift="grad_quadratic", noise_sigma=[[1.0]],
@@ -41,7 +41,7 @@ def main() -> int:
         alpha = cfg.alphas[0]
         ens = run_ensemble(cfg, alpha)
         prediction = predict_stationary(cfg.op, cfg.noise)
-        gof = gaussian_gof(ens.flat, prediction.sigma_y)
+        gof = gaussian_gof(ens.flat, summarize(ens.flat), prediction.sigma_y)
         cf = cf_residual(ens.flat, cfg.op.jacobian, cfg.noise.sigma)
         cf_ratio = float(np.max(
             np.hypot(cf.residual_real, cf.residual_imag) / cf.se))

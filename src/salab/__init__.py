@@ -47,17 +47,13 @@ from .scaling import (
     scaled_drift,
 )
 from .sde import EmCompareResult, em_vs_sa_compare, run_em_ensemble
-from .simulate import (
-    Ensemble,
-    MomentSummary,
-    moment_summary,
-    run_ensemble,
-)
+from .simulate import Ensemble, run_ensemble
 from .stats import (
     CfResidualReport,
     DensityEstimate,
     FitReport,
     GofReport,
+    Summary,
     batch_means_se,
     cf_residual,
     default_t_grid,
@@ -65,6 +61,7 @@ from .stats import (
     estimate_density,
     gaussian_gof,
     log_density_fit,
+    summarize,
 )
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ from .figures import FIGURE_SPECS, FigureResult, run_figure
 from .lyapunov import predict_stationary
 from .scaling import find_scaling_exponent
 from .sde import em_vs_sa_compare
-from .simulate import engine, moment_summary, run_ensemble
+from .simulate import engine, run_ensemble
 from .stats import (
     MIN_DENSITY_SAMPLES,
     cf_residual,
@@ -44,6 +44,7 @@ from .stats import (
     gaussian_gof,
     log_density_fit,
     log_fit_exponents,
+    summarize,
 )
 
 
@@ -164,14 +165,15 @@ class _Manifest:
         _write_file(self.out_dir / name, write)
         self.files.append(name)
 
-    def add_ensemble(self, tag: str, ens) -> None:
-        """Record an ensemble's chain counts, chain-steps and chain-steps per second."""
+    def add_ensemble(self, tag: str, ens, summary) -> None:
+        """Record an ensemble's chain counts, chain-steps and speed, and summary's n_eff."""
         chain_steps = ens.n_chains * (ens.burn_in + ens.samples.shape[1] * ens.thin)
         self.ensembles[tag] = {
             "n_chains": ens.n_chains,
             "n_diverged": ens.n_diverged,
             "chain_steps": chain_steps,
             "chain_steps_per_s": chain_steps / ens.seconds,
+            "n_eff": summary.n_eff,
         }
 
     def note(self, text: str) -> None:
@@ -300,7 +302,8 @@ def _emit_figure(result: FigureResult, manifest: _Manifest) -> None:
     """Record a figure's ensembles and write its density, trend-check and log-fit CSVs."""
     manifest.engine = result.engine
     for alpha in result.alphas:
-        manifest.add_ensemble(_alpha_tag(alpha), result.ensembles[alpha])
+        manifest.add_ensemble(_alpha_tag(alpha), result.ensembles[alpha],
+                              result.summaries[alpha])
         _emit_density(result.densities[alpha], alpha, manifest)
     if result.trend is not None:
         t = result.trend
@@ -372,16 +375,16 @@ def _cmd_simulate(validated, manifest, threads) -> None:
         t0 = time.perf_counter()
         ens = run_ensemble(validated, alpha, scaling, threads=threads)
         tag = _alpha_tag(alpha)
-        manifest.add_ensemble(tag, ens)
+        summary = summarize(ens.flat)
+        manifest.add_ensemble(tag, ens, summary)
         t1 = time.perf_counter()
         manifest.write(f"samples_{tag}.csv", lambda path: _write_samples(path, ens))
         manifest.durations[f"samples_{tag}_s"] = time.perf_counter() - t1
-        mom = moment_summary(ens)
-        mrows = [("alpha", alpha), ("n_samples", mom.count),
+        mrows = [("alpha", alpha), ("n_samples", summary.count),
                  ("n_diverged", ens.n_diverged),
-                 ("second_moment_trace", mom.second_moment_trace)]
-        mrows += [(f"mean_{i + 1}", v) for i, v in enumerate(mom.mean)]
-        mrows += list(_matrix_rows("cov", mom.covariance))
+                 ("second_moment_trace", summary.second_moment_trace)]
+        mrows += [(f"mean_{i + 1}", v) for i, v in enumerate(summary.mean)]
+        mrows += list(_matrix_rows("cov", summary.cov))
         manifest.emit(["quantity", "value"], mrows, f"moments_{tag}.csv")
         manifest.durations[f"alpha_{tag}_s"] = time.perf_counter() - t0
     manifest.engine = engine(validated.op)
@@ -404,14 +407,14 @@ def _run_tests_for(validated, manifest, scaling, threads) -> None:
     smallest one, where the asymptotic claims are sharpest.
     """
     for alpha in validated.alphas:
-        # one ensemble at a time: free the last (flat is a view of it) before
-        # the next; only the last one's ensemble and density are read below
-        ens = est = flat = None
+        # one ensemble at a time: free the last before the next; only the
+        # last one's ensemble, summary and density are read below
+        ens = est = None
         ens = run_ensemble(validated, alpha, scaling, threads=threads)
-        manifest.add_ensemble(_alpha_tag(alpha), ens)
+        summary = summarize(ens.flat)
+        manifest.add_ensemble(_alpha_tag(alpha), ens, summary)
         if validated.op.dim == 1:
-            flat = ens.flat[:, 0]
-            est = estimate_density(flat, density_grid(float(flat.std(ddof=1))))
+            est = estimate_density(ens.flat, density_grid(summary.sd), summary.sd)
             _emit_density(est, alpha, manifest)
     manifest.engine = engine(validated.op)
     smallest = validated.alphas[-1]
@@ -421,7 +424,7 @@ def _run_tests_for(validated, manifest, scaling, threads) -> None:
         sol = _emit_prediction(validated, manifest)
 
         t0 = time.perf_counter()
-        gof = gaussian_gof(ens.flat, sol.sigma_y)
+        gof = gaussian_gof(ens.flat, summary, sol.sigma_y)
         manifest.durations["gof_s"] = time.perf_counter() - t0
         rows = [("alpha", smallest), ("ks_distance", gof.ks_distance),
                 ("ks_threshold", gof.ks_threshold),
@@ -503,12 +506,12 @@ def _cmd_em_compare(validated, manifest, threads) -> None:
     scaling = _resolve_scaling(validated)
     result = em_vs_sa_compare(validated, alpha, scaling, threads=threads)
     manifest.engine = engine(validated.op)
-    manifest.add_ensemble(_alpha_tag(alpha), result.sa)
-    manifest.add_ensemble(f"em_{_alpha_tag(alpha)}", result.em)
+    manifest.add_ensemble(_alpha_tag(alpha), result.sa, result.sa_summary)
+    manifest.add_ensemble(f"em_{_alpha_tag(alpha)}", result.em, result.em_summary)
     rows = [("alpha", alpha), ("exponent", scaling.exponent),
             ("rel_err", result.rel_err)]
-    rows += list(_matrix_rows("sa_cov", result.sa_cov))
-    rows += list(_matrix_rows("em_cov", result.em_cov))
+    rows += list(_matrix_rows("sa_cov", result.sa_summary.cov))
+    rows += list(_matrix_rows("em_cov", result.em_summary.cov))
     manifest.emit(["quantity", "value"], rows, "em_compare.csv")
 
 

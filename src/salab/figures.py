@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import ExperimentConfig, NumericalError, PowerScaling, ValidatedConfig, validate_config
 from .simulate import _config_chains, engine
-from .stats import density_grid, estimate_density, log_density_fit, log_fit_exponents
+from .stats import density_grid, estimate_density, log_density_fit, log_fit_exponents, summarize
 
 #: density curves flatten/sharpen 10^|p - p*| per decade under a wrong
 #: exponent; allow half that movement (in log10) between the two smallest
@@ -145,6 +145,7 @@ class FigureResult:
     fits: dict                    # q -> FitReport
     engine: str                   # simulate.engine of the figure's drift
     ensembles: dict               # alpha -> its unscaled simulate.Ensemble
+    summaries: dict               # alpha -> stats.Summary of its scaled records
 
 
 def run_figure(
@@ -165,7 +166,7 @@ def run_figure(
     cache = {} if cache is None else cache
 
     scaled = {}
-    sigmas = {}
+    summaries = {}
     for alpha in spec.alphas:
         cfg = _figure_config(spec.drift, alpha, seed)
         key = (spec.drift, alpha, seed)
@@ -173,17 +174,17 @@ def run_figure(
             cache[key] = _config_chains(cfg, alpha, alpha, 1.0, "figure", threads)
         y = cache[key].flat[:, 0] / scaling(alpha)
         scaled[alpha] = y
-        sigmas[alpha] = float(y.std(ddof=1))
+        summaries[alpha] = summarize(y)
 
     # one common grid wide enough for the widest curve in the family
-    grid = density_grid(max(sigmas.values()))
-    densities = {a: estimate_density(scaled[a], grid) for a in spec.alphas}
+    grid = density_grid(max(s.sd for s in summaries.values()))
+    densities = {a: estimate_density(scaled[a], grid, summaries[a].sd) for a in spec.alphas}
 
     trend = None
     if spec.trend:
         ordered = sorted(spec.alphas, reverse=True)
         trend = convergence_trend_check(
-            [densities[a] for a in ordered], [sigmas[a] for a in ordered]
+            [densities[a] for a in ordered], [summaries[a].sd for a in ordered]
         )
     est = densities[spec.alphas[-1]]
     fits = {q: log_density_fit(est, q) for q in spec.fit_exponents}
@@ -196,4 +197,5 @@ def run_figure(
         fits=fits,
         engine=engine(cfg.op),
         ensembles={a: cache[(spec.drift, a, seed)] for a in spec.alphas},
+        summaries=summaries,
     )

@@ -18,7 +18,7 @@ import numpy as np
 from .core import NumericalError, PowerScaling, ValidatedConfig
 from .drift import eval_drift
 from .simulate import Ensemble, _config_chains, run_ensemble
-from .stats import sample_moments
+from .stats import Summary, summarize
 
 
 def run_em_ensemble(cfg: ValidatedConfig, delta_t: float, *, threads: int = 1) -> Ensemble:
@@ -33,11 +33,11 @@ def run_em_ensemble(cfg: ValidatedConfig, delta_t: float, *, threads: int = 1) -
 
 @dataclass(frozen=True)
 class EmCompareResult:
-    sa_cov: np.ndarray
-    em_cov: np.ndarray
     rel_err: float
     sa: Ensemble              # scaled SA records
     em: Ensemble              # EM records centered at the root
+    sa_summary: Summary       # of sa's records
+    em_summary: Summary       # of em's records
 
 
 def em_vs_sa_compare(cfg: ValidatedConfig, alpha: float, scaling: PowerScaling, *,
@@ -56,14 +56,13 @@ def em_vs_sa_compare(cfg: ValidatedConfig, alpha: float, scaling: PowerScaling, 
 
     sa = run_ensemble(cfg, alpha, scaling, threads=threads, purpose="em-compare-sa")
     em = run_em_ensemble(cfg, float(alpha), threads=threads)
-    sa_cov = sample_moments(sa.flat)[1]
-    em_cov = sample_moments(em.flat)[1]
-    rel_err = float(np.linalg.norm(sa_cov - em_cov, axis=(0, 1))
-                    / np.linalg.norm(em_cov, axis=(0, 1)))
+    sa_summary, em_summary = summarize(sa.flat), summarize(em.flat)
+    rel_err = float(np.linalg.norm(sa_summary.cov - em_summary.cov, axis=(0, 1))
+                    / np.linalg.norm(em_summary.cov, axis=(0, 1)))
     return EmCompareResult(
-        sa_cov=sa_cov,
-        em_cov=em_cov,
         rel_err=rel_err,
         sa=sa,
         em=em,
+        sa_summary=sa_summary,
+        em_summary=em_summary,
     )

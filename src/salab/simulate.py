@@ -21,7 +21,6 @@ import numpy as np
 from .core import NumericalError, PowerScaling, ValidatedConfig, philox_key, seed_rng, stream_ids
 from .drift import Affine, DriftOperator, _neg_cube
 from .noise import NoiseModel, sample_block, sign_bits, sign_words
-from .stats import _pairwise_sum, sample_moments
 
 #: chains simulated together in one group, which bounds the numpy body's
 #: chain-major noise block; grouping never affects results (chains own their
@@ -85,31 +84,6 @@ def require_stable(ens: Ensemble) -> Ensemble:
             f"unstable configuration: {ens.n_diverged}/{ens.n_chains} chains diverged"
         )
     return ens
-
-
-@dataclass(frozen=True)
-class MomentSummary:
-    mean: np.ndarray
-    covariance: np.ndarray
-    second_moment_trace: float
-    count: int
-
-
-def moment_summary(ens: Ensemble) -> MomentSummary:
-    """Unbiased sample mean/covariance over all retained samples."""
-    flat = ens.flat
-    n = flat.shape[0]
-    if n < 2:
-        raise NumericalError("ensemble too small for moments")
-    mean, cov = sample_moments(flat)
-    # (flat**2).sum(axis=1).mean(), one block of squares at a time
-    squares = _pairwise_sum(n, lambda lo, hi: np.add.reduce((flat[lo:hi] ** 2).sum(axis=1)))
-    return MomentSummary(
-        mean=mean,
-        covariance=cov,
-        second_moment_trace=float(squares / n),
-        count=n,
-    )
 
 
 def _kernel_for(op: DriftOperator):

@@ -1,5 +1,5 @@
-"""Empirical verification toolkit: KDE, characteristic-function residuals,
-Gaussian goodness of fit, and log-density regressions.
+"""Empirical verification toolkit: one summary per sample array, KDE,
+characteristic-function residuals, Gaussian goodness of fit, log-density fits.
 
 Thinned chains remain mildly correlated, so every threshold here runs on an
 effective sample size estimated by batch means (20 batches) rather than the
@@ -168,6 +168,36 @@ def effective_sample_size(values) -> float:
     return float(min(n, n * marginal / longrun))
 
 
+@dataclass(frozen=True)
+class Summary:
+    """What every verdict reads of one array of (n, d) samples."""
+
+    count: int
+    mean: np.ndarray              # (d,)
+    cov: np.ndarray               # (d, d), unbiased
+    second_moment_trace: float    # the mean of |y|^2
+    n_eff: tuple                  # effective_sample_size of each coordinate
+
+    @property
+    def sd(self) -> float:
+        """std(ddof=1) of scalar samples."""
+        return math.sqrt(self.cov[0, 0])
+
+
+def summarize(samples) -> Summary:
+    """The Summary of (n, d) samples (1-D input is n scalars): each field is the
+    fixed-order whole-array statistic of sample_moments, _pairwise_sum or the ESS."""
+    samples = _sample_matrix(samples)
+    n, d = samples.shape
+    if n < 2:
+        raise NumericalError("a sample summary needs at least 2 samples")
+    mean, cov = sample_moments(samples)
+    # (samples**2).sum(axis=1).mean(), one block of squares at a time
+    squares = _pairwise_sum(n, lambda lo, hi: np.add.reduce((samples[lo:hi] ** 2).sum(axis=1)))
+    return Summary(count=n, mean=mean, cov=cov, second_moment_trace=float(squares / n),
+                   n_eff=tuple(effective_sample_size(samples[:, i]) for i in range(d)))
+
+
 # ---------------------------------------------------------------------------
 # kernel density estimation
 # ---------------------------------------------------------------------------
@@ -178,10 +208,6 @@ class DensityEstimate:
     density: np.ndarray
     bandwidth: float
     count: int
-
-
-def silverman_bandwidth(samples: np.ndarray) -> float:
-    return _SILVERMAN_FACTOR * float(samples.std(ddof=1)) * samples.size ** (-0.2)
 
 
 #: kernel cutoff: exp(-0.5 * 8.7^2) ~ 4e-17 is below double-precision
@@ -201,9 +227,10 @@ def density_grid(sigma: float) -> np.ndarray:
     return np.linspace(-span, span, 513)
 
 
-def estimate_density(samples, grid) -> DensityEstimate:
+def estimate_density(samples, grid, sd: float) -> DensityEstimate:
     """Gaussian-kernel density estimate on the given grid (scalar samples).
 
+    The bandwidth is Silverman's, from sd, the samples' Summary.sd.
     Evaluates each grid point against the sorted-sample window within the
     kernel cutoff, so the cost is proportional to the mass actually under
     each kernel instead of n times the grid size.
@@ -213,7 +240,7 @@ def estimate_density(samples, grid) -> DensityEstimate:
     if samples.size < MIN_DENSITY_SAMPLES:
         raise NumericalError(
             f"density estimation needs at least {MIN_DENSITY_SAMPLES} samples")
-    h = silverman_bandwidth(samples)
+    h = _SILVERMAN_FACTOR * sd * samples.size ** (-0.2)
     if h <= 0.0 or not np.isfinite(h):
         raise NumericalError("zero bandwidth: samples are degenerate")
     ordered = np.sort(samples)
@@ -345,30 +372,25 @@ class GofReport:
     passed: bool
 
 
-def gaussian_gof(samples, sigma_y) -> GofReport:
-    """Test samples against the zero-mean Gaussian with covariance sigma_y.
+def gaussian_gof(samples, summary: Summary, sigma_y) -> GofReport:
+    """Test samples, summarized by summary, against N(0, sigma_y).
 
     d = 1 additionally runs a two-sided Kolmogorov-Smirnov test; all
     dimensions check standardized mean z-scores (|z| <= 4) and the relative
     Frobenius error of the sample covariance against a 5-standard-error
-    bound.  Thresholds use the batch-means effective sample size.
+    bound.  Thresholds use the least n_eff of the summary's coordinates.
     """
-    samples = _sample_matrix(samples)
-    n, d = samples.shape
+    d = summary.mean.shape[0]
     sigma_y = require_spd(sigma_y, "Sigma_Y")
     if sigma_y.shape[0] != d:
         raise NumericalError("Sigma_Y dimension mismatch")
-    if n < 2:
-        raise NumericalError("Gaussian goodness of fit needs at least 2 samples")
 
-    n_eff = min(effective_sample_size(samples[:, i]) for i in range(d))
-
-    mean, cov = sample_moments(samples)
-    mean_z = mean / np.sqrt(np.diag(sigma_y) / n_eff)
+    n_eff = min(summary.n_eff)
+    mean_z = summary.mean / np.sqrt(np.diag(sigma_y) / n_eff)
 
     # given an axis, norm is an add.reduce of squares; without one, a BLAS dot
     sigma_norm = float(np.linalg.norm(sigma_y, axis=(0, 1)))
-    cov_rel_err = float(np.linalg.norm(cov - sigma_y, axis=(0, 1))) / sigma_norm
+    cov_rel_err = float(np.linalg.norm(summary.cov - sigma_y, axis=(0, 1))) / sigma_norm
     # sum of per-entry sampling variances of a Gaussian covariance estimate:
     # Var(S_ij) = (S_ii S_jj + S_ij^2) / n, totalling tr(S)^2 + ||S||_F^2
     cov_threshold = 5.0 * np.sqrt(np.trace(sigma_y) ** 2 + sigma_norm**2) / (
@@ -378,7 +400,8 @@ def gaussian_gof(samples, sigma_y) -> GofReport:
     if d == 1:
         # the sorted copy becomes the normal cdf in place, and the steps of
         # the empirical cdf are formed, one block at a time
-        cdf = np.sort(samples[:, 0])
+        n = summary.count
+        cdf = np.sort(_sample_matrix(samples)[:, 0])
         root = math.sqrt(2.0 * sigma_y[0, 0])
         blocks = [(a, min(n, a + _BLOCK)) for a in range(0, n, _BLOCK)]
         for a, b in blocks:

@@ -24,6 +24,7 @@ from salab.stats import (
     cf_residual,
     effective_sample_size,
     gaussian_gof,
+    summarize,
 )
 
 from lyapunov_oracle import solve_lyapunov_integral
@@ -126,7 +127,7 @@ def test_criterion_3_gradient_descent_universality():
     details = []
     for shape in ("gaussian", "uniform", "rademacher"):
         ens = _ensemble("grad_quadratic", 0.005, shape=shape, thin=50, spc=512)
-        rep = gaussian_gof(ens.flat, [[0.5]])
+        rep = gaussian_gof(ens.flat, summarize(ens.flat), [[0.5]])
         ok &= rep.passed
         details.append(f"{shape}: ks={rep.ks_distance:.4f}<={rep.ks_threshold:.4f}")
     _report(3, ok, time.perf_counter() - t0, 120, "; ".join(details))
@@ -153,7 +154,7 @@ def test_criterion_5_contractive_sa():
     # contraction), so the sample size keeps the 5-SE band wider than that
     t0 = time.perf_counter()
     ens = _ensemble("contractive_tanh", 0.002, burn_in=25_000, thin=1250, spc=64)
-    rep = gaussian_gof(ens.flat, [[5.0]])
+    rep = gaussian_gof(ens.flat, summarize(ens.flat), [[5.0]])
     _report(5, rep.passed, time.perf_counter() - t0, 120,
             f"ks={rep.ks_distance:.4f}<={rep.ks_threshold:.4f}, "
             f"cov_rel_err={rep.cov_rel_err:.3f}<={rep.cov_threshold:.3f}")
@@ -219,7 +220,7 @@ def test_criterion_10_euler_maruyama():
     minus_x = {"a": [[-1.0]]}
     cfg = _config("linear", 0.01, drift_params=minus_x, thin=150, spc=1024)
     result = em_vs_sa_compare(cfg, 0.01, cfg.scaling)
-    v_sa, v_em = result.sa_cov[0, 0], result.em_cov[0, 0]
+    v_sa, v_em = result.sa_summary.cov[0, 0], result.em_summary.cov[0, 0]
     se_sa = batch_means_se((result.sa.flat[:, 0] - result.sa.flat[:, 0].mean()) ** 2)
     se_em = batch_means_se((result.em.flat[:, 0] - result.em.flat[:, 0].mean()) ** 2)
     agree = abs(v_sa - v_em) <= 4 * float(np.hypot(se_sa, se_em))
@@ -274,7 +275,7 @@ def test_criterion_11_determinism(tmp_path):
     passed, _, _ = _variance_check(ens.flat[:, 0], 1.0 / 1.99, 4)
     reseeded_ok &= passed
     ens = _ensemble("grad_quadratic", 0.005, thin=50, spc=512, seed=SEED + 2)
-    reseeded_ok &= gaussian_gof(ens.flat, [[0.5]]).passed
+    reseeded_ok &= gaussian_gof(ens.flat, summarize(ens.flat), [[0.5]]).passed
     rep = cf_residual(seed_rng(SEED + 3, 9).standard_normal(400_000),
                       [[-1.0]], [[1.0]], t_grid=[[1.0]])
     reseeded_ok &= abs(rep.residual_real[0] + np.exp(-0.5)) <= 4 * rep.se[0]

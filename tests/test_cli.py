@@ -13,9 +13,13 @@ import pytest
 
 import salab._step as step
 import salab.cli as cli
+import salab.figures as figures
+import salab.sde as sde
+import salab.stats as stats
 from salab.cli import _write_csv, main
 from salab.figures import FIGURE_SPECS, FigureSpec
 from salab.simulate import Ensemble, run_ensemble
+from salab.stats import effective_sample_size
 
 QUAD_CFG = """
 drift = grad_quadratic
@@ -164,11 +168,15 @@ class TestSimulateCommand:
                 manifest["durations"][f"alpha_{tag}_s"]
         for tag, alpha in (("0.1", 0.1), ("0.01", 0.01)):
             rec = ensembles[tag]
-            assert set(rec) == {"n_chains", "n_diverged", "chain_steps", "chain_steps_per_s"}
+            assert set(rec) == {"n_chains", "n_diverged", "chain_steps", "chain_steps_per_s",
+                                "n_eff"}
             assert rec["n_chains"] == 8 and rec["n_diverged"] == 0
             # n_chains (burn_in + samples_per_chain thin), auto burn-in and thin
             assert rec["chain_steps"] == 8 * (ceil(10 / alpha) + 32 * ceil(1 / alpha))
             assert rec["chain_steps_per_s"] > 0
+            # the batch-means ESS of the records written, per coordinate
+            y = np.loadtxt(out / f"samples_{tag}.csv", delimiter=",", skiprows=1)[:, 2]
+            assert rec["n_eff"] == [effective_sample_size(y)]
         # and none of it reaches a CSV
         for path in out.glob("*.csv"):
             assert "chain_steps" not in path.read_text()
@@ -442,6 +450,7 @@ class TestFigureCommand:
         assert wide["0.001"]["chain_steps"] == 1024 * (173926 + 16 * 17393)
         # the cached ensemble keeps the speed of the run that made it
         assert one["0.01"] == wide["0.01"] and one["0.01"]["chain_steps_per_s"] > 0
+        assert all(len(rec["n_eff"]) == 1 for rec in wide.values())
 
     def test_fit_figure_outputs(self, tmp_path):
         out = tmp_path / "f5"
@@ -542,6 +551,7 @@ class TestPipelineCommand:
             assert rec["n_chains"] == 32 and rec["n_diverged"] == 0
             assert rec["chain_steps"] == 32 * (ceil(10 / alpha) + 32 * ceil(1 / alpha))
             assert rec["chain_steps_per_s"] > 0
+            assert len(rec["n_eff"]) == 1 and 0 < rec["n_eff"][0] <= 32 * 32
         # the statistics' timings, and none of them in a CSV
         durations = manifest["durations"]
         assert set(durations) == {"total_s", "gof_s", "cf_residual_s"}
@@ -571,7 +581,7 @@ class TestPipelineCommand:
         out = tmp_path / command
         assert main([command, "--config", cfg, "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err == "numerical failure: Gaussian goodness of fit needs at least 2 samples\n"
+        assert err == "numerical failure: a sample summary needs at least 2 samples\n"
         assert not (out / "gof.csv").exists()
 
     @pytest.mark.parametrize("command, scaling", [("test", "0.5"), ("pipeline", "auto")])
@@ -635,6 +645,7 @@ class TestEmCompareCommand:
             assert rec["n_chains"] == 32 and rec["n_diverged"] == 0
             assert rec["chain_steps"] == 32 * (200 + 128 * 20)
             assert rec["chain_steps_per_s"] > 0
+            assert len(rec["n_eff"]) == 1 and 0 < rec["n_eff"][0] <= 32 * 128
 
     @pytest.mark.parametrize("noise", [
         "noise.shape = uniform\nnoise.sigma = [[1.0]]",
@@ -893,6 +904,43 @@ def test_each_command_holds_one_ensemble_at_a_time(tmp_path, monkeypatch, comman
     cfg = write_cfg(tmp_path, body.replace("n_chains = 8", "n_chains = 32"))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 0
     assert alive == [0, 0, 0]
+
+
+LINEAR_2D_CFG = ("drift = linear\ndrift.a = [[-1.0, 0.5], [0.0, -2.0]]\n"
+                 "noise.sigma = [[1.0, 0.0], [0.0, 1.0]]\nalphas = 0.1, 0.01\n"
+                 "scaling = auto\nn_chains = 8\nsamples_per_chain = 16\n")
+
+
+@pytest.mark.parametrize("argv, body", [
+    (["simulate"], QUAD_CFG),
+    (["test"], QUAD_CFG.replace("n_chains = 8", "n_chains = 32")),
+    (["pipeline"], LINEAR_2D_CFG),
+    (["em-compare"], QUAD_CFG.replace("alphas = 0.1, 0.01", "alphas = 0.1")),
+    (["figure", "wide", "one"], None),
+], ids=["simulate", "test-1d", "pipeline-2d", "em-compare", "figures"])
+def test_each_command_summarizes_each_judged_array_once(tmp_path, monkeypatch, argv, body):
+    # every moment, spread and n_eff a command writes or judges comes from
+    # one stats.summarize call per array: one per manifest ensemble entry
+    made = []
+
+    def counted(samples):
+        made.append(stats.summarize(samples))
+        return made[-1]
+
+    for module in (cli, figures, sde):
+        monkeypatch.setattr(module, "summarize", counted)
+    # two cheap quartic figures sharing one raw ensemble, each scaling it
+    monkeypatch.setitem(FIGURE_SPECS, "wide", FigureSpec("wide", "quartic", 0.5,
+                                                         (1e-1, 1e-2, 1e-3)))
+    monkeypatch.setitem(FIGURE_SPECS, "one", FigureSpec("one", "quartic", 0.25, (1e-2,)))
+    out = tmp_path / "run"
+    config = [] if body is None else ["--config", write_cfg(tmp_path, body)]
+    assert main([*argv, *config, "--out", str(out)]) == 0
+    manifests = [out / "manifest.json"] if body else sorted(out.glob("*/manifest.json"))
+    recorded = [rec["n_eff"] for path in manifests
+                for rec in json.loads(path.read_text())["ensembles"].values()]
+    assert len(made) == len(recorded) == (4 if body is None else 2)
+    assert sorted(list(s.n_eff) for s in made) == sorted(recorded)
 
 
 def test_importing_the_cli_loads_no_scipy():

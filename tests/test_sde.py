@@ -110,8 +110,8 @@ class TestEmVsSaCompare:
         # identical AR(1) recursions: variances differ only by Monte Carlo
         # noise; 1/(2 - alpha) is the common stationary variance
         target = 1.0 / (2.0 - 0.01)
-        assert result.sa_cov[0, 0] == pytest.approx(target, rel=0.02)
-        assert result.em_cov[0, 0] == pytest.approx(target, rel=0.02)
+        assert result.sa_summary.cov[0, 0] == pytest.approx(target, rel=0.02)
+        assert result.em_summary.cov[0, 0] == pytest.approx(target, rel=0.02)
 
     def test_cubic_first_order_regime(self):
         # SA magnified by alpha^(-1/4) and EM at dt = alpha share the

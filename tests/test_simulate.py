@@ -19,8 +19,8 @@ from salab.core import (
 )
 from salab.drift import grad_quadratic, linear, quartic
 from salab.noise import make_noise
-from salab.simulate import Ensemble, moment_summary, run_chains, run_ensemble
-from salab.stats import batch_means_se
+from salab.simulate import run_chains, run_ensemble
+from salab.stats import batch_means_se, summarize
 
 
 def quadratic_config(alpha, *, shape="gaussian", n_chains=64, spc=512,
@@ -331,32 +331,30 @@ class TestFiniteKOracle:
             assert abs(y.var(ddof=1) - var_k) <= 4 * var_k * np.sqrt(2.0 / n)
 
 
-class TestMomentSummary:
-    def _ensemble_from(self, values):
-        values = np.asarray(values, dtype=float).reshape(1, -1, 1)
-        return Ensemble(samples=values, chain_ids=np.array([0]), n_chains=1,
-                        n_diverged=0, burn_in=0, thin=1)
+class TestSummarize:
+    def _records(self, values):
+        return np.asarray(values, dtype=float).reshape(-1, 1)
 
     def test_two_point_sample(self):
-        mom = moment_summary(self._ensemble_from([1.0, -1.0]))
+        mom = summarize(self._records([1.0, -1.0]))
         assert mom.mean[0] == pytest.approx(0.0)
-        assert mom.covariance[0, 0] == pytest.approx(2.0)  # n-1 divisor
+        assert mom.cov[0, 0] == pytest.approx(2.0)  # n-1 divisor
         assert mom.second_moment_trace == pytest.approx(1.0)
 
     def test_gaussian_draws(self):
         draws = seed_rng(8, 0).normal(scale=np.sqrt(0.5), size=1_000_000)
-        mom = moment_summary(self._ensemble_from(draws))
-        assert abs(mom.covariance[0, 0] - 0.5) < 0.005
+        mom = summarize(self._records(draws))
+        assert abs(mom.cov[0, 0] - 0.5) < 0.005
 
     def test_trace_bound_for_unit_quadratic(self):
         alpha = 0.01
         cfg = quadratic_config(alpha, seed=9)
-        mom = moment_summary(run_ensemble(cfg, alpha))
+        mom = summarize(run_ensemble(cfg, alpha).flat)
         assert mom.second_moment_trace <= 1.0 + 0.05  # trace(Sigma)/sigma + 0.05
 
     def test_empty_rejected(self):
-        with pytest.raises(NumericalError):
-            moment_summary(self._ensemble_from([1.0]))
+        with pytest.raises(NumericalError, match="at least 2 samples"):
+            summarize(self._records([1.0]))
 
 
 class TestDivergenceHandling:

@@ -8,7 +8,6 @@ import scipy.stats
 
 import salab.stats as stats
 from salab.core import NumericalError, seed_rng
-from salab.simulate import Ensemble, moment_summary
 from salab.stats import (
     _BLOCK,
     _dot,
@@ -22,6 +21,7 @@ from salab.stats import (
     gaussian_gof,
     log_density_fit,
     sample_moments,
+    summarize,
 )
 
 
@@ -85,16 +85,23 @@ def test_blocked_statistics_are_the_whole_array_ones(n, d):
     cov = np.array([[np.add.reduce(centred[i] * centred[j]) / (n - 1) for j in range(d)]
                     for i in range(d)])
     assert sample_moments(samples)[1].tobytes() == cov.tobytes()
-    ens = Ensemble(samples=samples[None], chain_ids=np.arange(1), n_chains=1, n_diverged=0,
-                   burn_in=0, thin=1)
-    assert moment_summary(ens).second_moment_trace == float((samples**2).sum(axis=1).mean())
+    summary = summarize(samples)
+    assert summary.count == n
+    assert summary.mean.tobytes() == mean.tobytes()
+    assert summary.cov.tobytes() == cov.tobytes()
+    assert summary.second_moment_trace == float((samples**2).sum(axis=1).mean())
+    n_batches, size = stats._batch_shape(n)
     for i in range(d):
-        assert stats._variance(samples[:, i]) == samples[:, i].var(ddof=1)
+        x = samples[:, i]
+        assert stats._variance(x) == x.var(ddof=1)
+        means = x[: n_batches * size].reshape(n_batches, size).mean(axis=1)
+        assert summary.n_eff[i] == min(n, n * x.var(ddof=1) / (size * means.var(ddof=1)))
     if d == 1:
+        assert summary.sd == samples[:, 0].std(ddof=1)
         scale = 1.7
         cdf = scipy.special.ndtr(np.sort(samples[:, 0]) / np.sqrt(scale))
         ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(0, n) / n))
-        assert gaussian_gof(samples, [[scale]]).ks_distance == ks
+        assert gaussian_gof(samples, summary, [[scale]]).ks_distance == ks
 
 
 #: a few blocks of complex temporaries: what a statistic may hold beside
@@ -125,22 +132,22 @@ class TestEstimateDensity:
     def test_standard_normal_recovery(self):
         samples = seed_rng(1, 0).standard_normal(1_000_000)
         grid = np.arange(-4.0, 4.0 + 1e-9, 0.01)
-        est = estimate_density(samples, grid)
+        est = estimate_density(samples, grid, samples.std(ddof=1))
         assert np.abs(est.density - scipy.stats.norm.pdf(grid)).max() <= 0.01
 
     def test_integrates_to_one(self):
         samples = seed_rng(1, 1).standard_normal(20_000)
         grid = np.linspace(-5, 5, 601)
-        est = estimate_density(samples, grid)
+        est = estimate_density(samples, grid, samples.std(ddof=1))
         assert np.trapezoid(est.density, grid) == pytest.approx(1.0, abs=0.02)
 
     def test_constant_samples_rejected(self):
         with pytest.raises(NumericalError, match="bandwidth"):
-            estimate_density(np.ones(5000), np.linspace(-1, 1, 101))
+            estimate_density(np.ones(5000), np.linspace(-1, 1, 101), 0.0)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(NumericalError, match="1000"):
-            estimate_density(np.zeros(999), np.linspace(-1, 1, 101))
+            estimate_density(np.zeros(999), np.linspace(-1, 1, 101), 1.0)
 
     def test_bimodal_mixture_peaks(self):
         rng = seed_rng(1, 2)
@@ -148,7 +155,7 @@ class TestEstimateDensity:
         comp = rng.integers(0, 2, n)
         samples = np.where(comp == 0, -2.0, 2.0) + np.sqrt(0.1) * rng.standard_normal(n)
         grid = np.linspace(-4, 4, 801)
-        est = estimate_density(samples, grid)
+        est = estimate_density(samples, grid, samples.std(ddof=1))
         # local maxima near the component means
         for center in (-2.0, 2.0):
             window = np.abs(grid - center) < 0.5
@@ -293,37 +300,42 @@ class TestCfResidual:
 class TestGaussianGof:
     def test_self_consistent_draws_pass(self):
         samples = seed_rng(3, 0).normal(scale=np.sqrt(0.5), size=100_000)
-        rep = gaussian_gof(samples, [[0.5]])
+        rep = gaussian_gof(samples, summarize(samples), [[0.5]])
         assert rep.passed
 
     def test_wrong_variance_fails(self):
         samples = seed_rng(3, 1).standard_normal(100_000)
-        rep = gaussian_gof(samples, [[0.5]])
+        rep = gaussian_gof(samples, summarize(samples), [[0.5]])
         assert not rep.passed
         assert rep.cov_rel_err == pytest.approx(1.0, abs=0.05)
 
     def test_multivariate_draws_pass(self):
         sigma = np.array([[0.5, 0.1], [0.1, 0.25]])
         chol = np.linalg.cholesky(sigma)
-        z = seed_rng(3, 2).standard_normal((100_000, 2))
-        rep = gaussian_gof(z @ chol.T, sigma)
+        samples = seed_rng(3, 2).standard_normal((100_000, 2)) @ chol.T
+        rep = gaussian_gof(samples, summarize(samples), sigma)
         assert rep.passed
         assert np.isnan(rep.ks_distance)
 
     def test_single_vector_sample_is_not_transposed(self):
-        # one 3-d sample, not three scalar ones: Sigma_Y is 1 x 1
+        # one 3-d sample, not three scalar ones: too few to summarize
+        with pytest.raises(NumericalError, match="at least 2 samples"):
+            summarize(np.array([[0.3, -0.2, 0.5]]))
+        # and 3-d samples do not meet a 1 x 1 Sigma_Y
+        samples = np.array([[0.3, -0.2, 0.5], [0.1, 0.2, -0.4]])
         with pytest.raises(NumericalError, match="dimension"):
-            gaussian_gof(np.array([[0.3, -0.2, 0.5]]), [[1.0]])
+            gaussian_gof(samples, summarize(samples), [[1.0]])
 
     def test_one_sample_is_too_few(self):
         with pytest.raises(NumericalError, match="at least 2 samples"):
-            gaussian_gof(np.array([[0.3, -0.2]]), np.eye(2))
+            summarize(np.array([[0.3, -0.2]]))
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_memory_is_a_few_blocks_and_the_sorted_copy(self, d):
         n = 262_144
         samples = seed_rng(3, 3).standard_normal((n, d))
-        peak = traced_peak(gaussian_gof, samples, np.eye(d))
+        assert traced_peak(summarize, samples) <= FEW_BLOCKS
+        peak = traced_peak(gaussian_gof, samples, summarize(samples), np.eye(d))
         # the KS test at d = 1 sorts one copy of the samples
         assert peak <= FEW_BLOCKS + (8 * n if d == 1 else 0)
 
@@ -333,7 +345,7 @@ class TestGaussianGof:
             samples = seed_rng(3, 100 + rep_idx).normal(
                 scale=np.sqrt(0.5), size=20_000
             )
-            passes += gaussian_gof(samples, [[0.5]]).passed
+            passes += gaussian_gof(samples, summarize(samples), [[0.5]]).passed
         assert passes >= 45  # >= 90 percent
 
 
@@ -341,22 +353,21 @@ class TestLogDensityFit:
     def test_exact_gaussian_log_density_is_linear_in_y2(self):
         v = 0.5
         grid = np.linspace(-3, 3, 401)
-        est_like = estimate_density(
-            seed_rng(4, 0).normal(scale=np.sqrt(v), size=500_000), grid
-        )
+        samples = seed_rng(4, 0).normal(scale=np.sqrt(v), size=500_000)
+        est_like = estimate_density(samples, grid, samples.std(ddof=1))
         fit = log_density_fit(est_like, q=2)
         assert fit.r_squared >= 0.999
         assert fit.slope == pytest.approx(-1.0 / (2 * v), rel=0.02)
 
     def test_rejects_bad_exponent(self):
         grid = np.linspace(-3, 3, 101)
-        est = estimate_density(seed_rng(4, 1).standard_normal(5000), grid)
+        samples = seed_rng(4, 1).standard_normal(5000)
+        est = estimate_density(samples, grid, samples.std(ddof=1))
         with pytest.raises(NumericalError):
             log_density_fit(est, q=3)
 
     def test_too_few_points_rejected(self):
-        est = estimate_density(
-            seed_rng(4, 2).standard_normal(5000), np.linspace(-3, 3, 9)
-        )
+        samples = seed_rng(4, 2).standard_normal(5000)
+        est = estimate_density(samples, np.linspace(-3, 3, 9), samples.std(ddof=1))
         with pytest.raises(NumericalError, match="10"):
             log_density_fit(est, q=2)
