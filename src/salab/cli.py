@@ -31,7 +31,7 @@ from .core import (
     validate_config,
 )
 from .drift import check_hurwitz
-from .figures import FIGURE_SPECS, FigureResult, run_figure
+from .figures import FIGURE_SPECS, FigureResult, _figure_config, run_figure
 from .lyapunov import predict_stationary
 from .scaling import find_scaling_exponent
 from .sde import em_vs_sa_compare
@@ -531,11 +531,14 @@ def _cmd_figure(args) -> int:
             f"unknown figure name {', '.join(map(repr, unknown))}; choose from "
             f"{', '.join(sorted(FIGURE_SPECS))}, or all"
         )
+    seed = args.seed if args.seed is not None else 0
     if args.dry_run:
         for name in names:
+            spec = FIGURE_SPECS[name]
+            for alpha in spec.alphas:       # validate each config, the seed included
+                _figure_config(spec.drift, alpha, seed)
             print(f"figure {name}: would simulate and write density CSVs")
         return 0
-    seed = args.seed if args.seed is not None else 0
     root = Path(args.out or "out")
     cache = {}
     for name in names:

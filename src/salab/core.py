@@ -317,6 +317,12 @@ def validate_config(cfg: ExperimentConfig) -> ValidatedConfig:
             continue
         if minimum is not None and counts[name] < minimum:
             errors.append(f"{name} must be >= {minimum}")
+    # philox_key takes a seed modulo 2^64, so one outside would alias another
+    if not 0 <= counts.get("seed", 0) <= _MASK64:
+        errors.append(f"seed must be in [0, 2^64 - 1], got {counts['seed']}")
+    if counts.get("n_chains") == counts.get("samples_per_chain") == 1:
+        errors.append("n_chains * samples_per_chain must be >= 2: the moments of the "
+                      "records need at least 2")
 
     if not errors:
         errors = _size_errors(alphas, counts, op.dim)

@@ -351,6 +351,54 @@ def test_counts_past_64_bits_exit_2_before_simulating(tmp_path, capsys, command,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "predict", "find-scaling", "test",
+                                     "pipeline", "em-compare"])
+def test_one_record_exits_2_before_simulating(tmp_path, capsys, command):
+    # one chain with one record has no covariance: simulate wrote its
+    # samples and then exited 3, and em-compare wrote nan covariances
+    body = size_cfg(n_chains=1, samples_per_chain=1).replace(
+        "drift = grad_quadratic\nnoise.sigma = [[1.0]]",
+        "drift = linear\ndrift.a = [[-1.0, 0.5], [0.0, -2.0]]\n"
+        "noise.sigma = [[1.0, 0.0], [0.0, 1.0]]")
+    out = tmp_path / "run"
+    cfg = write_cfg(tmp_path, body)
+    for dry_run in (["--dry-run"], []):
+        assert main([command, "--config", cfg, "--out", str(out), *dry_run]) == 2
+        assert capsys.readouterr().err == (
+            "config error: n_chains * samples_per_chain must be >= 2: the moments of the "
+            "records need at least 2\n")
+        assert not out.exists()
+
+
+SEED_ERROR = "config error: seed must be in [0, 2^64 - 1], got {}\n"
+
+
+@pytest.mark.parametrize("seed", [2**64, -1], ids=["2^64", "negative"])
+@pytest.mark.parametrize("command, given", [("simulate", "flag"), ("simulate", "key"),
+                                            ("em-compare", "key"), ("figure", "flag")])
+def test_seeds_outside_64_bits_exit_2(tmp_path, capsys, seed, command, given):
+    # philox_key takes a seed modulo 2^64: --seed 2^64 wrote seed 0's samples
+    if command == "figure":
+        argv = ["figure", "fig3"]
+    else:
+        body = size_cfg(seed=seed if given == "key" else 0)
+        argv = [command, "--config", write_cfg(tmp_path, body)]
+    if given == "flag":
+        argv += ["--seed", str(seed)]
+    out = tmp_path / "run"
+    for dry_run in (["--dry-run"], []):
+        assert main([*argv, "--out", str(out), *dry_run]) == 2
+        assert capsys.readouterr().err == SEED_ERROR.format(seed)
+        assert not out.exists()
+
+
+def test_the_seed_bounds_are_exact(tmp_path):
+    cfg = write_cfg(tmp_path, size_cfg())
+    for seed, code in ((0, 0), (2**64 - 1, 0), (-1, 2), (2**64, 2)):
+        for argv in (["simulate", "--config", cfg], ["figure", "fig3"]):
+            assert main([*argv, "--seed", str(seed), "--dry-run"]) == code, (argv, seed)
+
+
 def test_the_64_bit_bounds_are_exact(tmp_path):
     # the largest counts that fit pass, and those one past them do not; a
     # chain holds 300 records of 8 bytes
@@ -564,25 +612,6 @@ class TestPipelineCommand:
         cfg = write_cfg(tmp_path, QUAD_CFG)
         assert main(["pipeline", "--config", cfg]) == 2
         assert "requires scaling = auto" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command, scaling", [("test", "0.5"), ("pipeline", "auto")])
-    def test_one_retained_sample_exits_3(self, tmp_path, capsys, command, scaling):
-        # one chain with one record: no covariance and no verdict to write
-        body = f"""
-        drift = linear
-        drift.a = [[-1.0, 0.5], [0.0, -2.0]]
-        noise.sigma = [[1.0, 0.0], [0.0, 1.0]]
-        alphas = 0.1
-        scaling = {scaling}
-        n_chains = 1
-        samples_per_chain = 1
-        """
-        cfg = write_cfg(tmp_path, body)
-        out = tmp_path / command
-        assert main([command, "--config", cfg, "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err == "numerical failure: a sample summary needs at least 2 samples\n"
-        assert not (out / "gof.csv").exists()
 
     @pytest.mark.parametrize("command, scaling", [("test", "0.5"), ("pipeline", "auto")])
     def test_too_few_samples_for_a_density_exit_2_before_simulating(self, tmp_path, capsys,

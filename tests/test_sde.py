@@ -80,7 +80,7 @@ class TestEmStep:
 
     def test_nonpositive_step_rejected(self):
         with pytest.raises(NumericalError, match="delta_t must be positive"):
-            run_em_ensemble(config(n_chains=1, samples_per_chain=1), 0.0)
+            run_em_ensemble(config(n_chains=2, samples_per_chain=1), 0.0)
 
 
 class TestOuDiscretization:
