@@ -35,7 +35,7 @@ from .figures import FIGURE_SPECS, FigureResult, _figure_config, run_figure
 from .lyapunov import predict_stationary
 from .scaling import find_scaling_exponent
 from .sde import em_vs_sa_compare
-from .simulate import engine, run_ensemble
+from .simulate import run_ensemble
 from .stats import (
     MIN_DENSITY_SAMPLES,
     cf_residual,
@@ -153,8 +153,8 @@ class _Manifest:
         self.files = []
         self.durations = {}
         self.notes = []
-        self.engine = None        # simulate.engine of the chains run, if any
         self.ensembles = {}       # per alpha tag: its chains and their speed
+        self.kernel_isas = set()  # Ensemble.kernel_isa of each recorded ensemble
         self._t0 = time.perf_counter()
 
     def __enter__(self) -> "_Manifest":
@@ -166,7 +166,7 @@ class _Manifest:
         self.files.append(name)
 
     def add_ensemble(self, tag: str, ens, summary) -> None:
-        """Record an ensemble's chain counts, chain-steps and speed, and summary's n_eff."""
+        """Record an ensemble's chain counts, chain-steps, speed, body and n_eff."""
         chain_steps = ens.n_chains * (ens.burn_in + ens.samples.shape[1] * ens.thin)
         self.ensembles[tag] = {
             "n_chains": ens.n_chains,
@@ -175,6 +175,7 @@ class _Manifest:
             "chain_steps_per_s": chain_steps / ens.seconds,
             "n_eff": summary.n_eff,
         }
+        self.kernel_isas.add(ens.kernel_isa)
 
     def note(self, text: str) -> None:
         self.notes.append(text)
@@ -192,6 +193,10 @@ class _Manifest:
                     break
             return
         self.durations["total_s"] = time.perf_counter() - self._t0
+        # the body of the recorded chains: "numpy" if it stepped any of them
+        isas = self.kernel_isas
+        engine = ("numpy" if None in isas else "compiled") if isas else None
+        kernel_isa = next(iter(isas)) if len(isas) == 1 else None
         payload = {
             "command": self.command,
             "version": __version__,
@@ -199,9 +204,9 @@ class _Manifest:
             "config": self.config,
             "files": sorted(self.files),
             "notes": self.notes,
-            "engine": self.engine,
+            "engine": engine,
             "durations": self.durations,
-            "runtime": _runtime(self.threads, self.engine),
+            "runtime": _runtime(self.threads, kernel_isa),
         }
         if self.ensembles:
             payload["ensembles"] = self.ensembles
@@ -213,19 +218,13 @@ class _Manifest:
                     lambda path: path.write_text(text, encoding="utf-8"))
 
 
-def _runtime(threads: int, body) -> dict:
+def _runtime(threads: int, kernel_isa) -> dict:
     """What a run's speed depends on and its bytes do not: kept out of the CSVs.
 
-    kernel_isa is the compiled kernel's clone (_step.Kernel.isa) when body,
-    the engine of the chains run, is "compiled", else None.
+    kernel_isa is the compiled kernel's clone that stepped the run's chains,
+    or None.
     """
     affinity = getattr(os, "sched_getaffinity", None)   # not on macOS or Windows
-    if body == "compiled":
-        from ._step import load     # loaded already, by the chains it ran
-
-        kernel_isa = load().isa
-    else:
-        kernel_isa = None
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -300,7 +299,6 @@ def _emit_density(est, alpha, manifest):
 
 def _emit_figure(result: FigureResult, manifest: _Manifest) -> None:
     """Record a figure's ensembles and write its density, trend-check and log-fit CSVs."""
-    manifest.engine = result.engine
     for alpha in result.alphas:
         manifest.add_ensemble(_alpha_tag(alpha), result.ensembles[alpha],
                               result.summaries[alpha])
@@ -387,7 +385,6 @@ def _cmd_simulate(validated, manifest, threads) -> None:
         mrows += list(_matrix_rows("cov", summary.cov))
         manifest.emit(["quantity", "value"], mrows, f"moments_{tag}.csv")
         manifest.durations[f"alpha_{tag}_s"] = time.perf_counter() - t0
-    manifest.engine = engine(validated.op)
 
 
 @_config_command("predict", "predict: would write prediction.csv")
@@ -416,7 +413,6 @@ def _run_tests_for(validated, manifest, scaling, threads) -> None:
         if validated.op.dim == 1:
             est = estimate_density(ens.flat, density_grid(summary.sd), summary.sd)
             _emit_density(est, alpha, manifest)
-    manifest.engine = engine(validated.op)
     smallest = validated.alphas[-1]
 
     m = validated.op.jacobian
@@ -505,7 +501,6 @@ def _cmd_em_compare(validated, manifest, threads) -> None:
                       + ", ".join(map(_alpha_tag, not_run)))
     scaling = _resolve_scaling(validated)
     result = em_vs_sa_compare(validated, alpha, scaling, threads=threads)
-    manifest.engine = engine(validated.op)
     manifest.add_ensemble(_alpha_tag(alpha), result.sa, result.sa_summary)
     manifest.add_ensemble(f"em_{_alpha_tag(alpha)}", result.em, result.em_summary)
     rows = [("alpha", alpha), ("exponent", scaling.exponent),

@@ -341,7 +341,7 @@ def validate_config(cfg: ExperimentConfig) -> ValidatedConfig:
 
 
 # ---------------------------------------------------------------------------
-# config file format: flat `key = value` lines, `#` comments, UTF-8
+# config file format: flat `key = value` lines, `#` comments, UTF-8 (BOM or not)
 # ---------------------------------------------------------------------------
 
 _SCALAR_KEYS = {
@@ -379,7 +379,7 @@ def parse_config_file(path) -> ExperimentConfig:
     cfg = ExperimentConfig()
     errors = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     given = {}          # key -> the line that gave it

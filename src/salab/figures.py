@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .core import ExperimentConfig, NumericalError, PowerScaling, ValidatedConfig, validate_config
-from .simulate import _config_chains, engine
+from .simulate import _config_chains
 from .stats import density_grid, estimate_density, log_density_fit, log_fit_exponents, summarize
 
 #: density curves flatten/sharpen 10^|p - p*| per decade under a wrong
@@ -143,7 +143,6 @@ class FigureResult:
     densities: dict               # alpha -> DensityEstimate
     trend: Optional[TrendCheck]
     fits: dict                    # q -> FitReport
-    engine: str                   # simulate.engine of the figure's drift
     ensembles: dict               # alpha -> its unscaled simulate.Ensemble
     summaries: dict               # alpha -> stats.Summary of its scaled records
 
@@ -195,7 +194,6 @@ def run_figure(
         densities=densities,
         trend=trend,
         fits=fits,
-        engine=engine(cfg.op),
         ensembles={a: cache[(spec.drift, a, seed)] for a in spec.alphas},
         summaries=summaries,
     )

@@ -55,12 +55,14 @@ def resolve_schedule(alpha: float, burn_in="auto", thin="auto") -> tuple:
 @dataclass(frozen=True)
 class Ensemble:
     """Records of the chains that stayed finite, the schedule that made them,
-    and the wall seconds run_chains took to step them.
+    the wall seconds run_chains took to step them and the body that did.
 
     Record r of a chain was taken after step burn_in + (r + 1) * thin, so
     samples[:, -1] is each chain's final state.  run_chains records X;
     run_ensemble records the centered scaled iterate Y = (X - x*) / g(alpha),
-    and sde.run_em_ensemble the centered X - x*.
+    and sde.run_em_ensemble the centered X - x*.  kernel_isa is the
+    compiled kernel's clone (_step.Kernel.isa) when it stepped the chains,
+    and None when the numpy body did.
     """
 
     samples: np.ndarray       # (n_kept, samples_per_chain, d)
@@ -70,6 +72,7 @@ class Ensemble:
     burn_in: int
     thin: int
     seconds: float = 0.0
+    kernel_isa: Optional[str] = None
 
     @property
     def flat(self) -> np.ndarray:
@@ -108,11 +111,6 @@ def _kernel_for(op: DriftOperator):
 
     kernel = _step.load()
     return None if kernel is None else (kernel, drift)
-
-
-def engine(op: DriftOperator) -> str:
-    """The body that steps op's chains: "compiled" or "numpy"."""
-    return "numpy" if _kernel_for(op) is None else "compiled"
 
 
 def _noise_windows(nm: NoiseModel, gens, coeff: float, total: int):
@@ -271,6 +269,7 @@ def run_chains(
         burn_in=burn_in,
         thin=thin,
         seconds=perf_counter() - t0,
+        kernel_isa=None if stepper is None else stepper[0].isa,
     )
 
 

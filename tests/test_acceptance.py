@@ -62,6 +62,12 @@ def _ensemble(drift, alpha, **fields):
     return run_ensemble(_config(drift, alpha, **fields), alpha)
 
 
+def _cf_ratio(flat, m, sigma):
+    """max |cf residual| / SE over the residual's t-grid."""
+    cf = cf_residual(flat, m, sigma)
+    return float(np.max(np.hypot(cf.residual_real, cf.residual_imag) / cf.se))
+
+
 def _variance_check(flat, target, k_se):
     """(passed, detail) for |sample var - target| <= k_se standard errors."""
     dev = (flat - flat.mean()) ** 2
@@ -128,8 +134,10 @@ def test_criterion_3_gradient_descent_universality():
     for shape in ("gaussian", "uniform", "rademacher"):
         ens = _ensemble("grad_quadratic", 0.005, shape=shape, thin=50, spc=512)
         rep = gaussian_gof(ens.flat, summarize(ens.flat), [[0.5]])
-        ok &= rep.passed
-        details.append(f"{shape}: ks={rep.ks_distance:.4f}<={rep.ks_threshold:.4f}")
+        ratio = _cf_ratio(ens.flat, [[-1.0]], [[1.0]])
+        ok &= rep.passed and ratio <= 5.0
+        details.append(f"{shape}: ks={rep.ks_distance:.4f}<={rep.ks_threshold:.4f}, "
+                       f"max |cf|/se {ratio:.2f} (<=5)")
     _report(3, ok, time.perf_counter() - t0, 120, "; ".join(details))
 
 
@@ -141,11 +149,13 @@ def test_criterion_4_linear_sa_two_dimensional():
     predicted = solve_lyapunov(a, np.eye(2)).sigma_y
     cov = np.cov(ens.flat, rowvar=False, ddof=1)
     rel = np.linalg.norm(cov - predicted) / np.linalg.norm(predicted)
-    cf = cf_residual(ens.flat, a, np.eye(2))
-    ratio = float(np.max(np.hypot(cf.residual_real, cf.residual_imag) / cf.se))
-    ok = rel <= 0.05 and ratio <= 5.0
+    ratio = _cf_ratio(ens.flat, a, np.eye(2))
+    rep = gaussian_gof(ens.flat, summarize(ens.flat), predicted)
+    ok = rel <= 0.05 and ratio <= 5.0 and rep.passed
     _report(4, ok, time.perf_counter() - t0, 120,
-            f"cov rel err {rel:.3f} (<=0.05), max |cf|/se {ratio:.2f} (<=5)")
+            f"cov rel err {rel:.3f} (<=0.05), max |cf|/se {ratio:.2f} (<=5), "
+            f"gof pass={rep.passed} (cov_rel_err={rep.cov_rel_err:.4f}"
+            f"<={rep.cov_threshold:.3f})")
 
 
 def test_criterion_5_contractive_sa():
@@ -155,9 +165,11 @@ def test_criterion_5_contractive_sa():
     t0 = time.perf_counter()
     ens = _ensemble("contractive_tanh", 0.002, burn_in=25_000, thin=1250, spc=64)
     rep = gaussian_gof(ens.flat, summarize(ens.flat), [[5.0]])
-    _report(5, rep.passed, time.perf_counter() - t0, 120,
+    ratio = _cf_ratio(ens.flat, [[-0.1]], [[1.0]])
+    _report(5, rep.passed and ratio <= 5.0, time.perf_counter() - t0, 120,
             f"ks={rep.ks_distance:.4f}<={rep.ks_threshold:.4f}, "
-            f"cov_rel_err={rep.cov_rel_err:.3f}<={rep.cov_threshold:.3f}")
+            f"cov_rel_err={rep.cov_rel_err:.3f}<={rep.cov_threshold:.3f}, "
+            f"max |cf|/se {ratio:.2f} (<=5)")
 
 
 def test_criterion_6_scaling_discovery():

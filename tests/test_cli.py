@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import platform
@@ -15,6 +16,7 @@ import salab._step as step
 import salab.cli as cli
 import salab.figures as figures
 import salab.sde as sde
+import salab.simulate as sim
 import salab.stats as stats
 from salab.cli import _write_csv, main
 from salab.figures import FIGURE_SPECS, FigureSpec
@@ -181,6 +183,30 @@ class TestSimulateCommand:
         for path in out.glob("*.csv"):
             assert "chain_steps" not in path.read_text()
 
+    def test_manifest_names_the_body_that_stepped_the_chains(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, QUAD_CFG)
+        kernel = step.load()
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "plain")]) == 0
+        manifest = json.loads((tmp_path / "plain" / "manifest.json").read_text())
+        assert manifest["engine"] == ("numpy" if kernel is None else "compiled")
+        assert manifest["runtime"]["kernel_isa"] == (kernel and kernel.isa)
+        # run_chains handed a copy of the op whose fn is wrapped, as a tracer
+        # does: the kernel does not know that fn, so the numpy body steps it
+        run_chains, calls = sim.run_chains, []
+
+        def run_chains_with_wrapped_fn(op, *args, **kwargs):
+            copy = dataclasses.replace(op)
+            object.__setattr__(copy, "fn", lambda x: calls.append(1) or op.fn(x))
+            return run_chains(copy, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "run_chains", run_chains_with_wrapped_fn)
+        out = tmp_path / "wrapped"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert len(calls) == 100 + 32 * 10 + 1000 + 32 * 100
+        assert manifest["engine"] == "numpy" and manifest["runtime"]["kernel_isa"] is None
+        assert read_bytes(out) == read_bytes(tmp_path / "plain")
+
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, QUAD_CFG)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -245,6 +271,12 @@ class TestSimulateCommand:
 
     def test_unreadable_config_exits_2(self, capsys):
         assert main(["simulate", "--config", "/nonexistent/exp.cfg"]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("drift = grad_quadratic  # \u00bd\n".encode("latin-1"))
+        assert main(["simulate", "--config", str(cfg), "--dry-run"]) == 2
         assert "cannot read config file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("body", [

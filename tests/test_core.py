@@ -180,6 +180,15 @@ class TestConfigFile:
         assert validated.seed == 42
         assert validated.alphas == (0.05, 0.005)
 
+    def test_byte_order_mark_is_not_read_as_part_of_a_key(self, tmp_path):
+        # editors such as Notepad start a UTF-8 file with the bytes EF BB BF
+        text = b"drift = grad_quadratic\nalphas = 0.05, 0.005\nseed = 3\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        assert parse_config_file(marked) == parse_config_file(plain)
+        assert parse_config_file(marked).drift == "grad_quadratic"
+
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("velocity = 11\n")

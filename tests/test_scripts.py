@@ -10,16 +10,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_verify_theorems_reports_three_ok_cases():
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "verify_theorems.py")],
-        capture_output=True, text=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-    )
-    assert out.returncode == 0, out.stdout + out.stderr
-    assert sum(line.endswith("-> OK") for line in out.stdout.splitlines()) == 3
-
-
 def bench_pairs(parent, change, record, env=None, workload="fig3_quartic"):
     """One pair of bench_pairs.py at seed 11, of fig3_quartic, the cheapest
     workload on the compiled body, unless another workload is named."""

@@ -53,7 +53,9 @@ def body(request, monkeypatch):
         monkeypatch.setattr(step, "load", lambda: None)
     elif step.load() is None:
         pytest.skip("no C compiler: the compiled kernel cannot be built")
-    assert sim.engine(quartic()) == request.param
+    raw = run_chains(quartic(), make_noise("rademacher", [[1.0]]), 0.01, 0.01, n_chains=1,
+                     burn_in=0, thin=1, samples_per_chain=1, seed=0)
+    assert raw.kernel_isa == (None if request.param == "numpy" else step.load().isa)
     return request.param
 
 

@@ -116,6 +116,14 @@ def csv_bytes(out):
     return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
 
 
+def stepped_by(op):
+    """The kernel_isa of one step of op's chain: the clone that ran it, or
+    None when the numpy body did."""
+    nm = make_noise("gaussian", np.eye(op.dim))
+    return sim.run_chains(op, nm, 0.01, 0.01, n_chains=1, burn_in=0, thin=1,
+                          samples_per_chain=1, seed=0).kernel_isa
+
+
 @needs_cc
 def test_source_compiles_without_warnings(tmp_path):
     # the production build plus every common warning, as errors
@@ -234,16 +242,17 @@ def test_isa_names_the_clone_the_cpu_takes(kernel):
 
 def test_only_the_quartic_drift_takes_the_kernel(fresh_kernel):
     # the quartic, and the two affine drifts at every d; nothing else
-    assert sim.engine(quartic()) == "compiled"
-    assert sim.engine(linear([[-1.0]])) == "compiled"
-    assert sim.engine(linear([[-1.0]], [0.5])) == "compiled"
-    assert sim.engine(grad_quadratic([[2.0]])) == "compiled"
-    assert sim.engine(linear([[-1.0, 0.5], [0.0, -2.0]])) == "compiled"
-    assert sim.engine(linear(-np.eye(3), [0.1, 0.2, 0.3])) == "compiled"
-    assert sim.engine(grad_quadratic(np.eye(2))) == "compiled"
+    isa = fresh_kernel.isa
+    assert stepped_by(quartic()) == isa
+    assert stepped_by(linear([[-1.0]])) == isa
+    assert stepped_by(linear([[-1.0]], [0.5])) == isa
+    assert stepped_by(grad_quadratic([[2.0]])) == isa
+    assert stepped_by(linear([[-1.0, 0.5], [0.0, -2.0]])) == isa
+    assert stepped_by(linear(-np.eye(3), [0.1, 0.2, 0.3])) == isa
+    assert stepped_by(grad_quadratic(np.eye(2))) == isa
     for op in (quartic_sine(), exp_square(), contractive_tanh(),
                DriftOperator("plain", 1, lambda x: -x, np.zeros(1), np.array([[-1.0]]))):
-        assert sim.engine(op) == "numpy", op.name
+        assert stepped_by(op) is None, op.name
 
 
 def test_compiled_body_draws_no_noise_in_python(fresh_kernel, monkeypatch):
@@ -492,7 +501,7 @@ def test_failed_format_check_falls_back_to_the_python_writer(fresh_kernel, tmp_p
     monkeypatch.setattr(step, "load", functools.cache(step.load.__wrapped__))
     monkeypatch.setattr(step, "_format_check", lambda kernel: False)
     assert step.load() is None
-    assert sim.engine(quartic()) == "numpy"
+    assert stepped_by(quartic()) is None
     cli._write_samples(tmp_path / "python.csv", ens)
     assert (tmp_path / "python.csv").read_bytes() == (tmp_path / "compiled.csv").read_bytes()
 
@@ -504,9 +513,9 @@ def test_failed_self_check_falls_back_to_the_numpy_body(fresh_kernel, tmp_path, 
     compiled = sim.run_chains(op, nm, 0.01, 0.02, **sizes)
     monkeypatch.setattr(step, "load", functools.cache(step.load.__wrapped__))
     monkeypatch.setattr(step, "_self_check", lambda kernel, ref: False)
-    assert sim.engine(op) == "numpy"
-    assert sim.run_chains(op, nm, 0.01, 0.02, **sizes).samples.tobytes() == \
-        compiled.samples.tobytes()
+    fallback = sim.run_chains(op, nm, 0.01, 0.02, **sizes)
+    assert compiled.kernel_isa == fresh_kernel.isa and fallback.kernel_isa is None
+    assert fallback.samples.tobytes() == compiled.samples.tobytes()
 
 
 def reference_file():
@@ -526,9 +535,9 @@ def test_wrong_reference_digest_falls_back_to_the_numpy_body(fresh_kernel, monke
     ref.write_bytes(wrong)
     monkeypatch.setattr(step, "load", functools.cache(step.load.__wrapped__))
     assert step.load() is None
-    assert sim.engine(op) == "numpy"
-    assert sim.run_chains(op, nm, 0.01, 0.02, **sizes).samples.tobytes() == \
-        compiled.samples.tobytes()
+    fallback = sim.run_chains(op, nm, 0.01, 0.02, **sizes)
+    assert compiled.kernel_isa == fresh_kernel.isa and fallback.kernel_isa is None
+    assert fallback.samples.tobytes() == compiled.samples.tobytes()
     # the file is never rewritten from the kernel's draws
     assert ref.read_bytes() == wrong
 
@@ -603,9 +612,9 @@ def test_missing_numpy_random_falls_back_to_the_numpy_body(fresh_kernel, tmp_pat
     else:
         monkeypatch.setattr(step, "_includes", lambda: [f"-I{tmp_path}"])
     for (op, nm), ens in zip(cases, compiled):
-        assert sim.engine(op) == "numpy"
-        assert sim.run_chains(op, nm, 0.01, 0.02, **sizes).samples.tobytes() == \
-            ens.samples.tobytes()
+        fallback = sim.run_chains(op, nm, 0.01, 0.02, **sizes)
+        assert ens.kernel_isa == fresh_kernel.isa and fallback.kernel_isa is None
+        assert fallback.samples.tobytes() == ens.samples.tobytes()
 
 
 def test_import_and_dry_run_build_nothing(tmp_path):
