@@ -36,17 +36,17 @@
  * body.
  *
  * run walks the chains a tile of 64 at a time.  For each sub-block of
- * steps it fills the tile's noise, packed sign words at d = 1 and unit
- * draws otherwise, then steps the tile with the chain loop innermost: the
- * chains are independent, so the loop runs at the throughput of the
- * arithmetic rather than at the latency of one chain's dependent
- * operations, and the tile's constant width lets the compiler vectorize
- * it.  Sign noise at d = 1 takes a fused update, one pass per step; drawn
- * noise at every d takes one row-wise step, each row of g computed for the
- * whole tile at once.  Every sign draw, packed or drawn, comes from one
- * pick, pick_sign, which flips a sign bit instead of branching on the
- * random bit.  The drift kind is a constant in each loop, and so
- * is d at d = 1 and d = 2.  The tile's noise is laid out step-major, so
+ * steps it fills the tile's noise, packed sign words for the quartic under
+ * sign noise and unit draws otherwise, then steps the tile with the chain
+ * loop innermost: the chains are independent, so the loop runs at the
+ * throughput of the arithmetic rather than at the latency of one chain's
+ * dependent operations, and the tile's constant width lets the compiler
+ * vectorize it.  The quartic under sign noise takes a fused update, one
+ * pass per step; every other drift and noise takes one row-wise step, each
+ * row of g computed for the whole tile at once.  Every sign draw, packed or
+ * drawn, comes from one pick, pick_sign, which flips a sign bit instead of
+ * branching on the random bit.  The drift kind is a constant in each loop,
+ * and so is d at d = 1 and d = 2.  The tile's noise is laid out step-major, so
  * every loop reads it at unit stride.  Record r of a chain is its state
  * after step burn_in + (r + 1) * thin, written to out[chain, r].
  *
@@ -76,7 +76,7 @@
 #define TILE 64
 /* unit draws per chain in a sub-block of drawn noise */
 #define SUB_DRAWS 64
-/* raw words per chain in a sub-block of packed d = 1 sign noise */
+/* raw words per chain in a sub-block of packed quartic sign noise */
 #define SIGN_WORDS 64
 /* words of a chain's Philox stream made by one refill, 16 blocks */
 #define BUF_WORDS 64
@@ -403,11 +403,11 @@ INLINE void draw(const struct noise *nz, long d, struct stream *ss, long t, long
 
 /* Advances a tile of D-dimensional states through steps s0 .. s1 - 1 of a
  * sub-block.  Drawn noise is step-major, z + s * D * TILE the unit draws
- * of step s.  Packed d = 1 sign noise (words not NULL) has draw s of chain c
- * in bit s % 64 of words[(s / 64) * TILE + c]: a set bit adds -lo, a clear
- * one lo, whose bits are lo_bits.  That update is fused, one pass per
- * step, and picks the draw with pick_sign from the word shifted left by
- * 63 - s % 64, which brings draw s to bit 63. */
+ * of step s.  Packed sign noise (words not NULL), which only the quartic
+ * takes, has draw s of chain c in bit s % 64 of words[(s / 64) * TILE + c]:
+ * a set bit adds -lo, a clear one lo, whose bits are lo_bits.  That update
+ * is fused, one pass per step, and picks the draw with pick_sign from the
+ * word shifted left by 63 - s % 64, which brings draw s to bit 63. */
 INLINE void advance(long kind, long D, const struct drift *f, const struct noise *nz,
                     double *restrict xs, double *restrict g, const double *restrict z,
                     const uint64_t *restrict words, uint64_t lo_bits, long s0, long s1)
@@ -420,8 +420,8 @@ INLINE void advance(long kind, long D, const struct drift *f, const struct noise
         const uint64_t *restrict ws = words + (s >> 6) * TILE;
         unsigned bit = (unsigned)(s & 63);
         for (long c = 0; c < TILE; c++) {
-            double v = xs[c], gc = kind == NEG_CUBE ? -(v * v * v) : v * f->a[0] + f->b[0];
-            xs[c] = (v + gc * f->dc) + pick_sign(lo_bits, ws[c] << (63 - bit));
+            double v = xs[c];
+            xs[c] = (v + -(v * v * v) * f->dc) + pick_sign(lo_bits, ws[c] << (63 - bit));
         }
     }
 }
@@ -442,10 +442,10 @@ CLONES int run(const struct drift *drift, const struct noise *nz, const uint64_t
     /* a local copy, which no store to a state can change */
     const struct drift local = *drift, *f = &local;
     long d = f->d, total = burn_in + spc * thin;
-    /* d = 1 sign noise stays packed, 64 draws to a word, a sub-block of
-     * SIGN_WORDS words at a time, and needs no draw buffers; a drawn
-     * sub-block holds SUB_DRAWS draws, so the buffers are linear in d */
-    int packed = nz->shape == RADEMACHER && d == 1;
+    /* the quartic's sign noise stays packed, 64 draws to a word, a
+     * sub-block of SIGN_WORDS words at a time, and needs no draw buffers; a
+     * drawn sub-block holds SUB_DRAWS draws, so the buffers are linear in d */
+    int packed = nz->shape == RADEMACHER && f->kind == NEG_CUBE;
     long sub = packed ? 0 : d < SUB_DRAWS ? SUB_DRAWS / d : 1,
          block = packed ? 64 * SIGN_WORDS : sub;
     double *xs = calloc((2 * d + sub * d) * TILE, sizeof *xs);
@@ -476,10 +476,8 @@ CLONES int run(const struct drift *drift, const struct noise *nz, const uint64_t
             /* record r is the state after step next = burn_in + (r + 1) thin */
             for (long s = 0, e; s < m; s = e) {
                 e = next - k < m ? next - k : m;
-                if (packed && f->kind == NEG_CUBE)
+                if (packed)
                     advance(NEG_CUBE, 1, f, nz, xs, g, NULL, words, lo_bits, s, e);
-                else if (packed)
-                    advance(AFFINE, 1, f, nz, xs, g, NULL, words, lo_bits, s, e);
                 else if (f->kind == NEG_CUBE)
                     advance(NEG_CUBE, 1, f, nz, xs, g, z, NULL, 0, s, e);
                 else if (d == 1)

@@ -44,6 +44,7 @@ from .stats import (
     gaussian_gof,
     log_density_fit,
     log_fit_exponents,
+    second_moment_trace,
     summarize,
 )
 
@@ -380,7 +381,7 @@ def _cmd_simulate(validated, manifest, threads) -> None:
         manifest.durations[f"samples_{tag}_s"] = time.perf_counter() - t1
         mrows = [("alpha", alpha), ("n_samples", summary.count),
                  ("n_diverged", ens.n_diverged),
-                 ("second_moment_trace", summary.second_moment_trace)]
+                 ("second_moment_trace", second_moment_trace(ens.flat))]
         mrows += [(f"mean_{i + 1}", v) for i, v in enumerate(summary.mean)]
         mrows += list(_matrix_rows("cov", summary.cov))
         manifest.emit(["quantity", "value"], mrows, f"moments_{tag}.csv")
@@ -520,6 +521,8 @@ def _cmd_figure(args) -> int:
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ConfigError(f"figure {', '.join(map(repr, repeated))} named more than once")
+    if "all" in names:
+        raise ConfigError("figure name 'all' must be given alone, not beside other names")
     unknown = [name for name in names if name not in FIGURE_SPECS]
     if unknown:
         raise ConfigError(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from math import ceil
 from pathlib import Path
 from typing import Any
 
@@ -195,6 +196,18 @@ class ValidatedConfig:
     alpha_max: float
 
 
+def resolve_schedule(alpha: float, burn_in="auto", thin="auto") -> tuple:
+    """(burn_in, thin) in steps, with "auto" replaced by the defaults for alpha.
+
+    A unit linear-restoring drift mixes in about 1/alpha steps, so "auto"
+    burns in ceil(10 / alpha) steps and records every ceil(1 / alpha).
+    """
+    return (
+        ceil(10.0 / alpha) if burn_in == "auto" else burn_in,
+        ceil(1.0 / alpha) if thin == "auto" else thin,
+    )
+
+
 #: integer fields of ExperimentConfig and their least allowed value
 _COUNT_KEYS = (
     ("n_chains", 1),
@@ -217,8 +230,6 @@ def _size_errors(alphas, counts: dict, d: int) -> list:
     A run counts to step burn_in + (samples_per_chain + 1) * thin, one
     record's stride past the last record.
     """
-    from .simulate import resolve_schedule
-
     errors, spc = [], counts["samples_per_chain"]
     for alpha in alphas:
         try:

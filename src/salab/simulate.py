@@ -12,13 +12,20 @@ only the keys and runs the same streams itself, to the same bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 from time import perf_counter
 from typing import Optional
 
 import numpy as np
 
-from .core import NumericalError, PowerScaling, ValidatedConfig, philox_key, seed_rng, stream_ids
+from .core import (
+    NumericalError,
+    PowerScaling,
+    ValidatedConfig,
+    philox_key,
+    resolve_schedule,
+    seed_rng,
+    stream_ids,
+)
 from .drift import Affine, DriftOperator, _neg_cube
 from .noise import NoiseModel, sample_block, sign_bits, sign_words
 
@@ -32,24 +39,6 @@ _STEP_BLOCK = 4096
 
 #: abort when more than this fraction of chains diverges
 _MAX_DIVERGED_FRACTION = 0.01
-
-
-def default_burn_in(alpha: float) -> int:
-    """Mixing time scales like 1/alpha for a unit linear-restoring drift."""
-    return ceil(10.0 / alpha)
-
-
-def default_thin(alpha: float) -> int:
-    """Step stride between retained samples, reducing autocorrelation."""
-    return ceil(1.0 / alpha)
-
-
-def resolve_schedule(alpha: float, burn_in="auto", thin="auto") -> tuple:
-    """(burn_in, thin) in steps, with "auto" replaced by the defaults for alpha."""
-    return (
-        default_burn_in(alpha) if burn_in == "auto" else burn_in,
-        default_thin(alpha) if thin == "auto" else thin,
-    )
 
 
 @dataclass(frozen=True)

@@ -79,19 +79,6 @@ def _pairwise_sum(n: int, leaf, lo: int = 0):
     return _pairwise_sum(n2, leaf, lo) + _pairwise_sum(n - n2, leaf, lo + n2)
 
 
-def _variance(values: np.ndarray) -> float:
-    """values.var(ddof=1) of a 1-D array, without an n-length deviation."""
-    n = values.shape[0]
-    mean = np.add.reduce(values) / n
-    dev = np.empty(min(n, _BLOCK))
-
-    def leaf(lo, hi):
-        d = np.subtract(values[lo:hi], mean, out=dev[: hi - lo])
-        return np.add.reduce(np.square(d, out=d))
-
-    return _pairwise_sum(n, leaf) / (n - 1)
-
-
 def _dot(x, v):
     """x v for x of shape (..., d): sum_k x[..., k] v[k], in order of k."""
     return _ordered_product(x, v[None, :])[..., 0]
@@ -157,7 +144,7 @@ def effective_sample_size(values) -> float:
     """Batch-means ESS: marginal variance over long-run variance, times n."""
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
-    marginal = _variance(values)
+    marginal = sample_moments(values)[1][0, 0]
     if marginal == 0.0:
         return float(n)
     means = _batch_means(values)
@@ -175,7 +162,6 @@ class Summary:
     count: int
     mean: np.ndarray              # (d,)
     cov: np.ndarray               # (d, d), unbiased
-    second_moment_trace: float    # the mean of |y|^2
     n_eff: tuple                  # effective_sample_size of each coordinate
 
     @property
@@ -186,16 +172,23 @@ class Summary:
 
 def summarize(samples) -> Summary:
     """The Summary of (n, d) samples (1-D input is n scalars): each field is the
-    fixed-order whole-array statistic of sample_moments, _pairwise_sum or the ESS."""
+    fixed-order whole-array statistic of sample_moments or the ESS."""
     samples = _sample_matrix(samples)
     n, d = samples.shape
     if n < 2:
         raise NumericalError("a sample summary needs at least 2 samples")
     mean, cov = sample_moments(samples)
-    # (samples**2).sum(axis=1).mean(), one block of squares at a time
-    squares = _pairwise_sum(n, lambda lo, hi: np.add.reduce((samples[lo:hi] ** 2).sum(axis=1)))
-    return Summary(count=n, mean=mean, cov=cov, second_moment_trace=float(squares / n),
+    return Summary(count=n, mean=mean, cov=cov,
                    n_eff=tuple(effective_sample_size(samples[:, i]) for i in range(d)))
+
+
+def second_moment_trace(samples) -> float:
+    """The mean of |y|^2 over (n, d) samples (1-D input is n scalars):
+    (samples**2).sum(axis=1).mean(), one block of squares at a time."""
+    samples = _sample_matrix(samples)
+    n = samples.shape[0]
+    squares = _pairwise_sum(n, lambda lo, hi: np.add.reduce((samples[lo:hi] ** 2).sum(axis=1)))
+    return float(squares / n)
 
 
 # ---------------------------------------------------------------------------

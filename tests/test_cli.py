@@ -483,6 +483,16 @@ class TestFigureCommand:
         assert "figure 'fig3' named more than once" in captured.err
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    @pytest.mark.parametrize("names", [["all", "fig1"], ["fig5", "all"]], ids="-".join)
+    def test_all_beside_other_names_exits_2(self, tmp_path, capsys, names, dry_run):
+        out = tmp_path / "figs"
+        assert main(["figure", *names, "--out", str(out), *dry_run]) == 2
+        captured = capsys.readouterr()
+        assert "figure name 'all' must be given alone" in captured.err
+        assert "unknown figure" not in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_all_dry_run_names_every_figure(self, tmp_path, capsys):
         out = tmp_path / "figs"
         assert main(["figure", "all", "--out", str(out), "--dry-run"]) == 0

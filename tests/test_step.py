@@ -135,10 +135,10 @@ def test_source_compiles_without_warnings(tmp_path):
 @needs_cc
 def test_sign_tile_is_vectorized_for_each_drift_kind(tmp_path):
     # the full tile's chain loops, in each clone of the kernel, are what
-    # make it fast: the fused d = 1 sign loop of advance(), once per drift
-    # kind, carries fig3, and the row-wise step() at d = 1 and d = 2, which
-    # also scales the drawn noise, the gaussian workloads; a VLA or an
-    # aliasing store silently stops them
+    # make it fast: the fused sign loop of advance(), which only the
+    # quartic takes, carries fig3, and the row-wise step() at d = 1 and
+    # d = 2, which also scales the drawn noise, the gaussian workloads; a
+    # VLA or an aliasing store silently stops them
     res = step.compile_source(step.SOURCE.read_bytes(), tmp_path / "step.so",
                               "-fopt-info-vec-optimized")
     stderr = res.stderr.decode()
@@ -162,7 +162,7 @@ def test_sign_tile_is_vectorized_for_each_drift_kind(tmp_path):
             assert widths.count(64) == widths.count(32) == instances, stderr
 
     (signs,) = chain_loops("INLINE void advance(")
-    vectorized(signs, len(step.KINDS))
+    vectorized(signs, 1)
     # step()'s chain loops in order: neg_cube's row; affine's first product,
     # later products and bias at d = 1, 2 and a runtime d (later products
     # only above d = 1); then, at all four, the noise row's first product,
@@ -213,8 +213,8 @@ def test_every_clone_writes_the_same_bits(kernel, tmp_path, clone):
     assert lib.init() == 0
     one = step.Kernel(lib)
 
-    # two tiles, the second partial, through three blocks of packed sign
-    # words and many sub-blocks of drawn noise
+    # two tiles, the second partial, through three blocks of the quartic's
+    # packed sign words and many sub-blocks of drawn noise
     n = KERNEL_TILE + 6
     keys = np.array([philox_key(13, c) for c in range(n)], np.uint64)
     cases = [(("neg_cube", None, None, 0.01), "rademacher", np.eye(1))]
